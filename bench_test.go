@@ -240,7 +240,7 @@ func BenchmarkExpCutsBuild(b *testing.B) {
 	}
 }
 
-// --- Serving fast path (the tracked baseline behind BENCH_PR3.json) ---
+// --- Serving fast path (quick looks while working; bench/ is the benchmark of record) ---
 
 // serveBenchSet builds the 1k-rule ACL set the serving baseline tracks and
 // a trace over it.
@@ -296,8 +296,8 @@ func BenchmarkServeBatched(b *testing.B) {
 // BenchmarkServeBatchedMetrics is BenchmarkServeBatched with the
 // observability layer live: a registered Metrics and an armed event ring,
 // the configuration pcclass -metrics serves with. Comparing its Mpps
-// against BenchmarkServeBatched shows the instrumentation cost the
-// benchjson -metrics-overhead gate bounds at 2%.
+// against BenchmarkServeBatched shows the instrumentation cost that
+// bench/ reports as obs.metrics_on_overhead_frac.
 func BenchmarkServeBatchedMetrics(b *testing.B) {
 	m := engine.NewMetrics(engine.DefaultMetricsShards)
 	m.SetEvents(obs.NewRing(obs.DefaultRingSize))
@@ -329,7 +329,7 @@ func BenchmarkServeClassifyBatch(b *testing.B) {
 
 // BenchmarkServePipelined is BenchmarkServeBatched with the engine
 // routing every batch through the software-pipelined stage walk at the
-// whole-batch group size (the BENCH_PR8.json configuration).
+// whole-batch group size.
 func BenchmarkServePipelined(b *testing.B) {
 	rs, headers := serveBenchSet(b)
 	tree, err := NewExpCuts(rs, ExpCutsConfig{})

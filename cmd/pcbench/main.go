@@ -16,30 +16,29 @@
 // up serving each run.
 //
 // The serve experiment measures engine throughput per-packet versus
-// batched (-batch sets the batch size) on the 1k-rule ACL set; it is the
-// driver behind the tracked BENCH_PR3.json baseline. The scaling
-// experiment measures the flow-affinity sharded engine across -shards
-// shard counts (the BENCH_PR4.json curve). The obs experiment prices
-// the observability layer itself: metrics-off versus metrics-on
-// throughput on the batched and sharded paths (the benchjson
-// -metrics-overhead gate runs the same measurement). The churn
-// experiment serves the same set while a delta-layer updater pushes live
-// edits (-churn-shards sets the shard count) and reports concurrent
-// serving Mpps next to sustained updates/sec (the BENCH_PR6.json rows).
-// The tenants experiment measures hostile-tenant isolation: a victim
-// tenant's Mpps solo versus co-resident with a WildcardStorm tenant
-// churning its own delta layer (-tenants-shards sets the shard count;
-// the BENCH_PR7.json rows). The rulescale experiment measures build
-// time, memory and critical-path Mpps per algorithm on the deterministic
-// ACL presets across -rulescale-sizes rule counts, each build under
+// batched (-batch sets the batch size) on the 1k-rule ACL set. The
+// scaling experiment measures the flow-affinity sharded engine across
+// -shards shard counts. The obs experiment prices the observability
+// layer itself: metrics-off versus metrics-on throughput on the batched
+// and sharded paths. The churn experiment serves the same set while a
+// delta-layer updater pushes live edits (-churn-shards sets the shard
+// count) and reports concurrent serving Mpps next to sustained
+// updates/sec. The tenants experiment measures hostile-tenant isolation:
+// a victim tenant's Mpps solo versus co-resident with a WildcardStorm
+// tenant churning its own delta layer (-tenants-shards sets the shard
+// count). The rulescale experiment measures build time, memory and
+// critical-path Mpps per algorithm on the deterministic ACL presets
+// across -rulescale-sizes rule counts, each build under
 // buildgov.ScaledBudget — budget-tripped tree builds print as zero-Mpps
-// rows (the BENCH_PR9.json matrix). The pipeline experiment sweeps the
-// software-pipelined stage walk across -groups group sizes and
-// -pipeline-shards shard counts against the level-synchronous baseline
-// (the BENCH_PR8.json rows); -pipeline with -group additionally routes
-// the serve and scaling experiments through the staged walk, so any
-// serving comparison can be read pipelined. -cpuprofile and -memprofile
-// write pprof profiles covering the selected experiments.
+// rows. The pipeline experiment sweeps the software-pipelined stage walk
+// across -groups group sizes and -pipeline-shards shard counts against
+// the level-synchronous baseline; -pipeline with -group additionally
+// routes the serve and scaling experiments through the staged walk, so
+// any serving comparison can be read pipelined. -cpuprofile and
+// -memprofile write pprof profiles covering the selected experiments.
+//
+// These are exploratory tables. The benchmark later changes are judged
+// by is bench/ (BENCHMARK.json): bash bench/run.sh.
 package main
 
 import (

@@ -412,14 +412,15 @@ func buildStatsCollector(t *expcuts.Tree) obs.Collector {
 		gauge("pc_build_depth", "Explicit tree depth of the serving ExpCuts tree.", float64(st.Depth))
 		gauge("pc_build_memory_bytes", "Serialized SRAM footprint of the serving classifier.", float64(t.MemoryBytes()))
 		gauge("pc_build_worst_case_accesses", "Worst-case SRAM accesses per lookup.", float64(st.WorstCaseAccesses))
-		// Per-level stage fill of the software-pipelined walk: how many
-		// walk slots entered each level. The level-over-level decay is the
-		// software reading of per-stage bank occupancy; all-zero when the
-		// pipelined walk has not served.
+		// Per-level stage fill of the software-pipelined walk: node visits
+		// at each original tree level (level 0: every packet walked, root
+		// elided or not). Level l over level 0 is the software reading of
+		// per-stage bank occupancy; all-zero when the pipelined walk has
+		// not served.
 		for lvl, entries := range t.StageFill() {
 			emit(obs.Sample{
 				Name:   "pc_pipeline_stage_entries_total",
-				Help:   "Walk slots entering each tree level via the software-pipelined walk.",
+				Help:   "Node visits at each original tree level via the software-pipelined walk (level 0: packets walked).",
 				Type:   "counter",
 				Labels: []obs.Label{{Key: "level", Value: fmt.Sprintf("%d", lvl)}},
 				Value:  float64(entries),

@@ -358,7 +358,7 @@ type Stats struct {
 	// (sharded path only; nil otherwise). On a host with fewer cores than
 	// shards, packets/max(ShardBusy) is the critical-path throughput the
 	// shard layout would sustain with one core per shard — the projection
-	// cmd/benchjson reports alongside measured wall-clock numbers.
+	// internal/experiments reports alongside measured wall-clock numbers.
 	ShardBusy []time.Duration
 }
 

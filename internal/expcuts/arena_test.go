@@ -1,0 +1,263 @@
+package expcuts
+
+import (
+	"fmt"
+	"math/bits"
+	"testing"
+
+	"repro/internal/nptrace"
+	"repro/internal/rules"
+)
+
+// classifyGraph walks the builder's pointer graph: the paper's walk, one
+// node per level, that the serialized image lays out. The compressed arena
+// is checked against it.
+func (t *Tree) classifyGraph(h rules.Header) int {
+	k := h.Key()
+	w := t.cfg.StrideW
+	r := t.root
+	pos := uint(0)
+	for r >= 0 {
+		r = t.nodes[r].ptrs[k.Bits(pos, w)]
+		pos += w
+	}
+	return decodeRef(r)
+}
+
+// visitedLevels walks the builder graph for h and returns the levels of the
+// nodes on its path that cut anything (have two distinct cells) — what an
+// arena walk must visit, derived without reading the arena.
+func (t *Tree) visitedLevels(h rules.Header) []int {
+	k := h.Key()
+	w := t.cfg.StrideW
+	var levels []int
+	for r := t.root; r >= 0; {
+		n := t.nodes[r]
+		if !n.singleChild() {
+			levels = append(levels, n.level)
+		}
+		r = n.ptrs[k.Bits(uint(n.level)*w, w)]
+	}
+	return levels
+}
+
+// checkArena is the differential check of the native arena: for every
+// header the arena walk (Classify, ClassifyBatch, ClassifyBatchPipelined)
+// must equal the builder-graph walk and the serialized image's Lookup, and
+// the arena itself must hold no single-child node, only forward references
+// and, per header, exactly the graph path's cutting nodes.
+func checkArena(t *Tree, hs []rules.Header) error {
+	st := t.step()
+	for id, nd := range t.ar.nodes {
+		if int(nd.pos)%int(t.cfg.StrideW) != 0 || uint(nd.pos) >= rules.KeyBits {
+			return fmt.Errorf("arena node %d: key position %d", id, nd.pos)
+		}
+		first := t.ar.cpa[st.cpaIndex(nd.word, 0, 0)]
+		distinct := false
+		for c := uint64(0); c <= uint64(st.mask); c++ {
+			// pos 0 with the chunk in the top w bits of the key word.
+			child := t.ar.cpa[st.cpaIndex(nd.word, 0, c<<st.top)]
+			distinct = distinct || child != first
+			if child >= 0 && (int(child) >= len(t.ar.nodes) || t.ar.nodes[child].pos <= nd.pos) {
+				return fmt.Errorf("arena node %d (pos %d): cell %d -> %d is not a deeper node", id, nd.pos, c, child)
+			}
+		}
+		if !distinct {
+			return fmt.Errorf("arena node %d is single-child and was not elided", id)
+		}
+		if sets := bits.OnesCount64(nd.word & (1<<32 - 1)); sets == 0 || nd.word&1 == 0 {
+			return fmt.Errorf("arena node %d: HABS %#x", id, uint32(nd.word))
+		}
+	}
+
+	mem := nptrace.NullMem{R: t.image}
+	batch := make([]int, len(hs))
+	piped := make([]int, len(hs))
+	t.ClassifyBatch(hs, batch)
+	t.ClassifyBatchPipelined(hs, piped, 3, true)
+	for i, h := range hs {
+		want := t.classifyGraph(h)
+		if got := t.Classify(h); got != want {
+			return fmt.Errorf("arena walk %d != graph walk %d for %v", got, want, h)
+		}
+		if got := t.Lookup(mem, h); got != want {
+			return fmt.Errorf("serialized lookup %d != graph walk %d for %v", got, want, h)
+		}
+		if batch[i] != want || piped[i] != want {
+			return fmt.Errorf("batch %d / pipelined %d != graph walk %d for %v", batch[i], piped[i], want, h)
+		}
+		levels := t.visitedLevels(h)
+		r := t.ar.root
+		hi, lo := h.Key().Words()
+		kw := [2]uint64{hi, lo}
+		for _, l := range levels {
+			if r < 0 || uint(t.ar.nodes[r].pos) != uint(l)*t.cfg.StrideW {
+				return fmt.Errorf("arena path of %v leaves the graph's cutting levels %v", h, levels)
+			}
+			nd := t.ar.nodes[r]
+			r = t.ar.cpa[st.cpaIndex(nd.word, nd.pos, kw[nd.pos>>6])]
+		}
+		if r >= 0 {
+			return fmt.Errorf("arena path of %v is longer than the graph's cutting levels %v", h, levels)
+		}
+	}
+	return nil
+}
+
+// CheckArena exports checkArena to the external differential test, which
+// needs rule families from packages that import this one.
+var CheckArena = checkArena
+
+// graphTree finishes a hand-built graph the way New finishes a built one.
+func graphTree(t *testing.T, rs *rules.RuleSet, root ref, nodes ...*node) *Tree {
+	t.Helper()
+	cfg := Config{}
+	if err := cfg.fillDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	tree := &Tree{cfg: cfg, rs: rs, nodes: nodes, root: root}
+	if err := tree.finish(); err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+func uniformNode(level int, child ref) *node {
+	n := &node{level: level, ptrs: make([]ref, 256)}
+	for i := range n.ptrs {
+		n.ptrs[i] = child
+	}
+	return n
+}
+
+var cornerHeaders = []rules.Header{
+	{},
+	{SrcIP: 0xFFFFFFFF, DstIP: 0xFFFFFFFF, SrcPort: 65535, DstPort: 65535, Proto: 255},
+	{SrcIP: 0x0A010203, DstIP: 0x0B040506, SrcPort: 1000, DstPort: 80, Proto: rules.ProtoTCP},
+	{SrcIP: 0x0A010203, DstIP: 0x0B040506, SrcPort: 1000, DstPort: 81, Proto: rules.ProtoUDP},
+}
+
+// TestArenaDegenerateShapes covers the shapes only compression creates: a
+// root chain that collapses to a leaf (the builder never emits one — a node
+// whose cells all hold one leaf would itself be that leaf — so these graphs
+// are hand-built), a one-rule set, and a tree whose deepest level is the
+// only one that survives.
+func TestArenaDegenerateShapes(t *testing.T) {
+	wild := rules.NewRuleSet("wild", []rules.Rule{
+		{SrcPort: rules.FullPortRange, DstPort: rules.FullPortRange, Proto: rules.AnyProto},
+	})
+	for _, tc := range []struct {
+		name string
+		leaf ref
+		want int
+	}{
+		{"chain to rule leaf", refLeaf(0), 0},
+		{"chain to no-match leaf", refNoMatch, -1},
+	} {
+		tree := graphTree(t, wild, 0, uniformNode(0, 1), uniformNode(1, 2), uniformNode(2, tc.leaf))
+		if len(tree.ar.nodes) != 0 || tree.ar.root != tc.leaf {
+			t.Fatalf("%s: arena keeps %d nodes, root %d; want 0 nodes, root %d",
+				tc.name, len(tree.ar.nodes), tree.ar.root, tc.leaf)
+		}
+		if p := tree.Program(rules.Header{}); tree.Stats().Nodes != 3 || p.Accesses() != 6 {
+			t.Errorf("%s: stats/image no longer describe the 3-node graph", tc.name)
+		}
+		if err := checkArena(tree, cornerHeaders); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := tree.Classify(cornerHeaders[1]); got != tc.want {
+			t.Errorf("%s: Classify = %d, want %d", tc.name, got, tc.want)
+		}
+		for l, c := range tree.StageFill() {
+			if c != 0 {
+				t.Errorf("%s: stage %d counted %d, but no packet entered a walk", tc.name, l, c)
+			}
+		}
+	}
+
+	host := rules.NewRuleSet("host", []rules.Rule{{
+		SrcIP:   rules.Prefix{Addr: 0x0A010203, Len: 32},
+		DstIP:   rules.Prefix{Addr: 0x0B040506, Len: 32},
+		SrcPort: rules.PortRange{Lo: 1000, Hi: 1000},
+		DstPort: rules.PortRange{Lo: 80, Hi: 80},
+		Proto:   rules.ProtoMatch{Value: rules.ProtoTCP},
+	}})
+	tcpOnly := rules.NewRuleSet("tcp", []rules.Rule{{
+		SrcPort: rules.FullPortRange, DstPort: rules.FullPortRange,
+		Proto: rules.ProtoMatch{Value: rules.ProtoTCP},
+	}})
+	for _, w := range []uint{1, 2, 4, 8} {
+		// One exact rule: every level cuts, nothing is elided.
+		tree, err := New(host, Config{StrideW: w, HabsV: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tree.ar.nodes) != tree.Depth() {
+			t.Errorf("w=%d host rule: arena keeps %d of %d nodes, want all", w, len(tree.ar.nodes), tree.Depth())
+		}
+		if err := checkArena(tree, cornerHeaders); err != nil {
+			t.Fatalf("w=%d host rule: %v", w, err)
+		}
+
+		// Only the protocol byte distinguishes anything: the 96 leading key
+		// bits are a single-child chain from the root down.
+		tree, err = New(tcpOnly, Config{StrideW: w, HabsV: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := len(tree.ar.nodes), int(8/w); got != want || tree.ar.nodes[tree.ar.root].pos != 96 {
+			t.Fatalf("w=%d tcp-only: arena keeps %d nodes from pos %d, want %d from pos 96",
+				w, got, tree.ar.nodes[tree.ar.root].pos, want)
+		}
+		if tree.Stats().Nodes != tree.Depth() {
+			t.Errorf("w=%d tcp-only: stats report %d nodes, want the full %d-level chain", w, tree.Stats().Nodes, tree.Depth())
+		}
+		if err := checkArena(tree, cornerHeaders); err != nil {
+			t.Fatalf("w=%d tcp-only: %v", w, err)
+		}
+	}
+}
+
+// TestStageFill checks the per-stage counters against the builder graph:
+// level 0 counts every packet of every pipelined batch even when the root
+// was elided, and every other level counts exactly the packets whose graph
+// path has a cutting node there.
+func TestStageFill(t *testing.T) {
+	tcpOnly := rules.NewRuleSet("tcp", []rules.Rule{{
+		SrcPort: rules.FullPortRange, DstPort: rules.FullPortRange,
+		Proto: rules.ProtoMatch{Value: rules.ProtoTCP},
+	}})
+	elided, err := New(tcpOnly, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, hs := batchFixture(t)
+	for name, tree := range map[string]*Tree{"root kept": full, "root elided": elided} {
+		batch := hs[:64]
+		want := make([]uint64, tree.Depth())
+		const rounds = 3
+		for _, h := range batch {
+			for _, l := range tree.visitedLevels(h) {
+				if l > 0 {
+					want[l] += rounds
+				}
+			}
+		}
+		want[0] = rounds * uint64(len(batch))
+
+		before := tree.StageFill()
+		out := make([]int, len(batch))
+		for r := 0; r < rounds; r++ {
+			tree.ClassifyBatchPipelined(batch, out, 8, r == 1)
+		}
+		after := tree.StageFill()
+		if len(after) != tree.Depth() {
+			t.Fatalf("%s: StageFill has %d levels, want depth %d", name, len(after), tree.Depth())
+		}
+		for l := range after {
+			if got := after[l] - before[l]; got != want[l] {
+				t.Errorf("%s: level %d fill grew by %d, want %d", name, l, got, want[l])
+			}
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package expcuts
 
 import (
-	"math/bits"
 	"sync"
 
 	"repro/internal/rules"
@@ -9,11 +8,11 @@ import (
 
 // batchScratch is the per-call scratch of ClassifyBatch, recycled through
 // a pool so the steady-state batch path allocates nothing. Only the packed
-// keys need scratch space: the per-packet tree position is carried in the
-// caller's out slice itself (a ref fits an int), so no second array is
-// touched in the hot loop.
+// keys (hi and lo word) need scratch space: the per-packet tree position is
+// carried in the caller's out slice itself (a ref fits an int), so no second
+// array is touched in the hot loop.
 type batchScratch struct {
-	keys []rules.Key
+	keys [][2]uint64
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -35,13 +34,14 @@ func (sc *batchScratch) release() {
 
 // ClassifyBatch classifies hs[i] into out[i] (the engine's BatchClassifier
 // contract; out must be at least as long as hs). It computes every packet's
-// 104-bit key up front, then walks the flat node arena level-synchronously:
-// all packets advance through level 0 before any packet touches level 1, so
-// a node's HABS word and CPA sub-arrays that several packets traverse are
-// hot in cache when the second packet arrives instead of evicted by an
-// unrelated full-depth walk. The fixed stride makes the levels line up
-// exactly — the batched analogue of the paper's explicit-depth guarantee
-// (every packet finishes in at most ⌈104/w⌉ rounds).
+// 104-bit key up front, then walks the compressed arena level-synchronously:
+// all packets make their first node visit before any packet makes its
+// second, so a node word and CPA sub-arrays that several packets traverse
+// are hot in cache when the second packet arrives instead of evicted by an
+// unrelated full-depth walk. A round is one visit, not one tree level —
+// elided levels are skipped — but every visit consumes at least w key
+// bits, so every packet finishes in at most ⌈104/w⌉ rounds: the batched
+// analogue of the paper's explicit-depth guarantee.
 //
 // The steady state performs zero heap allocations; answers are identical
 // to per-packet Classify.
@@ -51,9 +51,9 @@ func (t *Tree) ClassifyBatch(hs []rules.Header, out []int) {
 	if n == 0 {
 		return
 	}
-	if t.root < 0 {
-		// Degenerate tree: the root is itself a leaf.
-		m := decodeRef(t.root)
+	if t.ar.root < 0 {
+		// Degenerate tree: the root resolves to a leaf.
+		m := decodeRef(t.ar.root)
 		for i := range out {
 			out[i] = m
 		}
@@ -62,30 +62,27 @@ func (t *Tree) ClassifyBatch(hs []rules.Header, out []int) {
 	sc := batchPool.Get().(*batchScratch)
 	keys := sc.keys
 	if cap(keys) < n {
-		keys = make([]rules.Key, n)
+		keys = make([][2]uint64, n)
 	}
 	keys = keys[:n]
 	for i, h := range hs {
-		keys[i] = h.Key()
+		keys[i][0], keys[i][1] = h.Key().Words()
 	}
 
-	w := t.cfg.StrideW
-	u := w - t.cfg.HabsV
-	lowU := uint32(1)<<u - 1
-	habs, cpaBase, cpa := t.ar.habs, t.ar.cpaBase, t.ar.cpa
+	st := t.step()
+	nodes, cpa := t.ar.nodes, t.ar.cpa
 	for i := range out {
-		out[i] = int(t.root)
+		out[i] = int(t.ar.root)
 	}
-	active := n
-	for pos := uint(0); active > 0 && pos < rules.KeyBits; pos += w {
-		for i := 0; i < n; i++ {
-			r := ref(out[i])
-			if r < 0 {
+	// Finished packets are skipped, not compacted out of the scan: at the
+	// engine's batch of 64 an index list measured slower than this branch.
+	for active := n; active > 0; {
+		for i, o := range out {
+			if o < 0 {
 				continue
 			}
-			c := keys[i].Bits(pos, w)
-			rank := uint32(bits.OnesCount64(habs[r]&(uint64(2)<<(c>>u)-1))) - 1
-			r = cpa[cpaBase[r]+rank<<u+(c&lowU)]
+			nd := nodes[o]
+			r := cpa[st.cpaIndex(nd.word, nd.pos, keys[i][nd.pos>>6&1])]
 			out[i] = int(r)
 			if r < 0 {
 				active--

@@ -182,6 +182,12 @@ type node struct {
 	ptrs  []ref
 }
 
+// singleChild reports whether all 2^w cells hold the same reference, i.e.
+// the node's key bits distinguish nothing.
+func (n *node) singleChild() bool {
+	return equalRefs(n.ptrs[1:], n.ptrs[:len(n.ptrs)-1])
+}
+
 // BuildStats reports the tree-shape numbers behind Figure 6 and §6.3.
 type BuildStats struct {
 	// Nodes is the number of unique internal nodes.
@@ -209,12 +215,12 @@ type Tree struct {
 	nodes []*node
 	root  ref
 	stats BuildStats
-	ar    arena // flat SoA lookup structure; see arena.go
+	ar    arena // compressed flat lookup structure; see arena.go
 
 	// levelOff[l] is the first node id of level l after the level-major
 	// reorder (levelOff[depth] == len(nodes)); nil when the reorder was
-	// disabled. stageFill[l] counts packets entering level l on the
-	// pipelined batch walk (the per-stage fill profile; see StageFill).
+	// disabled. stageFill[l] counts the pipelined batch walk's node visits
+	// at original level l, and at l = 0 every packet walked (see StageFill).
 	levelOff  []int32
 	stageFill []atomic.Uint64
 
@@ -279,18 +285,24 @@ func NewCtx(ctx context.Context, rs *rules.RuleSet, cfg Config, budget *buildgov
 		t.root = root
 		t.nodes = b.nodes
 	}
-	if !cfg.noLevelMajor {
+	if err := t.finish(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// finish derives everything served or reported from the built graph
+// (t.nodes, t.root): stats, the native arena and the serialized image.
+func (t *Tree) finish() error {
+	if !t.cfg.noLevelMajor {
 		t.reorderLevelMajor()
 	}
 	t.stageFill = make([]atomic.Uint64, t.Depth())
 	t.collectStats()
 	if err := t.buildArena(); err != nil {
-		return nil, err
+		return err
 	}
-	if err := t.serialize(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return t.serialize()
 }
 
 // build constructs the sub-tree for the box starting at key bit position
@@ -438,44 +450,50 @@ func dimOfBit(pos uint) rules.Dim {
 	panic(fmt.Sprintf("expcuts: bit position %d beyond key", pos))
 }
 
-// Classify is the native (untraced) lookup, walking the flat node arena:
-// per level one HABS word load, a popcount rank, and one CPA pointer load
-// — the in-memory mirror of the serialized SRAM access pattern, with no
-// per-node Go pointers to chase.
+// Classify is the native (untraced) lookup, walking the compressed arena:
+// per visited node one packed-word load (HABS bits, CPA base, key position),
+// a shift-and-mask key chunk, a popcount rank, and one CPA pointer load.
 func (t *Tree) Classify(h rules.Header) int {
-	k := h.Key()
-	w := t.cfg.StrideW
-	u := w - t.cfg.HabsV
-	lowU := uint32(1)<<u - 1
-	r := t.root
-	pos := uint(0)
+	hi, lo := h.Key().Words()
+	st := t.step()
+	nodes, cpa := t.ar.nodes, t.ar.cpa
+	r := t.ar.root
 	for r >= 0 {
-		c := k.Bits(pos, w)
-		rank := uint32(bits.OnesCount64(t.ar.habs[r]&(uint64(2)<<(c>>u)-1))) - 1
-		r = t.ar.cpa[t.ar.cpaBase[r]+rank<<u+(c&lowU)]
-		pos += w
+		nd := nodes[r]
+		kw := hi
+		if nd.pos >= 64 {
+			kw = lo
+		}
+		r = cpa[st.cpaIndex(nd.word, nd.pos, kw)]
 	}
-	if r == refNoMatch {
-		return -1
-	}
-	return refRule(r)
+	return decodeRef(r)
 }
 
-// classifyGraph walks the builder's pointer graph. It exists to cross-check
-// the arena walk in tests; serving always uses Classify/ClassifyBatch.
-func (t *Tree) classifyGraph(h rules.Header) int {
-	k := h.Key()
-	w := t.cfg.StrideW
-	r := t.root
-	pos := uint(0)
-	for r >= 0 {
-		r = t.nodes[r].ptrs[k.Bits(pos, w)]
-		pos += w
-	}
-	if r == refNoMatch {
-		return -1
-	}
-	return refRule(r)
+// stepper holds the per-tree constants of one arena visit.
+type stepper struct {
+	top, u     uint   // 64 - w; CPA sub-array width is 2^u
+	mask, lowU uint32 // 2^w - 1; 2^u - 1
+}
+
+func (t *Tree) step() stepper {
+	w, u := t.cfg.StrideW, t.cfg.StrideW-t.cfg.HabsV
+	return stepper{top: 64 - w, u: u, mask: 1<<w - 1, lowU: 1<<u - 1}
+}
+
+// chunk extracts the w key bits at position pos from kw, the key word that
+// holds them (Key.Words()[pos/64]). The stride divides 64, so a chunk never
+// straddles the two words: one shift and mask.
+func (st stepper) chunk(pos uint8, kw uint64) uint32 {
+	return uint32(kw>>((st.top-uint(pos))&63)) & st.mask
+}
+
+// cpaIndex returns the cpa index a packet reads at the node with packed
+// word and key position pos; kw is as for chunk. The rank mask reaches at
+// most bit 31, so the CPA base in word's high half never counts.
+func (st stepper) cpaIndex(word uint64, pos uint8, kw uint64) uint32 {
+	c := st.chunk(pos, kw)
+	rank := uint32(bits.OnesCount64(word&(uint64(2)<<(c>>st.u)-1))) - 1
+	return uint32(word>>32) + rank<<st.u + c&st.lowU
 }
 
 // Name identifies the algorithm in reports.
@@ -494,11 +512,16 @@ func (t *Tree) Image() *memlayout.Image { return t.image }
 func (t *Tree) Depth() int { return int((rules.KeyBits + t.cfg.StrideW - 1) / t.cfg.StrideW) }
 
 // StageFill snapshots the cumulative per-stage fill of the pipelined batch
-// walk: element l is the total number of packets that entered level l across
-// all ClassifyBatchPipelined calls since the tree was built. Dividing by
-// element 0 gives the survival profile — how much of each batch is still
-// unresolved at each pipeline stage, the software mirror of per-stage
-// occupancy on a hardware pipeline. Safe to call concurrently with serving.
+// walk since the tree was built. Element l > 0 is the number of node visits
+// made at original tree level l (key bits l*w .. l*w+w-1) across all
+// ClassifyBatchPipelined calls; a packet whose path had its level-l node
+// elided as single-child does not count there. Element 0 is every packet
+// that entered a walk, whether or not the root itself was elided, so
+// dividing by it gives per-stage occupancy — the software mirror of stage
+// load on a hardware pipeline — and the sum over levels divided by it the
+// mean visits per packet. Occupancy is not monotone in l: a level many
+// paths skip can be followed by one they all visit. Safe to call
+// concurrently with serving.
 func (t *Tree) StageFill() []uint64 {
 	out := make([]uint64, len(t.stageFill))
 	for i := range t.stageFill {

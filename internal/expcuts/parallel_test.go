@@ -12,37 +12,6 @@ import (
 	"repro/internal/rules"
 )
 
-// TestArenaMatchesGraphWalk cross-checks the flat-arena Classify against
-// the builder's pointer-graph walk and the serialized lookup across
-// strides, HABS widths and rule-set shapes — the three layouts must agree
-// on every header.
-func TestArenaMatchesGraphWalk(t *testing.T) {
-	for _, tc := range []struct {
-		kind rulegen.Kind
-		size int
-		cfg  Config
-	}{
-		{rulegen.CoreRouter, 300, Config{}},
-		{rulegen.Firewall, 150, Config{StrideW: 4}},
-		{rulegen.Firewall, 100, Config{StrideW: 8, HabsV: 5}},
-		{rulegen.Random, 60, Config{StrideW: 2, HabsV: 2}},
-		{rulegen.CoreRouter, 120, Config{Sharing: ShareSiblings}},
-	} {
-		rs := buildSet(t, tc.kind, tc.size, 301)
-		tree, err := New(rs, tc.cfg)
-		if err != nil {
-			t.Fatalf("%v/%d: %v", tc.kind, tc.size, err)
-		}
-		headers := trace(t, rs, 1500, 302)
-		if err := tree.verifyArena(headers); err != nil {
-			t.Fatalf("%v/%d: %v", tc.kind, tc.size, err)
-		}
-		if err := tree.Verify(headers); err != nil {
-			t.Fatalf("%v/%d: %v", tc.kind, tc.size, err)
-		}
-	}
-}
-
 // TestParallelBuildMatchesSequential builds the same rule sets with 1, 2,
 // 3 and 8 workers and checks that every variant classifies identically to
 // the sequential tree and the oracle (batched and scalar), that repeated
@@ -87,11 +56,8 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 					t.Fatalf("%v/%d workers=%d: batched %d != oracle %d", tc.kind, tc.size, workers, out[i], want)
 				}
 			}
-			if err := par.verifyArena(headers); err != nil {
+			if err := checkArena(par, headers); err != nil {
 				t.Fatalf("%v/%d workers=%d: %v", tc.kind, tc.size, workers, err)
-			}
-			if err := par.Verify(headers); err != nil {
-				t.Fatalf("%v/%d workers=%d: serialized: %v", tc.kind, tc.size, workers, err)
 			}
 			// Determinism: same worker count, same tree shape.
 			again, err := NewCtx(context.Background(), rs, cfg, nil)

@@ -1,51 +1,48 @@
 package expcuts
 
 import (
-	"math/bits"
 	"sync"
 
 	"repro/internal/rules"
 )
 
-// Software-pipelined level-stage execution over the flat arena.
+// Software-pipelined stage execution over the compressed arena.
 //
 // The hardware ExpCuts design maps the tree's fixed ⌈104/w⌉ levels onto
 // explicit pipeline stages with per-stage SRAM banks, so every stage's
 // memory access overlaps every other stage's. The level-synchronous
-// ClassifyBatch already gets part of that — all packets advance through a
-// level together — but each packet's step is a serial chain of dependent
-// loads (CPA pointer → next node's HABS word → next CPA pointer), and the
-// per-packet key-chunk extraction re-runs Key.Bits' bounds checks and
-// straddle switch 13 times per packet.
+// ClassifyBatch already gets part of that — all packets make a visit
+// together — but each packet's step is a serial chain of dependent loads
+// (CPA pointer → next node's packed word → next CPA pointer).
 //
 // ClassifyBatchPipelined restructures the walk into a two-stage split over
-// interleaved packet groups:
+// interleaved groups of the packets still walking:
 //
-//	stage A (lookup):   for each packet in the group, extract the level's
-//	                    key chunk from pre-split SoA key words (one shift
-//	                    and mask — for strides dividing 64 a chunk never
-//	                    straddles the hi/lo boundary) and issue the
-//	                    group's independent CPA pointer loads, so `group`
-//	                    arena fetches are in flight at once;
+//	stage A (lookup):   for each packet in the group, extract the node's
+//	                    key chunk (one shift and mask of the key word the
+//	                    carried position selects) and issue the group's
+//	                    independent CPA pointer loads, so `group` arena
+//	                    fetches are in flight at once;
 //	stage B (advance):  consume the pointers and, for every packet that
-//	                    descended, immediately load the *next* level's
-//	                    HABS word and CPA base into the carried per-packet
-//	                    state — while the following group is back in stage
-//	                    A on the current level, and without putting those
-//	                    loads on stage A's critical path.
+//	                    descended, immediately load the *next* node's
+//	                    packed word and key position into the carried
+//	                    per-packet state — while the following group is
+//	                    back in stage A, and without putting those loads on
+//	                    stage A's critical path. Packets that reached a
+//	                    leaf drop out of the walk order here.
 //
-// Because the arena is level-major (reorderLevelMajor), the lines stage B
-// touches for level L+1 are contiguous per level, so group g's advance
-// warms exactly the bank group g+1 hits next — the multi-core software
+// Because the arena is level-major (reorderLevelMajor; elision keeps the
+// order), the lines stage B touches are contiguous per level, so group g's
+// advance warms the bank group g+1 hits next — the multi-core software
 // analogue of the paper's per-stage SRAM banks and of the level-to-stage
-// mapping in bidirectional pipelined lookup designs.
+// mapping in bidirectional pipelined lookup designs. Path compression only
+// shortens that level→stage chain: a packet may skip stages, never revisit
+// one.
 //
-// The affine mode additionally counting-sorts the batch by root key chunk
-// before the walk, so each group descends one subtree slice and a shard's
-// working set concentrates on one contiguous region of every level — the
-// analogue of biasing a stage's bank to one microengine's local SRAM. It
-// pays an index indirection per packet-level, worthwhile when the arena
-// is far larger than the cache.
+// The affine mode counting-sorts the walk order by root key chunk before
+// the walk, so each group descends one subtree slice and a shard's working
+// set concentrates on one contiguous region of every level — the analogue
+// of biasing a stage's bank to one microengine's local SRAM.
 
 const (
 	// DefaultPipelineGroup is the stage group size used when the caller
@@ -61,25 +58,24 @@ const (
 )
 
 // pipeScratch is the pooled per-call scratch of ClassifyBatchPipelined:
-// SoA key words, the carried per-packet node state (HABS word + CPA base,
-// loaded in stage B of the previous level), and the affine walk order with
-// its counting-sort histogram.
+// the key words, the carried per-packet node state (packed word + key
+// position, loaded in stage B of the previous visit), and the walk order
+// with the affine mode's counting-sort histogram.
 type pipeScratch struct {
-	keysHi, keysLo []uint64
-	hw             []uint64
-	cb             []uint32
-	ord            []int32
-	cnt            []int32
+	keys [][2]uint64
+	hw   []uint64
+	ps   []uint8
+	ord  []int32
+	cnt  []int32
 }
 
 var pipePool = sync.Pool{New: func() any { return new(pipeScratch) }}
 
 func (sc *pipeScratch) ensure(n int) {
-	if cap(sc.keysHi) < n {
-		sc.keysHi = make([]uint64, n)
-		sc.keysLo = make([]uint64, n)
+	if cap(sc.keys) < n {
+		sc.keys = make([][2]uint64, n)
 		sc.hw = make([]uint64, n)
-		sc.cb = make([]uint32, n)
+		sc.ps = make([]uint8, n)
 		sc.ord = make([]int32, n)
 	}
 }
@@ -87,7 +83,7 @@ func (sc *pipeScratch) ensure(n int) {
 // release returns the scratch to the pool unless a jumbo batch grew it past
 // the retention cap (see maxPooledBatch in batch.go).
 func (sc *pipeScratch) release() {
-	if cap(sc.keysHi) > maxPooledBatch {
+	if cap(sc.keys) > maxPooledBatch {
 		*sc = pipeScratch{}
 	}
 	pipePool.Put(sc)
@@ -106,8 +102,8 @@ func (t *Tree) ClassifyBatchPipelined(hs []rules.Header, out []int, group int, a
 	if n == 0 {
 		return
 	}
-	if t.root < 0 {
-		m := decodeRef(t.root)
+	if t.ar.root < 0 {
+		m := decodeRef(t.ar.root)
 		for i := range out {
 			out[i] = m
 		}
@@ -122,106 +118,84 @@ func (t *Tree) ClassifyBatchPipelined(hs []rules.Header, out []int, group int, a
 
 	sc := pipePool.Get().(*pipeScratch)
 	sc.ensure(n)
-	keysHi, keysLo := sc.keysHi[:n], sc.keysLo[:n]
+	keys := sc.keys[:n]
 	for i, h := range hs {
-		keysHi[i], keysLo[i] = h.Key().Words()
+		keys[i][0], keys[i][1] = h.Key().Words()
 	}
 
-	w := t.cfg.StrideW
-	u := w - t.cfg.HabsV
-	lowU := uint32(1)<<u - 1
-	mask := uint32(1)<<w - 1
-	habs, cpaBase, cpa := t.ar.habs, t.ar.cpaBase, t.ar.cpa
-	hw, cb := sc.hw[:n], sc.cb[:n]
+	st := t.step()
+	nodes, cpa := t.ar.nodes, t.ar.cpa
+	hw, ps := sc.hw[:n], sc.ps[:n]
 
-	rootHabs, rootBase := habs[t.root], cpaBase[t.root]
-	for i := range out {
-		out[i] = int(t.root)
-		hw[i] = rootHabs
-		cb[i] = rootBase
+	root := nodes[t.ar.root]
+	for i := range hw {
+		hw[i] = root.word
+		ps[i] = root.pos
 	}
-	var ord []int32
+	// act lists the packets still walking, in walk order; each round
+	// compacts it in place, so a finished packet costs nothing afterwards.
+	act := sc.ord[:n]
 	if affine && n > 1 {
-		ord = sc.sortAffine(n, keysHi, w)
+		sc.sortAffine(keys, root.pos, st)
+	} else {
+		for i := range act {
+			act[i] = int32(i)
+		}
 	}
 
-	stage := t.stageFill
-	active := n
-	for pos := uint(0); active > 0 && pos < rules.KeyBits; pos += w {
-		if stage != nil {
-			stage[pos/w].Add(uint64(active))
-		}
-		kw, shift := keysHi, 64-(pos+w)
-		if pos+w > 64 {
-			kw, shift = keysLo, 128-(pos+w)
-		}
+	// visits[pos] counts this call's node visits at key position pos; it is
+	// folded into the shared per-level counters once, at the end.
+	var visits [128]uint32
+	visits[root.pos] = uint32(n)
+	for len(act) > 0 {
 		live := 0
-		for base := 0; base < n; base += group {
+		for base := 0; base < len(act); base += group {
 			end := base + group
-			if end > n {
-				end = n
+			if end > len(act) {
+				end = len(act)
 			}
-			if ord == nil {
-				// Reslicing the group's window of every parallel array
-				// lets the compiler drop the bounds checks inside both
-				// stage waves; with group >= n this is the whole batch in
-				// one wave (the common engine shape — batch size <= group).
-				og := out[base:end]
-				kwv, hwv, cbv := kw[base:end], hw[base:end], cb[base:end]
-				// Stage A: issue the group's CPA pointer loads. Each
-				// iteration is independent, so the fetches overlap.
-				for i, o := range og {
-					if ref(o) < 0 {
-						continue
-					}
-					c := uint32(kwv[i]>>shift) & mask
-					rank := uint32(bits.OnesCount64(hwv[i]&(uint64(2)<<(c>>u)-1))) - 1
-					og[i] = int(cpa[cbv[i]+rank<<u+(c&lowU)])
-				}
-				// Stage B: consume the pointers; survivors pull the next
-				// level's (level-contiguous) HABS word and CPA base off
-				// stage A's critical path.
-				for i, o := range og {
-					if r := ref(o); r >= 0 {
-						hwv[i] = habs[r]
-						cbv[i] = cpaBase[r]
-						live++
-					}
-				}
-			} else {
-				for j := base; j < end; j++ {
-					i := ord[j]
-					if ref(out[i]) < 0 {
-						continue
-					}
-					c := uint32(kw[i]>>shift) & mask
-					rank := uint32(bits.OnesCount64(hw[i]&(uint64(2)<<(c>>u)-1))) - 1
-					out[i] = int(cpa[cb[i]+rank<<u+(c&lowU)])
-				}
-				for j := base; j < end; j++ {
-					i := ord[j]
-					if r := ref(out[i]); r >= 0 {
-						hw[i] = habs[r]
-						cb[i] = cpaBase[r]
-						live++
-					}
+			grp := act[base:end]
+			// Stage A: issue the group's CPA pointer loads. Each
+			// iteration is independent, so the fetches overlap.
+			for _, i := range grp {
+				p := ps[i]
+				out[i] = int(cpa[st.cpaIndex(hw[i], p, keys[i][p>>6&1])])
+			}
+			// Stage B: consume the pointers; survivors pull the next
+			// node's (level-contiguous) packed word and key position off
+			// stage A's critical path.
+			for _, i := range grp {
+				if o := out[i]; o >= 0 {
+					nd := nodes[o]
+					hw[i], ps[i] = nd.word, nd.pos
+					visits[nd.pos&127]++
+					act[live] = i
+					live++
 				}
 			}
 		}
-		active = live
+		act = act[:live]
 	}
 	for i := range out {
 		out[i] = decodeRef(ref(out[i]))
 	}
+	// Stage 0 counts every packet of the walk, root elided or not.
+	visits[0] = uint32(n)
+	w := t.cfg.StrideW
+	for l := range t.stageFill {
+		if c := visits[uint(l)*w]; c != 0 {
+			t.stageFill[l].Add(uint64(c))
+		}
+	}
 	sc.release()
 }
 
-// sortAffine counting-sorts packet indices 0..n-1 by their root-level key
-// chunk (the top w bits) into sc.ord. Groups cut from the sorted order then
-// share a root child — and, with the level-major arena, one contiguous
-// slice of every deeper level.
-func (sc *pipeScratch) sortAffine(n int, keysHi []uint64, w uint) []int32 {
-	buckets := 1 << w
+// sortAffine counting-sorts packet indices by the key chunk the root node
+// cuts on (the top w bits unless the root chain was elided) into sc.ord.
+// Groups cut from the sorted order then share a root child — and, with the
+// level-major arena, one contiguous slice of every deeper level.
+func (sc *pipeScratch) sortAffine(keys [][2]uint64, rootPos uint8, st stepper) {
+	buckets := int(st.mask) + 1
 	if cap(sc.cnt) < buckets+1 {
 		sc.cnt = make([]int32, buckets+1)
 	}
@@ -229,18 +203,16 @@ func (sc *pipeScratch) sortAffine(n int, keysHi []uint64, w uint) []int32 {
 	for i := range cnt {
 		cnt[i] = 0
 	}
-	shift := 64 - w
-	for i := 0; i < n; i++ {
-		cnt[(keysHi[i]>>shift)+1]++
+	for i := range keys {
+		cnt[st.chunk(rootPos, keys[i][rootPos>>6&1])+1]++
 	}
 	for b := 0; b < buckets; b++ {
 		cnt[b+1] += cnt[b]
 	}
-	ord := sc.ord[:n]
-	for i := 0; i < n; i++ {
-		b := keysHi[i] >> shift
+	ord := sc.ord[:len(keys)]
+	for i := range keys {
+		b := st.chunk(rootPos, keys[i][rootPos>>6&1])
 		ord[cnt[b]] = int32(i)
 		cnt[b]++
 	}
-	return ord
 }

@@ -102,33 +102,6 @@ func TestClassifyBatchPipelinedSharedOut(t *testing.T) {
 	}
 }
 
-// TestStageFill checks the per-stage fill counters: level 0 sees every
-// packet of every pipelined batch, and the fill profile is monotonically
-// non-increasing (packets only leave the pipeline, never re-enter).
-func TestStageFill(t *testing.T) {
-	tree, hs := batchFixture(t)
-	before := tree.StageFill()
-	batch := hs[:64]
-	out := make([]int, len(batch))
-	const rounds = 3
-	for r := 0; r < rounds; r++ {
-		tree.ClassifyBatchPipelined(batch, out, 8, false)
-	}
-	after := tree.StageFill()
-	if len(after) != tree.Depth() {
-		t.Fatalf("StageFill has %d levels, want depth %d", len(after), tree.Depth())
-	}
-	if got := after[0] - before[0]; got != rounds*uint64(len(batch)) {
-		t.Errorf("level 0 fill grew by %d, want %d", got, rounds*len(batch))
-	}
-	for l := 1; l < len(after); l++ {
-		if after[l]-before[l] > after[l-1]-before[l-1] {
-			t.Errorf("fill increased from level %d (%d) to %d (%d)",
-				l-1, after[l-1]-before[l-1], l, after[l]-before[l])
-		}
-	}
-}
-
 // TestReorderImageByteIdentical is the serialized-image regression gate for
 // the level-major arena reorder: a tree built in raw recursion order and a
 // tree built with the reorder must save bit-for-bit identical images (the
@@ -186,10 +159,7 @@ func TestReorderLevelMajorContiguity(t *testing.T) {
 			}
 		}
 	}
-	if err := tree.verifyArena(hs); err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.Verify(hs); err != nil {
+	if err := checkArena(tree, hs); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -197,25 +167,25 @@ func TestReorderLevelMajorContiguity(t *testing.T) {
 // TestScratchPoolRetentionCap checks that a jumbo batch's grown scratch is
 // dropped on release instead of being pinned in the pools forever.
 func TestScratchPoolRetentionCap(t *testing.T) {
-	sc := &batchScratch{keys: make([]rules.Key, maxPooledBatch+1)}
+	sc := &batchScratch{keys: make([][2]uint64, maxPooledBatch+1)}
 	sc.release()
 	if sc.keys != nil {
 		t.Error("batchScratch release kept an oversized keys slice")
 	}
-	sc = &batchScratch{keys: make([]rules.Key, maxPooledBatch)}
+	sc = &batchScratch{keys: make([][2]uint64, maxPooledBatch)}
 	sc.release()
 	if sc.keys == nil {
 		t.Error("batchScratch release dropped a within-cap keys slice")
 	}
 
-	ps := &pipeScratch{keysHi: make([]uint64, maxPooledBatch+1)}
+	ps := &pipeScratch{keys: make([][2]uint64, maxPooledBatch+1)}
 	ps.release()
-	if ps.keysHi != nil {
+	if ps.keys != nil {
 		t.Error("pipeScratch release kept an oversized scratch")
 	}
-	ps = &pipeScratch{keysHi: make([]uint64, maxPooledBatch), cnt: make([]int32, 257)}
+	ps = &pipeScratch{keys: make([][2]uint64, maxPooledBatch), cnt: make([]int32, 257)}
 	ps.release()
-	if ps.keysHi == nil || ps.cnt == nil {
+	if ps.keys == nil || ps.cnt == nil {
 		t.Error("pipeScratch release dropped a within-cap scratch")
 	}
 }

@@ -381,9 +381,11 @@ func TestPipelineShape(t *testing.T) {
 	if fill[0] < 0.999 || fill[0] > 1.001 {
 		t.Errorf("fill[0] = %.3f, want 1.0", fill[0])
 	}
+	// A packet visits at most one node per level, but not every level:
+	// the compressed arena lets paths skip single-child nodes.
 	for l := 1; l < len(fill); l++ {
-		if fill[l] > fill[l-1]+1e-9 {
-			t.Errorf("stage fill grew at level %d: %.3f -> %.3f", l, fill[l-1], fill[l])
+		if fill[l] > 1+1e-9 {
+			t.Errorf("stage fill at level %d is %.3f of the packets walked, want <= 1", l, fill[l])
 		}
 	}
 	text := RenderPipeline(rows, fill, 0)

@@ -14,8 +14,7 @@ import (
 
 // OverheadRow is one serving path's throughput with the observability
 // layer off versus on. Ratio is on/off: 1.0 means instrumentation is
-// free, and the benchjson gate fails the build when it drops below
-// 1 - tolerance (2% by default). "Off" is a nil engine.Metrics — the
+// free. "Off" is a nil engine.Metrics — the
 // exact configuration of an uninstrumented deployment — so the ratio
 // prices the whole layer: per-batch counter/histogram updates, the
 // flow-cache delta export, and the event ring being armed.
@@ -43,8 +42,8 @@ const (
 const overheadMinPackets = 1 << 20
 
 // MetricsOverhead measures what the obs instrumentation costs on the two
-// serving paths: the batched unsharded pipeline (the one the BENCH_PR*
-// batched rows track) and the sharded engine at the given shard count.
+// serving paths: the batched unsharded pipeline (Serve's batched row)
+// and the sharded engine at the given shard count.
 // Both runs use batched ExpCuts on the 1k-rule ACL set; the metrics-on
 // runs attach a registered Metrics with a live event ring, exactly as
 // pcclass -metrics does.
@@ -103,8 +102,8 @@ func MetricsOverhead(ctx Context, batchSize, shards int) ([]OverheadRow, error) 
 		}
 	}
 
-	// Batched 1-shard is the unsharded pipeline the BENCH_PR* batched
-	// rows track; sharded exercises the per-shard serve loops, the
+	// Batched 1-shard is the unsharded pipeline of Serve's batched row;
+	// sharded exercises the per-shard serve loops, the
 	// sequencer and the reorder-held histogram. Both are wall-clock:
 	// a shard's busy window deliberately excludes its own recordBatch
 	// call, so busy-time ratios would measure nothing — wall time is

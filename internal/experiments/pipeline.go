@@ -38,9 +38,10 @@ const pipelinePasses = 6
 // Pipeline measures the software-pipelined ExpCuts walk against the
 // level-synchronous baseline on the 1k-rule ACL serving set, sweeping
 // group size against shard count. It also returns the per-level stage
-// fill observed during the pipelined windows: fill[l] is the mean
-// fraction of walk slots still live entering level l, the software
-// reading of the paper's per-microengine bank occupancy.
+// fill observed during the pipelined windows: fill[l] is the fraction of
+// packets that visited a node at original tree level l (the compressed
+// arena elides single-child nodes, so a path can skip levels), the
+// software reading of the paper's per-microengine bank occupancy.
 func Pipeline(ctx Context, batchSize int, groups, shardCounts []int, affine bool) ([]PipelineRow, []float64, error) {
 	ctx.fillDefaults()
 	if batchSize == 0 {
@@ -154,9 +155,9 @@ func Pipeline(ctx Context, batchSize int, groups, shardCounts []int, affine bool
 }
 
 // stageFillFractions turns two cumulative stage-fill snapshots into the
-// mean live fraction entering each level, normalized to level 0 (every
-// packet enters the root level, so fill[0] is 1 whenever any pipelined
-// window ran).
+// fraction of packets visiting a node at each level, normalized to level 0
+// (which counts every packet walked, so fill[0] is 1 whenever any
+// pipelined window ran).
 func stageFillFractions(before, after []uint64) []float64 {
 	if len(after) == 0 || len(after) != len(before) {
 		return nil
@@ -172,7 +173,7 @@ func stageFillFractions(before, after []uint64) []float64 {
 	return fill
 }
 
-// RenderPipeline formats the pipelining sweep and the stage-fill decay.
+// RenderPipeline formats the pipelining sweep and the stage-fill profile.
 func RenderPipeline(rows []PipelineRow, fill []float64, batchSize int) string {
 	if batchSize == 0 {
 		batchSize = engine.DefaultBatchSize
@@ -197,7 +198,7 @@ func RenderPipeline(rows []PipelineRow, fill []float64, batchSize int) string {
 		ServeRuleSize, batchSize,
 		renderTable([]string{"Shards", "Group", "Affine", "Measured Mpps", "Critical-path Mpps", "Vs sync"}, table))
 	if len(fill) > 0 {
-		out += "Stage fill (live walk slots entering each level, fraction of level 0):\n"
+		out += "Stage fill (node visits at each original level, fraction of packets walked):\n"
 		for l, f := range fill {
 			out += fmt.Sprintf("  L%-2d %.3f\n", l, f)
 		}

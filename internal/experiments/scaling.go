@@ -38,8 +38,7 @@ const scalingReps = 11
 // ServeScaling measures the sharded engine's scaling curve for batched
 // ExpCuts on the 1k-rule ACL set across the given shard counts
 // (defaulting to 1, 2, 4, 8). The 1-shard row runs the unsharded
-// pipeline, so it is directly comparable to the tracked BENCH_PR3
-// batched baseline.
+// pipeline, so it is directly comparable to Serve's batched row.
 func ServeScaling(ctx Context, batchSize int, shardCounts []int) ([]ScalingRow, error) {
 	ctx.fillDefaults()
 	if batchSize == 0 {

@@ -36,8 +36,8 @@ const serveReps = 5
 // A single 25k-packet traversal finishes in single-digit milliseconds on
 // the batched path, short enough that one scheduler preemption on a
 // shared host halves the reading and best-of-reps still swings by 2x
-// between invocations — which is fatal for the benchjson regression
-// gates comparing against a tracked baseline. Multiple passes stretch
+// between invocations — which is fatal for comparing two invocations.
+// Multiple passes stretch
 // each timed window to tens of milliseconds so preemptions amortize.
 const servePasses = 8
 
