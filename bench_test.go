@@ -1,6 +1,8 @@
 package repro
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/engine"
@@ -270,6 +272,11 @@ func benchServeEngine(b *testing.B, batchSize int, metrics *engine.Metrics) {
 	cfg := engine.DefaultConfig()
 	cfg.BatchSize = batchSize
 	cfg.Metrics = metrics
+	benchServe(b, tree, cfg, headers)
+}
+
+// benchServe times whole RunEngine passes over headers and reports Mpps.
+func benchServe(b *testing.B, tree *ExpCuts, cfg engine.Config, headers []Header) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := RunEngine(tree, cfg, headers, func(EngineResult) {}); err != nil {
@@ -291,6 +298,37 @@ func BenchmarkServePerPacket(b *testing.B) {
 // ordering guarantee, dispatching the default 64-packet batches.
 func BenchmarkServeBatched(b *testing.B) {
 	benchServeEngine(b, engine.DefaultBatchSize, nil)
+}
+
+// BenchmarkServeFlowCacheZipf is BenchmarkServeBatched's tree and engine
+// over a Zipf(1.1) popularity order on 2^16 flows, without and with a
+// 4096-flow cache per shard: the pair that says whether the cache earns
+// its place in front of the walk.
+func BenchmarkServeFlowCacheZipf(b *testing.B) {
+	rs, err := experiments.ServeRuleSet(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tree, err := NewExpCuts(rs, ExpCutsConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	flows, err := GenerateTrace(rs, 1<<16, 11, 0.9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	zipf := rand.NewZipf(rand.New(rand.NewSource(12)), 1.1, 1, uint64(len(flows.Headers)-1))
+	headers := make([]Header, 1<<18)
+	for i := range headers {
+		headers[i] = flows.Headers[zipf.Uint64()]
+	}
+	for _, cacheFlows := range []int{0, 4096} {
+		b.Run(fmt.Sprintf("cache=%d", cacheFlows), func(b *testing.B) {
+			cfg := engine.DefaultConfig()
+			cfg.FlowCacheFlows = cacheFlows
+			benchServe(b, tree, cfg, headers)
+		})
+	}
 }
 
 // BenchmarkServeBatchedMetrics is BenchmarkServeBatched with the
@@ -339,14 +377,7 @@ func BenchmarkServePipelined(b *testing.B) {
 	cfg := engine.DefaultConfig()
 	cfg.BatchSize = engine.DefaultBatchSize
 	cfg.PipelineGroup = engine.DefaultBatchSize
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunEngine(tree, cfg, headers, func(EngineResult) {}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N*len(headers))/b.Elapsed().Seconds()/1e6, "Mpps")
+	benchServe(b, tree, cfg, headers)
 }
 
 // BenchmarkServeClassifyBatchPipelined measures the raw software-

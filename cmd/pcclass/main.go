@@ -96,7 +96,7 @@ func main() {
 		verify    = flag.Bool("verify", false, "cross-check every result against linear search")
 		workers   = flag.Int("workers", 0, "classify through the parallel engine with this many workers (0 = sequential)")
 		shards    = flag.Int("shards", 0, "engine: flow-affinity serving shards (0 = GOMAXPROCS when the engine runs; implies the engine)")
-		flowCache = flag.Int("flowcache", 0, "engine: per-shard flow-cache capacity in flows (0 = off; implies the engine)")
+		flowCache = flag.Int("flowcache", 0, "engine: per-shard flow-cache capacity in flows, held in 8-way sets so 8 or more rounds down to a multiple of 8 (0 = off; implies the engine)")
 		queue     = flag.Int("queue", 0, "engine dispatch ring depth (default 256)")
 		unordered = flag.Bool("unordered", false, "engine: emit results in completion order instead of arrival order")
 		overload  = flag.String("overload", "block", "engine overload policy: block (back-pressure) or shed (tail-drop)")

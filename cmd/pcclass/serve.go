@@ -50,7 +50,7 @@ func serveMain(args []string) {
 		quiet    = fs.Bool("quiet", false, "with -listen: classify but do not echo verdicts")
 
 		shards    = fs.Int("shards", 0, "flow-affinity serving shards (0 = GOMAXPROCS)")
-		flowCache = fs.Int("flowcache", 0, "per-shard flow-cache capacity in flows (0 = off)")
+		flowCache = fs.Int("flowcache", 0, "per-shard flow-cache capacity in flows, held in 8-way sets so 8 or more rounds down to a multiple of 8 (0 = off)")
 		queue     = fs.Int("queue", 0, "engine dispatch ring depth (default 256)")
 		batch     = fs.Int("batch", 0, "engine dispatch batch size (default 64)")
 		overload  = fs.String("overload", "block", "overload policy: block (back-pressure) or shed (tail-drop)")

@@ -180,7 +180,7 @@ type Config struct {
 	// serving loop, the way each microengine runs its own thread group).
 	Shards int
 	// FlowCacheFlows, when > 0, gives each shard a private exact-match
-	// flow cache (slab LRU, internal/flowcache) of this many flows in
+	// flow cache (8-way sets, internal/flowcache) of this many flows in
 	// front of the classifier. Per-shard privacy means no cache
 	// synchronization and no cross-core cache-line bouncing; flow-hash
 	// dispatch guarantees all packets of a flow see the same shard's

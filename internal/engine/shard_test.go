@@ -197,6 +197,43 @@ func TestShardedFlowCacheMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestShardCachesFillEverySet: shardOf keeps the top bits of flowHash, so
+// every header one shard's cache sees agrees on them. A cache that drew
+// its set index from the same bits would use 1/Shards of its sets; fed
+// 16x its capacity in distinct flows, each shard's cache must instead end
+// all but full.
+func TestShardCachesFillEverySet(t *testing.T) {
+	const capacity = 512
+	orig := newFlowCache
+	defer func() { newFlowCache = orig }()
+	var caches []*flowcache.Cache
+	newFlowCache = func(cl Classifier, flows int) (*flowcache.Cache, error) {
+		c, err := flowcache.New(cl, flows)
+		caches = append(caches, c)
+		return c, err
+	}
+	headers := make([]rules.Header, 16*capacity)
+	for i := range headers {
+		headers[i] = rules.Header{SrcIP: 0x0A000000 + uint32(i), DstIP: 0xC0A80001, SrcPort: uint16(i >> 3), DstPort: 443, Proto: rules.ProtoTCP}
+	}
+	for _, shards := range []int{2, 3, 4, 8} {
+		caches = caches[:0]
+		_, err := Run(faultinject.FixedClassifier{Match: 1}, Config{Shards: shards, FlowCacheFlows: capacity}, headers, func(Result) {})
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if len(caches) != shards {
+			t.Fatalf("shards=%d: %d caches built", shards, len(caches))
+		}
+		for i, c := range caches {
+			if c.Len() < capacity*9/10 {
+				t.Errorf("shards=%d: shard %d's cache holds %d of %d flows after %d distinct ones",
+					shards, i, c.Len(), capacity, len(headers)/shards)
+			}
+		}
+	}
+}
+
 // TestShardedFlowCacheSurvivesHotSwaps: serve a long trace through
 // sharded flow caches while another goroutine applies rule-set updates.
 // The applied ops are semantically neutral (append/remove a duplicate of
@@ -351,7 +388,7 @@ func TestShardedHotPathDoesNotAllocate(t *testing.T) {
 		t.Errorf("sharded arena batch walk allocates %v/op, want 0", n)
 	}
 
-	// Flow-cache path, warmed: hits and (slab-recycled) misses both ride
+	// Flow-cache path, warmed: hits and (way-overwriting) misses both ride
 	// retained scratch.
 	_, tree2, _ := fixtures(t, 64)
 	fc, err := flowcache.New(tree2, 128)

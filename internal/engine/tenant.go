@@ -153,6 +153,9 @@ type tenantShard struct {
 
 	m      *shardMetrics
 	events *obs.Ring
+	// The partitions' previous cumulative counter readings, so hits and
+	// misses are exported as per-batch deltas (as shard does for its cache).
+	lastHits, lastMisses uint64
 }
 
 // laneFor resolves the tenant's lane, (re)building it on first sight or
@@ -252,6 +255,10 @@ func (s *tenantShard) serve(ctx context.Context, results chan<- *resultBatch, pa
 			if s.m != nil {
 				s.m.recordBatch(len(j.hs), busy, queued)
 				s.m.addPanics(uint64(p))
+				if s.parts != nil {
+					hits, misses := s.parts.Stats()
+					s.m.recordCache(hits, misses, &s.lastHits, &s.lastMisses)
+				}
 			}
 		}
 		j.seqs, j.hs = j.seqs[:0], j.hs[:0]

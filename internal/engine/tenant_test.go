@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -292,6 +293,11 @@ func TestRunTenantsPartitionEviction(t *testing.T) {
 	ring := obs.NewRing(256)
 	m.SetEvents(ring)
 	pkts := tenantStream(headers, tenants)
+	// Six tenants rotating through two partitions never stay resident long
+	// enough to hit; a two-tenant tail over a few flows does.
+	for rep := 0; rep < 50; rep++ {
+		pkts = append(pkts, tenantStream(headers[:32], tenants[:2])...)
+	}
 	ts, err := RunTenants(context.Background(), res,
 		Config{Shards: 2, PreserveOrder: true, FlowCacheFlows: 64, TenantPartitions: 2, Metrics: m},
 		pkts,
@@ -316,6 +322,23 @@ func TestRunTenantsPartitionEviction(t *testing.T) {
 	}
 	if evicted == 0 {
 		t.Error("6 tenants over 2 partitions per shard recorded no tenant-evicted events")
+	}
+	// Every classified packet went through some tenant's partition, so the
+	// exported cache counters must account for all of them — including
+	// the packets served by partitions that were reclaimed since.
+	vals, _ := collect(m)
+	var hits, misses float64
+	for k, v := range vals {
+		switch {
+		case strings.HasPrefix(k, "pc_flowcache_hits_total"):
+			hits += v
+		case strings.HasPrefix(k, "pc_flowcache_misses_total"):
+			misses += v
+		}
+	}
+	if hits == 0 || int(hits+misses) != ts.Packets || ts.Packets != len(pkts) {
+		t.Errorf("exported flow-cache hits %v + misses %v, want the %d packets classified (of %d) and some hits",
+			hits, misses, ts.Packets, len(pkts))
 	}
 }
 

@@ -1,26 +1,30 @@
 // Package flowcache puts an exact-match flow cache in front of a
 // classifier: the first packet of a flow takes the full lookup, subsequent
-// packets hit a bounded LRU map keyed by the 5-tuple. This is the standard
+// packets hit a bounded table keyed by the 5-tuple. This is the standard
 // flow-level fast path on network processors (the paper's group explores
 // it for deep inspection in the work cited as [15]); it composes with any
 // classifier in this repository and never changes classification results —
 // it only changes their cost.
 //
-// The LRU is an index-linked list over a preallocated entry slab: prev and
-// next are int32 indices into the slab rather than heap pointers, so the
-// steady state performs no allocation per insert, no interface boxing, and
-// no pointer chasing beyond the slab itself (the layout an ME would use in
-// local memory). All allocation happens in New and during the first
-// capacity misses.
-//
-// The cache is not safe for concurrent use; give each worker its own cache
-// (per-thread caches are also what an ME implementation would do, in local
-// memory).
+// The table is set-associative: capacity/8 sets of 8 ways (a capacity
+// below 8 is one set of capacity ways, i.e. exact LRU; 8 or more rounds
+// down to a multiple of 8). A set is one word of eight 8-bit tags, 0 for
+// an empty way, beside eight 32-byte entries. A lookup hashes the packed
+// key once, matches the tag word against the key's tag in one SWAR step
+// and compares the full key only where a tag matched: one tag line and one
+// entry line, no map, no recency list — the shape an ME gives flow state
+// in local memory, the tag word being the CAM-style match in front of it.
+// Replacement stays in the set: an empty way, else the way touched longest
+// ago (ways an epoch advance staled are older than every live one). Len
+// counts occupied ways, staled ones included. All allocation happens in
+// New and in ClassifyBatch's first misses. The cache is not safe for
+// concurrent use; give each worker its own, as an ME implementation would.
 package flowcache
 
 import (
 	"fmt"
-	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/rules"
 )
@@ -31,57 +35,57 @@ type Classifier interface {
 }
 
 // BatchClassifier is the optional batched slow-path contract (mirrors
-// engine.BatchClassifier; declared locally so flowcache keeps zero
-// dependency on the engine). When the wrapped classifier implements it,
-// ClassifyBatch forwards all of a batch's misses as one sub-batch.
+// engine.BatchClassifier; declared here so flowcache never imports the
+// engine). With it, ClassifyBatch forwards a batch's misses as one sub-batch.
 type BatchClassifier interface {
 	Classifier
 	ClassifyBatch(hs []rules.Header, out []int)
 }
 
-// none marks an empty link or absent slot.
-const none = int32(-1)
+const setWays = 8 // associativity: one tag byte per way
 
-// entry is one slab slot: the cached flow, its match, and its position in
-// the recency list (index links, not pointers).
+// entry is one way of one set: packed 5-tuple, cache clock at its last
+// touch, match, and the epoch that was cached under. 32 bytes: two a line.
 type entry struct {
-	key        rules.Header
-	match      int
-	epoch      uint64
-	prev, next int32
+	a, b  uint64
+	age   uint64
+	match int32
+	epoch uint32
 }
 
-// Cache is a bounded LRU flow cache over a classifier.
+// key is a packed 5-tuple and where it lives or would live: its set and
+// its tag there (never 0); idx is a ClassifyBatch miss's batch position.
+type key struct {
+	a, b uint64
+	set  uint32
+	idx  int32
+	tag  uint8
+}
+
+// Cache is a bounded set-associative flow cache over a classifier.
 type Cache struct {
-	slow     Classifier
-	batch    BatchClassifier // slow, if it supports batching; else nil
-	capacity int
+	slow  Classifier
+	batch BatchClassifier // slow, if it supports batching; else nil
 
-	index      map[rules.Header]int32 // key -> slab slot
-	slab       []entry                // preallocated, len == capacity
-	head, tail int32                  // most/least recently used; none when empty
-	used       int32                  // slab slots ever occupied (<= capacity)
+	tags    []uint64 // one word per set: way w's tag is byte w, 0 = empty
+	entries []entry  // set s owns entries[s*setWays:], setWays of them or all
+	used    int      // occupied ways over all sets
+	clock   uint64   // bumped on every hit and insert: the recency stamp
 
-	// epoch tags every cached entry; AdvanceEpoch bumps it, instantly
-	// staling the whole cache in O(1). Entries from older epochs are
-	// treated as misses and their slots refreshed in place.
-	epoch uint64
-
+	// epoch tags every entry; AdvanceEpoch bumps it, staling them all in O(1).
+	epoch        uint32
 	hits, misses uint64
 
 	// Miss-forwarding scratch for ClassifyBatch, retained across calls so
-	// the steady state allocates nothing. missIdx[k] is the batch position
-	// of the k-th miss.
-	missHs  []rules.Header
-	missIdx []int32
-	missOut []int
+	// the steady state allocates nothing.
+	missHs   []rules.Header
+	missKeys []key
+	missOut  []int
 }
 
-// MaxCapacity is the largest cache capacity New accepts. The recency
-// list links slab slots with int32 indices (the whole point of the slab
-// layout), so a capacity beyond MaxInt32 would silently truncate links;
-// it is also ~80 GB of slab, far past "absurd" for a per-shard cache.
-const MaxCapacity = math.MaxInt32
+// MaxCapacity is the largest capacity New accepts: the set index is a
+// 32-bit multiply-shift, and this many flows is already 64 GB of entries.
+const MaxCapacity = 1<<31 - 1
 
 // CapacityError reports a cache capacity outside [1, MaxCapacity]. It is
 // a typed error so construction sites (the engine's per-shard cache
@@ -96,35 +100,73 @@ func (e *CapacityError) Error() string {
 }
 
 // New wraps the classifier with a cache of the given capacity (flows).
-// Capacities outside [1, MaxCapacity] are rejected with a *CapacityError:
-// the slab's int32 recency links cannot address more than MaxInt32 slots.
+// Capacities outside [1, MaxCapacity] are rejected with a *CapacityError;
+// a capacity of 8 or more holds that many rounded down to a multiple of 8.
 func New(slow Classifier, capacity int) (*Cache, error) {
 	if capacity < 1 || int64(capacity) > int64(MaxCapacity) {
 		return nil, &CapacityError{Capacity: capacity}
 	}
+	sets := max(1, capacity/setWays)
 	c := &Cache{
-		slow:     slow,
-		capacity: capacity,
-		index:    make(map[rules.Header]int32, capacity),
-		slab:     make([]entry, capacity),
-		head:     none,
-		tail:     none,
+		slow:    slow,
+		tags:    make([]uint64, sets),
+		entries: make([]entry, min(capacity, sets*setWays)),
 	}
 	c.batch, _ = slow.(BatchClassifier)
 	return c, nil
 }
 
-// Classify returns exactly what the wrapped classifier would, consulting
-// the cache first.
-func (c *Cache) Classify(h rules.Header) int {
-	if i, ok := c.index[h]; ok && c.slab[i].epoch == c.epoch {
+// locate packs the 5-tuple and hashes it to its set and tag. The engine
+// pins flows to shards by the top bits of its own hash of the 5-tuple, so
+// every key one cache sees shares them; other multipliers here keep the set
+// index independent of that (engine.TestShardCachesFillEverySet).
+func (c *Cache) locate(h rules.Header) key {
+	a := uint64(h.SrcIP)<<32 | uint64(h.DstIP)
+	b := uint64(h.SrcPort)<<24 | uint64(h.DstPort)<<8 | uint64(h.Proto)
+	x := a ^ b*0xD6E8FEB86659FD93
+	x ^= x >> 32
+	x *= 0xA0761D6478BD642F
+	return key{a: a, b: b, set: uint32((x >> 32) * uint64(len(c.tags)) >> 32), tag: max(1, uint8(x>>24))}
+}
+
+// find returns the way of k's set holding k, whatever its epoch, or nil.
+// Only ways whose tag equals k.tag are compared in full, and an empty
+// way's tag never does: a zeroed entry cannot match the all-zero 5-tuple.
+func (c *Cache) find(k *key) *entry {
+	const lanes, low7 = 0x0101010101010101, 0x7F7F7F7F7F7F7F7F
+	x := c.tags[k.set] ^ uint64(k.tag)*lanes
+	// m gets 0x80 in exactly the zero bytes of x, the tag matches (the
+	// cheaper borrow trick can also flag an empty way above a match).
+	for m := ^((x&low7 + low7) | x | low7); m != 0; m &= m - 1 {
+		e := &c.entries[int(k.set)*setWays+bits.TrailingZeros64(m)>>3]
+		if e.a == k.a && e.b == k.b {
+			return e
+		}
+	}
+	return nil
+}
+
+// lookup counts a probe for k: a hit returns the entry, recency refreshed;
+// a miss (absent, or cached under an old epoch) returns nil.
+func (c *Cache) lookup(k *key) *entry {
+	if e := c.find(k); e != nil && e.epoch == c.epoch {
 		c.hits++
-		c.moveToFront(i)
-		return c.slab[i].match
+		c.clock++
+		e.age = c.clock
+		return e
 	}
 	c.misses++
+	return nil
+}
+
+// Classify answers as the wrapped classifier would, from the cache if it can.
+func (c *Cache) Classify(h rules.Header) int {
+	k := c.locate(h)
+	if e := c.lookup(&k); e != nil {
+		return int(e.match)
+	}
 	match := c.slow.Classify(h)
-	c.insert(h, match)
+	c.insert(&k, match)
 	return match
 }
 
@@ -132,133 +174,89 @@ func (c *Cache) Classify(h rules.Header) int {
 // BatchClassifier contract; out must be at least as long as hs). Hits are
 // served in a first pass; all misses are forwarded to the slow path as one
 // sub-batch, so a batched slow path amortizes its work across every cold
-// flow in the batch. Results are identical to per-packet Classify calls;
-// the only observable difference is accounting — a flow missed twice
-// within one batch counts two misses here, where sequential Classify
-// would count the second occurrence as a hit.
+// flow in the batch, and each miss keeps the key its probe resolved, so the
+// insert after the walk hashes nothing. Results are identical to Classify
+// calls; only the accounting differs — a flow missed twice within a batch
+// counts two misses, where Classify would count the second as a hit.
 func (c *Cache) ClassifyBatch(hs []rules.Header, out []int) {
 	out = out[:len(hs)]
 	c.missHs = c.missHs[:0]
-	c.missIdx = c.missIdx[:0]
+	c.missKeys = c.missKeys[:0]
 	for i, h := range hs {
-		if j, ok := c.index[h]; ok && c.slab[j].epoch == c.epoch {
-			c.hits++
-			c.moveToFront(j)
-			out[i] = c.slab[j].match
+		k := c.locate(h)
+		if e := c.lookup(&k); e != nil {
+			out[i] = int(e.match)
 			continue
 		}
-		c.misses++
+		k.idx = int32(i)
 		c.missHs = append(c.missHs, h)
-		c.missIdx = append(c.missIdx, int32(i))
+		c.missKeys = append(c.missKeys, k)
 	}
 	if len(c.missHs) == 0 {
 		return
 	}
-	if cap(c.missOut) < len(c.missHs) {
-		c.missOut = make([]int, len(c.missHs))
-	}
+	c.missOut = slices.Grow(c.missOut[:0], len(c.missHs))
 	mo := c.missOut[:len(c.missHs)]
 	if c.batch != nil {
 		c.batch.ClassifyBatch(c.missHs, mo)
 	} else {
-		for k, h := range c.missHs {
-			mo[k] = c.slow.Classify(h)
+		for i, h := range c.missHs {
+			mo[i] = c.slow.Classify(h)
 		}
 	}
-	for k, i := range c.missIdx {
-		out[i] = mo[k]
-		c.insert(c.missHs[k], mo[k])
+	for i := range c.missKeys {
+		out[c.missKeys[i].idx] = mo[i]
+		c.insert(&c.missKeys[i], mo[i])
 	}
 }
 
-// insert caches h's match, evicting the LRU entry at capacity. A key that
-// is already present (a flow missed more than once in a single batch, or
-// a flow staled by AdvanceEpoch) has its slot refreshed — match and epoch
-// — instead of duplicated.
-func (c *Cache) insert(h rules.Header, match int) {
-	if i, ok := c.index[h]; ok {
-		c.slab[i].match = match
-		c.slab[i].epoch = c.epoch
-		c.moveToFront(i)
-		return
+// insert caches k's match in its set. A key already there (staled by
+// AdvanceEpoch, or missed twice in one batch) has its way refreshed, not
+// duplicated; else the victim is the first empty way, else the way touched
+// longest ago: a staled one if any, every live way being younger.
+func (c *Cache) insert(k *key, match int) {
+	c.clock++
+	e := c.find(k)
+	if e == nil {
+		set := c.entries[int(k.set)*setWays:]
+		set = set[:min(setWays, len(set))]
+		tags := c.tags[k.set]
+		w := 0
+		for i := range set {
+			if uint8(tags>>(8*i)) == 0 {
+				w = i
+				c.used++
+				break
+			}
+			if set[i].age < set[w].age {
+				w = i
+			}
+		}
+		c.tags[k.set] = tags&^(0xFF<<(8*w)) | uint64(k.tag)<<(8*w)
+		e = &set[w]
 	}
-	var i int32
-	if int(c.used) < c.capacity {
-		i = c.used
-		c.used++
-	} else {
-		// Reuse the LRU slot.
-		i = c.tail
-		delete(c.index, c.slab[i].key)
-		c.unlink(i)
-	}
-	c.slab[i] = entry{key: h, match: match, epoch: c.epoch, prev: none, next: none}
-	c.pushFront(i)
-	c.index[h] = i
-}
-
-// unlink removes slot i from the recency list.
-func (c *Cache) unlink(i int32) {
-	e := &c.slab[i]
-	if e.prev != none {
-		c.slab[e.prev].next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != none {
-		c.slab[e.next].prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = none, none
-}
-
-// pushFront links slot i as the most recently used.
-func (c *Cache) pushFront(i int32) {
-	e := &c.slab[i]
-	e.prev, e.next = none, c.head
-	if c.head != none {
-		c.slab[c.head].prev = i
-	}
-	c.head = i
-	if c.tail == none {
-		c.tail = i
-	}
-}
-
-// moveToFront refreshes slot i's recency.
-func (c *Cache) moveToFront(i int32) {
-	if c.head == i {
-		return
-	}
-	c.unlink(i)
-	c.pushFront(i)
+	*e = entry{a: k.a, b: k.b, age: c.clock, match: int32(match), epoch: c.epoch}
 }
 
 // Invalidate empties the cache; call it after the underlying rule set
-// changes. The slab and index are retained, so refilling allocates
-// nothing. Cost is O(capacity) (the index clear); serving loops that
-// invalidate at churn rates should use AdvanceEpoch instead.
+// changes. It clears only the tag words (no tag, no way to the entry):
+// O(capacity/8). Loops invalidating at churn rates should use AdvanceEpoch.
 func (c *Cache) Invalidate() {
-	clear(c.index)
-	c.head, c.tail, c.used = none, none, 0
+	clear(c.tags)
+	c.used = 0
 }
 
 // AdvanceEpoch stales every cached entry in O(1): entries keep their
-// slots but no longer hit, so the very next packet of each flow re-takes
-// the slow path and refreshes the slot in place. This is the invalidation
-// the engine's shards use on generation changes — a delta-layer delete
-// publishes a new generation, the shard bumps the epoch, and a cached
-// decision for the deleted rule can never be served again, without paying
-// an O(capacity) clear per churn event.
+// ways but no longer hit, so the next packet of each flow re-takes the
+// slow path and refreshes its way in place. The engine's shards use it on
+// generation changes: a delta-layer delete publishes a generation, the
+// shard bumps the epoch, and no decision for the deleted rule is served
+// again — without a clear per churn event.
 //
-// The epoch counter is a uint64, so wrapping takes 2^64 advances — but a
-// wrap would be catastrophic rather than merely unlikely: a slot last
-// refreshed at epoch E would satisfy the equality gate again when the
-// counter returns to E, serving a decision staled 2^64 invalidations ago
-// as fresh. The once-per-wrap O(capacity) Invalidate makes every pre-wrap
-// slot unreachable (the index is cleared), so correctness never rests on
-// the counter not wrapping.
+// When the 32-bit counter wraps to E, a way last refreshed at E would pass
+// the equality gate and serve a decision staled 2^32 invalidations ago.
+// The once-per-wrap Invalidate makes every pre-wrap way unreachable, so
+// correctness never rests on the counter not wrapping.
 func (c *Cache) AdvanceEpoch() {
 	c.epoch++
 	if c.epoch == 0 {
@@ -266,18 +264,16 @@ func (c *Cache) AdvanceEpoch() {
 	}
 }
 
-// Len returns the number of cached flows (including epoch-staled entries
-// whose slots have not been refreshed yet).
-func (c *Cache) Len() int { return len(c.index) }
+// Len returns the number of occupied ways, epoch-staled ones included.
+func (c *Cache) Len() int { return c.used }
 
 // Stats returns hit and miss counts since creation.
 func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
 
 // HitRate returns the hit fraction (0 when nothing was classified).
 func (c *Cache) HitRate() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
+	if total := c.hits + c.misses; total > 0 {
+		return float64(c.hits) / float64(total)
 	}
-	return float64(c.hits) / float64(total)
+	return 0
 }

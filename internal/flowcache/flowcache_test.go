@@ -1,6 +1,7 @@
 package flowcache
 
 import (
+	"container/list"
 	"errors"
 	"math/rand"
 	"runtime/debug"
@@ -150,6 +151,71 @@ func TestZipfTrafficHitRate(t *testing.T) {
 	}
 }
 
+// TestZipfHitRateNearExactLRU pins what 8-way sets cost against the exact
+// LRU they replaced: on a fixed Zipf(1.1) trace over 2^16 flows at capacity
+// 4096, the hit rate stays within 0.01 of a full LRU list's.
+func TestZipfHitRateNearExactLRU(t *testing.T) {
+	const capacity, packets = 4096, 1 << 19
+	cache, err := New(&switchable{}, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zipf := rand.NewZipf(rand.New(rand.NewSource(605)), 1.1, 1, 1<<16-1)
+	recency := list.New() // front = most recent
+	resident := map[uint64]*list.Element{}
+	lruHits := 0
+	for i := 0; i < packets; i++ {
+		id := zipf.Uint64()
+		cache.Classify(rules.Header{SrcIP: uint32(id) * 2654435761, DstIP: uint32(id), DstPort: 80, Proto: rules.ProtoTCP})
+		if e, ok := resident[id]; ok {
+			lruHits++
+			recency.MoveToFront(e)
+			continue
+		}
+		if recency.Len() == capacity {
+			delete(resident, recency.Remove(recency.Back()).(uint64))
+		}
+		resident[id] = recency.PushFront(id)
+	}
+	exact := float64(lruHits) / packets
+	if got := cache.HitRate(); got < exact-0.01 {
+		t.Errorf("hit rate %.4f, exact LRU %.4f: associativity costs more than 0.01", got, exact)
+	} else {
+		t.Logf("hit rate %.4f, exact LRU %.4f", got, exact)
+	}
+}
+
+// TestZeroHeaderMisses: emptiness is the tag, not the key. A zeroed way
+// must not answer for the all-zero 5-tuple on a fresh cache (epoch 0 is a
+// zeroed entry's epoch too), nor may the tuple's old verdict survive
+// Invalidate or AdvanceEpoch — each time beside a cached neighbour with
+// the zero tuple's own tag, the case an inexact tag match gets wrong.
+func TestZeroHeaderMisses(t *testing.T) {
+	slow := &switchable{answer: 5}
+	cache, err := New(slow, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := rules.Header{SrcIP: 1}
+	for cache.locate(twin).tag != cache.locate(rules.Header{}).tag {
+		twin.SrcIP++
+	}
+	probe := func(when string) {
+		t.Helper()
+		cache.Classify(twin)
+		slow.answer++
+		calls := slow.calls
+		if got := cache.Classify(rules.Header{}); got != slow.answer || slow.calls != calls+1 {
+			t.Fatalf("%s: zero 5-tuple answered %d from the cache, slow path says %d", when, got, slow.answer)
+		}
+	}
+	probe("fresh cache")
+	cache.Invalidate()
+	probe("after Invalidate")
+	cache.AdvanceEpoch()
+	probe("after AdvanceEpoch")
+}
+
 func TestCapacityValidation(t *testing.T) {
 	_, slow := fixtures(t)
 	if _, err := New(slow, 0); err == nil {
@@ -157,10 +223,10 @@ func TestCapacityValidation(t *testing.T) {
 	}
 }
 
-// TestCapacityOverflowRejected pins the int32 slab-link bound: a
-// capacity beyond MaxCapacity would silently truncate the recency
-// links (and try to allocate an absurd slab), so New must refuse it
-// with a typed *CapacityError instead of constructing a corrupt cache.
+// TestCapacityOverflowRejected pins the capacity bound: a capacity
+// beyond MaxCapacity would overflow the 32-bit set reduction (and try to
+// allocate an absurd table), so New must refuse it with a typed
+// *CapacityError instead of constructing a corrupt cache.
 func TestCapacityOverflowRejected(t *testing.T) {
 	_, slow := fixtures(t)
 	over := MaxCapacity // runtime increment so the literal compiles on any int width
@@ -180,7 +246,7 @@ func TestCapacityOverflowRejected(t *testing.T) {
 		}
 	}
 	// The boundary value MaxCapacity itself is legal; constructing that
-	// slab would OOM the test host, so the first rejected value above
+	// table would OOM the test host, so the first rejected value above
 	// (MaxCapacity+1) is what pins the upper bound off-by-one.
 }
 
@@ -238,7 +304,9 @@ func TestClassifyBatchMatchesSequential(t *testing.T) {
 func TestBatchForwardsMissesAsOneSubBatch(t *testing.T) {
 	rs, counting := fixtures(t)
 	slow := &countingBatchClassifier{countingClassifier: *counting}
-	cache, err := New(slow, 256)
+	// 64 flows over 128 sets: no set is asked to hold more than its 8 ways
+	// (at 256 flows of capacity this trace puts 9 in one set).
+	cache, err := New(slow, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,10 +383,8 @@ func TestBatchZeroAllocWarm(t *testing.T) {
 	}
 }
 
-// TestInsertZeroAllocAfterWarmup: evicting inserts reuse slab slots, so
-// even a 100%-miss workload stops allocating once the slab is full (the
-// map's bucket array is the one exception Go's map can regrow; a fixed
-// key universe avoids it here).
+// TestInsertZeroAllocAfterWarmup: evicting inserts overwrite a way of
+// the key's set in place, so even a 100%-miss workload allocates nothing.
 func TestInsertZeroAllocAfterWarmup(t *testing.T) {
 	_, slow := fixtures(t)
 	cache, err := New(slow, 8)

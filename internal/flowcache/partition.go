@@ -2,11 +2,10 @@
 // share one Cache across tenants: the key is the 5-tuple alone, so two
 // tenants whose flows collide would serve each other's matches, and one
 // tenant's generation change would stale every tenant's entries. A
-// Partitioned hands each tenant its own slab-backed Cache — its own
-// index, its own recency list, its own epoch — so epoch-tagged
-// invalidation is scoped to exactly the tenant whose rules changed, and
-// a hostile tenant thrashing its partition cannot evict a byte of a
-// well-behaved neighbour's working set.
+// Partitioned hands each tenant its own Cache — its own sets, recency
+// clock and epoch — so epoch-tagged invalidation is scoped to exactly the
+// tenant whose rules changed, and a hostile tenant thrashing its partition
+// cannot evict a byte of a well-behaved neighbour's working set.
 //
 // Partition count is bounded (maxTenants): when a new tenant arrives at
 // the bound, the least recently *served* tenant's partition is
@@ -30,6 +29,8 @@ type Partitioned struct {
 	parts      map[uint32]*part
 	clock      uint64
 	evictions  uint64
+	// Counts of partitions no longer resident: Stats never falls.
+	goneHits, goneMisses uint64
 
 	// OnEvict, when non-nil, is called with the tenant ID whose partition
 	// was reclaimed to make room (not on explicit Drop). The engine uses
@@ -83,14 +84,13 @@ func (p *Partitioned) Partition(tenant uint32, slow Classifier) (*Cache, error) 
 // evictOldest reclaims the least recently served tenant's partition.
 func (p *Partitioned) evictOldest() {
 	var victim uint32
-	var oldest uint64
-	first := true
+	oldest := ^uint64(0)
 	for id, pt := range p.parts {
-		if first || pt.lastUse < oldest {
-			victim, oldest, first = id, pt.lastUse, false
+		if pt.lastUse < oldest {
+			victim, oldest = id, pt.lastUse
 		}
 	}
-	delete(p.parts, victim)
+	p.Drop(victim)
 	p.evictions++
 	if p.OnEvict != nil {
 		p.OnEvict(victim)
@@ -102,7 +102,11 @@ func (p *Partitioned) evictOldest() {
 // rebound to a different manager and the slow-path pointer inside the
 // cached partition would otherwise go stale.
 func (p *Partitioned) Drop(tenant uint32) {
-	delete(p.parts, tenant)
+	if pt, ok := p.parts[tenant]; ok {
+		p.goneHits += pt.cache.hits
+		p.goneMisses += pt.cache.misses
+		delete(p.parts, tenant)
+	}
 }
 
 // Tenants returns the number of resident partitions.
@@ -111,13 +115,13 @@ func (p *Partitioned) Tenants() int { return len(p.parts) }
 // Evictions returns how many partitions were reclaimed to make room.
 func (p *Partitioned) Evictions() uint64 { return p.evictions }
 
-// Stats sums hits and misses across resident partitions. Evicted
-// partitions take their counts with them; treat the totals as a floor.
+// Stats returns hits and misses summed over every partition this set has
+// ever held, resident or since evicted or dropped.
 func (p *Partitioned) Stats() (hits, misses uint64) {
+	hits, misses = p.goneHits, p.goneMisses
 	for _, pt := range p.parts {
-		h, m := pt.cache.Stats()
-		hits += h
-		misses += m
+		hits += pt.cache.hits
+		misses += pt.cache.misses
 	}
 	return hits, misses
 }

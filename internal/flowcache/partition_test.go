@@ -103,6 +103,33 @@ func TestPartitionDrop(t *testing.T) {
 	}
 }
 
+// TestPartitionStatsCumulative: Stats keeps the counts of partitions that
+// were evicted or dropped — an exporter diffing successive readings must
+// never see the totals fall.
+func TestPartitionStatsCumulative(t *testing.T) {
+	p, err := NewPartitioned(8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := &switchable{answer: 1}
+	serve := func(tenant uint32) {
+		c, err := p.Partition(tenant, slow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Classify(hdr(1)) // miss
+		c.Classify(hdr(1)) // hit
+	}
+	serve(1)
+	serve(2) // evicts tenant 1
+	p.Drop(2)
+	p.Drop(2) // already gone: counted once
+	serve(3)
+	if hits, misses := p.Stats(); hits != 3 || misses != 3 {
+		t.Fatalf("Stats = %d hits / %d misses after an eviction and a drop, want 3/3", hits, misses)
+	}
+}
+
 // TestPartitionedRejectsBadBounds mirrors New's capacity validation.
 func TestPartitionedRejectsBadBounds(t *testing.T) {
 	if _, err := NewPartitioned(0, 4); err == nil {

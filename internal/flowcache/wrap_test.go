@@ -9,8 +9,8 @@ import (
 
 // TestAdvanceEpochWraparound pins the wrap-safety of the epoch gate.
 // Entries are compared to the current epoch with equality, so after the
-// uint64 counter wraps back to a value an old slot was tagged with, that
-// slot would look fresh again and serve a decision staled 2^64
+// uint32 counter wraps back to a value an old slot was tagged with, that
+// slot would look fresh again and serve a decision staled 2^32
 // invalidations earlier. The fix invalidates the whole cache once per
 // wrap; this test fast-forwards the counter to just below the wrap point
 // and crosses it.
@@ -31,7 +31,7 @@ func TestAdvanceEpochWraparound(t *testing.T) {
 	// Fast-forward to the last epoch before wraparound and cross it. The
 	// entry cached above is tagged epoch 0 — exactly the value the counter
 	// wraps back to.
-	cache.epoch = math.MaxUint64
+	cache.epoch = math.MaxUint32
 	cache.AdvanceEpoch()
 	if cache.epoch != 0 {
 		t.Fatalf("epoch after wrap = %d, want 0", cache.epoch)
@@ -40,7 +40,7 @@ func TestAdvanceEpochWraparound(t *testing.T) {
 		t.Fatalf("Len after wrap = %d, want 0 (wrap must invalidate)", n)
 	}
 
-	// The rule set "changed" 2^64 invalidations ago; the stale slot must
+	// The rule set "changed" 2^32 invalidations ago; the stale slot must
 	// not resurface as a hit.
 	slow.answer = 2
 	if got := cache.Classify(h); got != 2 {

@@ -11,11 +11,10 @@
 // tuple table serves the churn, and a background compaction folds the
 // table back into the next tree build.
 //
-// Storage follows the repository's slab idiom (internal/flowcache): table
-// entries live in a preallocated-and-grown slab linked by int32 indices,
-// with a free list for O(1) reuse, so steady-state insert/delete performs
-// no per-entry allocation beyond slab growth and lookups chase int32
-// links, not heap pointers.
+// Storage is a slab: table entries live in a preallocated-and-grown array
+// linked by int32 indices, with a free list for O(1) reuse, so steady-state
+// insert/delete performs no per-entry allocation beyond slab growth and
+// lookups chase int32 links, not heap pointers.
 package tss
 
 import (

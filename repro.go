@@ -315,8 +315,9 @@ func InsertRuleAt(pos int, r Rule) UpdateOp { return update.InsertAt(pos, r) }
 // DeleteRuleAt builds a delete op for the given priority position.
 func DeleteRuleAt(pos int) UpdateOp { return update.DeleteAt(pos) }
 
-// FlowCache is a bounded exact-match LRU cache in front of a classifier
-// (internal/flowcache); results are identical, repeats skip the lookup.
+// FlowCache is a bounded exact-match, set-associative cache in front of a
+// classifier (internal/flowcache); results are identical, repeats skip
+// the lookup.
 type FlowCache = flowcache.Cache
 
 // NewFlowCache wraps the classifier with a flow cache of the given
