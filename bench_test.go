@@ -276,10 +276,10 @@ func benchServeEngine(b *testing.B, batchSize int, metrics *engine.Metrics) {
 }
 
 // benchServe times whole RunEngine passes over headers and reports Mpps.
-func benchServe(b *testing.B, tree *ExpCuts, cfg engine.Config, headers []Header) {
+func benchServe(b *testing.B, cl Lookuper, cfg engine.Config, headers []Header) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunEngine(tree, cfg, headers, func(EngineResult) {}); err != nil {
+		if _, err := RunEngine(cl, cfg, headers, func(EngineResult) {}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -329,6 +329,38 @@ func BenchmarkServeFlowCacheZipf(b *testing.B) {
 			benchServe(b, tree, cfg, headers)
 		})
 	}
+}
+
+// constClassifier answers rule 0 for everything: what is left when it
+// serves is everything but classification.
+type constClassifier struct{}
+
+func (constClassifier) Classify(Header) int { return 0 }
+func (constClassifier) ClassifyBatch(hs []Header, out []int) {
+	for i := range hs {
+		out[i] = 0
+	}
+}
+
+// BenchmarkServeEngineOverhead is the plumbing's own rate: dispatch,
+// queues, sequencer and emit around a classifier that costs nothing, at
+// the shape bench/ serves with (two shards, 64-packet batches, ordered)
+// over 2^18 packets a pass — the ceiling the ServeBatched and
+// ServeFlowCacheZipf rows sit under.
+func BenchmarkServeEngineOverhead(b *testing.B) {
+	rs, err := experiments.ServeRuleSet(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	flows, err := GenerateTrace(rs, 1<<16, 11, 0.9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	headers := make([]Header, 0, 1<<18)
+	for len(headers) < cap(headers) {
+		headers = append(headers, flows.Headers...)
+	}
+	benchServe(b, constClassifier{}, engine.Config{Shards: 2, BatchSize: 64, PreserveOrder: true}, headers)
 }
 
 // BenchmarkServeBatchedMetrics is BenchmarkServeBatched with the

@@ -1,15 +1,16 @@
 // Package engine is a native Go classification runtime that mirrors the
 // programming challenges of §3.2 of the paper with real goroutines instead
-// of microengine threads: a dispatcher feeds packets to a pool of worker
-// goroutines ("threads") through a bounded ring, workers classify
-// concurrently, and a reorder stage restores arrival order using sequence
+// of microengine threads: a dispatcher feeds batches of packets to serving
+// lanes ("thread groups") through bounded rings, lanes classify
+// concurrently, and a sequencer restores arrival order using sequence
 // numbers — the paper's third challenge, "maintaining packet ordering in
 // spite of parallel processing ... using sequence numbers and/or strict
-// thread ordering".
+// thread ordering". What moves between the stages is a pointer to the
+// batch; a Result is assembled only as it is handed to emit.
 //
 // Beyond the happy path, the engine is a hardened serving layer: a
 // classifier panic is contained to the packet that triggered it and
-// surfaced as a Result error instead of a crashed worker, a per-run
+// surfaced as a Result error instead of a crashed lane, a per-run
 // context carries deadlines and cancellation, and overload can either
 // exert back-pressure (block) or tail-drop with shed accounting — the
 // software analogue of the NP dropping frames when the receive ring
@@ -26,9 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/rules"
@@ -145,7 +143,11 @@ func (p OverloadPolicy) String() string {
 
 // Config parameterizes the engine.
 type Config struct {
-	// Workers is the number of classification goroutines.
+	// Workers is the number of classification goroutines on the single
+	// lane of an unsharded, cache-less RunContext (Shards == 1,
+	// FlowCacheFlows == 0), where no state is private to the lane. Ignored
+	// otherwise — by RunStream and RunTenants too: a shard is one serving
+	// loop.
 	Workers int
 	// QueueDepth bounds the dispatch ring (back-pressure).
 	QueueDepth int
@@ -168,16 +170,13 @@ type Config struct {
 	// per packet.
 	BatchSize int
 	// Shards is the number of flow-affinity serving shards; 0 defaults to
-	// runtime.GOMAXPROCS(0). With more than one shard (or with a flow
-	// cache) the engine serves through its sharded path: packets are
-	// dispatched by a 5-tuple flow hash so every flow lands on one shard,
-	// each shard runs a private serving loop with private batch/result
-	// pools (no cross-core mutable sharing on the hot path), and a single
+	// runtime.GOMAXPROCS(0). Packets are dispatched by a 5-tuple flow hash
+	// so every flow lands on one shard, each shard runs a private serving
+	// loop the way each microengine runs its own thread group (no
+	// cross-core mutable sharing on the hot path), and a single
 	// cross-shard sequencer restores arrival order. Semantics — ordered
-	// emission, shed/cancel accounting, per-packet panic attribution —
-	// are identical to the unsharded path at any shard count; see
-	// shard.go. Workers is ignored in sharded mode (each shard is one
-	// serving loop, the way each microengine runs its own thread group).
+	// emission, shed/cancel accounting, per-packet panic attribution — are
+	// identical at any shard count; see shard.go.
 	Shards int
 	// FlowCacheFlows, when > 0, gives each shard a private exact-match
 	// flow cache (8-way sets, internal/flowcache) of this many flows in
@@ -187,8 +186,7 @@ type Config struct {
 	// cache. When the classifier exposes rule-set generations
 	// (update.Manager), each shard invalidates its cache on generation
 	// change and guarantees no batch mixes results from two generations.
-	// 0 disables caching. Setting FlowCacheFlows forces the sharded path
-	// even at Shards == 1.
+	// 0 disables caching.
 	FlowCacheFlows int
 	// Metrics, when non-nil, attaches the engine's observability block
 	// (see NewMetrics): serving loops record per-shard counters and
@@ -333,9 +331,10 @@ type Stats struct {
 	// EmitPanics counts emit callback panics that were contained (at most
 	// one: emit is not called again after it panics).
 	EmitPanics int
-	// MaxReorder is the largest number of results the reorder stage held
-	// back waiting for an earlier sequence number (0 when ordering is
-	// off or classification completed in order).
+	// MaxReorder is the largest number of packets the sequencer still held
+	// back, waiting for an earlier sequence number, after the drain that
+	// follows a batch's arrival (0 when ordering is off or classification
+	// completed in order).
 	MaxReorder int
 	// Algorithm and DegradationLevel are filled when the classifier
 	// implements Describer: the algorithm that served this run and its
@@ -351,14 +350,14 @@ type Stats struct {
 	// should treat a first/final mismatch as "mixed".
 	FinalAlgorithm        string
 	FinalDegradationLevel int
-	// Shards is how many flow-affinity shards served the run (1 when the
-	// legacy worker-pool path served it).
+	// Shards is how many flow-affinity shards served the run.
 	Shards int
 	// ShardBusy is each shard's cumulative classification busy time
-	// (sharded path only; nil otherwise). On a host with fewer cores than
-	// shards, packets/max(ShardBusy) is the critical-path throughput the
-	// shard layout would sustain with one core per shard — the projection
-	// internal/experiments reports alongside measured wall-clock numbers.
+	// (summed over its workers when a single lane runs several). On a host
+	// with fewer cores than shards, packets/max(ShardBusy) is the
+	// critical-path throughput the shard layout would sustain with one core
+	// per shard — the projection internal/experiments reports alongside
+	// measured wall-clock numbers.
 	ShardBusy []time.Duration
 }
 
@@ -387,277 +386,28 @@ func RunContext(ctx context.Context, cl Classifier, cfg Config, headers []rules.
 	if err := cfg.fillDefaults(); err != nil {
 		return Stats{}, err
 	}
-	if cfg.Shards > 1 || cfg.FlowCacheFlows > 0 {
-		return runSharded(ctx, cl, cfg, headers, emit)
+	shards, err := makeShards(cl, &cfg)
+	if err != nil {
+		return Stats{}, err
 	}
-	// A job is one dispatched batch: the arrival sequence number of its
-	// first packet and a sub-slice of headers (no copy). One channel
-	// operation moves BatchSize packets.
-	type job struct {
-		seq uint64
-		hs  []rules.Header
+	// The worker pool of the unsharded slice path: nothing is private to a
+	// single cache-less lane, so Workers goroutines may share it.
+	workers := 1
+	if cfg.Shards == 1 && cfg.FlowCacheFlows == 0 {
+		workers = cfg.Workers
 	}
-	jobs := make(chan job, cfg.QueueDepth)
-	// results carries one batch per dispatched-or-shed job. The main loop
-	// below drains it unconditionally until close, which is what
-	// guarantees workers can always deliver and never leak. Batch result
-	// buffers are recycled through pool: the steady state allocates
-	// nothing per batch.
-	results := make(chan *resultBatch, cfg.QueueDepth)
-	pool := sync.Pool{New: func() any {
-		return &resultBatch{rs: make([]Result, 0, cfg.BatchSize)}
-	}}
-	bc := cfg.batcher(cl)
-
-	var wg sync.WaitGroup
-	var panics, busyNanos atomic.Int64
-	// The unsharded pipeline is one logical shard: all workers record
-	// into metrics slot 0 (per-batch atomic adds, contention-tolerant).
-	sm := cfg.Metrics.shard(0)
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Per-worker match buffer for the BatchClassifier fast path;
-			// allocated once per worker, not per batch.
-			var matches []int
-			if bc != nil {
-				matches = make([]int, cfg.BatchSize)
-			}
-			var busy time.Duration
-			for j := range jobs {
-				queued := len(jobs)
-				out := pool.Get().(*resultBatch)
-				out.rs = out.rs[:len(j.hs)]
-				if err := ctx.Err(); err != nil {
-					// Cancellation overtook this batch in the ring:
-					// fail it fast instead of classifying.
-					for i, h := range j.hs {
-						out.rs[i] = Result{Seq: j.seq + uint64(i), Header: h, Match: -1, Err: err}
-					}
-					sm.addCanceled(uint64(len(j.hs)))
-				} else {
-					start := time.Now()
-					p := classifyBatch(cl, bc, j.seq, j.hs, out.rs, matches)
-					d := time.Since(start)
-					panics.Add(p)
-					busy += d
-					sm.recordBatch(len(j.hs), d, queued)
-					sm.addPanics(uint64(p))
-				}
-				results <- out
-			}
-			busyNanos.Add(int64(busy))
-		}()
-	}
-
-	var undispatched atomic.Int64
-	go func() {
-		defer close(jobs)
-		n := len(headers)
-		for i := 0; i < n; i += cfg.BatchSize {
-			if ctx.Err() != nil {
-				undispatched.Store(int64(n - i))
-				cfg.Metrics.recordUndispatched(uint64(n - i))
-				return
-			}
-			end := i + cfg.BatchSize
-			if end > n {
-				end = n
-			}
-			j := job{seq: uint64(i), hs: headers[i:end]}
-			if cfg.Overload == OverloadShed {
-				select {
-				case jobs <- j:
-				default:
-					// Ring full: tail-drop the whole batch. Delivering
-					// the shed markers through results keeps the
-					// sequence space gap-free for the reorder stage.
-					out := pool.Get().(*resultBatch)
-					out.rs = out.rs[:len(j.hs)]
-					for k, h := range j.hs {
-						out.rs[k] = Result{Seq: j.seq + uint64(k), Header: h, Match: -1, Err: ErrShed}
-					}
-					sm.addShed(uint64(len(j.hs)))
-					results <- out
-				}
-				continue
-			}
-			jobs <- j
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	st := Stats{Shards: 1}
-	d, describes := cl.(Describer)
-	if describes {
-		st.Algorithm, st.DegradationLevel = d.DescribeAlgorithm()
-	}
-	em := &emitter{st: &st, emit: emit}
-	emitOne := em.one
-	reorderHeld := cfg.Metrics.reorderHeldHist()
-
-	if cfg.PreserveOrder {
-		// Reorder stage: hold completed results until their predecessors
-		// arrive, exactly like a sequence-numbered transmit stage on the
-		// NP. The buffer is a sliding ring indexed by sequence number —
-		// insertion and the in-order drain are array operations with no
-		// hashing and no steady-state allocation (the ring grows, rarely,
-		// only when shedding under PreserveOrder lets the dispatcher run
-		// far ahead of the slowest worker).
-		ring := newReorderRing(cfg.BatchSize)
-		for out := range results {
-			for _, r := range out.rs {
-				ring.insert(r)
-				if ring.held > st.MaxReorder {
-					st.MaxReorder = ring.held
-				}
-				ring.drain(emitOne)
-			}
-			reorderHeld.Observe(uint64(ring.held))
-			out.rs = out.rs[:0]
-			pool.Put(out)
-		}
-		if ring.held != 0 {
-			return st, fmt.Errorf("engine: %d results stranded in the reorder buffer", ring.held)
-		}
-	} else {
-		for out := range results {
-			for _, r := range out.rs {
-				emitOne(r)
-			}
-			out.rs = out.rs[:0]
-			pool.Put(out)
-		}
-	}
-	if describes {
-		// Re-sampled after the last result drained so a mid-run hot-swap
-		// or rung change is visible as Algorithm != FinalAlgorithm.
-		st.FinalAlgorithm, st.FinalDegradationLevel = d.DescribeAlgorithm()
-	}
-	st.Panics = int(panics.Load())
-	st.Canceled += int(undispatched.Load())
-	// The unsharded pipeline is one logical shard: its busy entry is the
-	// summed classification time of all its workers, so the scaling
-	// experiment can compare busy-time across shard counts uniformly.
-	st.ShardBusy = []time.Duration{time.Duration(busyNanos.Load())}
-
-	switch {
-	case em.err != nil:
-		return st, em.err
-	case ctx.Err() != nil:
-		return st, fmt.Errorf("engine: run cut short, %d of %d packets canceled: %w",
-			st.Canceled, len(headers), ctx.Err())
-	case st.Panics > 0:
-		return st, fmt.Errorf("engine: %d of %d packets failed with contained classifier panics",
-			st.Panics, len(headers))
-	}
-	return st, nil
-}
-
-// emitter serializes result delivery for both serving paths: it tallies
-// the per-outcome stats and contains an emit-callback panic (after which
-// emit is never called again, but results keep draining so no goroutine
-// leaks). It is used from the single emission goroutine only.
-type emitter struct {
-	st   *Stats
-	emit func(Result)
-	err  error
-}
-
-func (e *emitter) one(r Result) {
-	switch {
-	case r.Err == nil:
-		e.st.Packets++
-	case errors.Is(r.Err, ErrShed):
-		e.st.Shed++
-	case isPanicErr(r.Err):
-		// counted via the panics atomic by the serving path
-	default:
-		e.st.Canceled++
-	}
-	if e.err != nil {
-		return // emit already panicked once; never call it again
-	}
-	defer func() {
-		if p := recover(); p != nil {
-			e.st.EmitPanics++
-			e.err = fmt.Errorf("engine: emit panicked on packet %d: %v", r.Seq, p)
-		}
-	}()
-	e.emit(r)
-}
-
-// resultBatch is one batch of results; instances cycle through a sync.Pool.
-// home, set by the sharded path, is the owning shard's pool so the
-// emission loop can recycle a batch back to the shard that produced it
-// (the unsharded path recycles into its single run-local pool and leaves
-// home nil).
-type resultBatch struct {
-	rs   []Result
-	home *sync.Pool
-	// tenant and si carry the multi-tenant path's batch attribution (every
-	// tenant batch is single-tenant by construction); the single-table
-	// paths leave them zero.
-	tenant uint32
-	si     int
-}
-
-// classifyBatch fills rs with the results for one batch, returning how
-// many packets failed with contained panics. The BatchClassifier fast
-// path classifies the whole batch in one call; if that call panics, the
-// batch is re-run packet-by-packet so the panic is attributed to exactly
-// the packet(s) that triggered it and every innocent packet still gets
-// its answer — panic isolation at batch granularity never costs more
-// than the per-packet path would have.
-func classifyBatch(cl Classifier, bc BatchClassifier, seq uint64, hs []rules.Header, rs []Result, matches []int) int64 {
-	if bc != nil && classifyBatchContained(bc, hs, matches[:len(hs)]) {
-		for i, h := range hs {
-			rs[i] = Result{Seq: seq + uint64(i), Header: h, Match: matches[i]}
-		}
-		return 0
-	}
-	var panicked int64
-	for i, h := range hs {
-		r := classifyOne(cl, seq+uint64(i), h)
-		if r.Err != nil {
-			panicked++
-		}
-		rs[i] = r
-	}
-	return panicked
-}
-
-// classifyBatchContained runs the batched lookup with panic containment,
-// reporting whether it completed. A false return means some packet in the
-// batch panicked the classifier; the caller falls back to the per-packet
-// path for attribution.
-func classifyBatchContained(bc BatchClassifier, hs []rules.Header, out []int) (ok bool) {
-	defer func() {
-		if recover() != nil {
-			ok = false
-		}
-	}()
-	bc.ClassifyBatch(hs, out)
-	return true
-}
-
-// classifyOne runs one lookup with panic containment: a panicking
-// classifier costs its packet, not the worker.
-func classifyOne(cl Classifier, seq uint64, h rules.Header) (r Result) {
-	defer func() {
-		if p := recover(); p != nil {
-			r = Result{Seq: seq, Header: h, Match: -1,
-				Err: &PanicError{Value: p, Stack: debug.Stack()}}
-		}
-	}()
-	return Result{Seq: seq, Header: h, Match: cl.Classify(h)}
-}
-
-func isPanicErr(err error) bool {
-	var pe *PanicError
-	return errors.As(err, &pe)
+	// The slice is served through the streaming core a batch-sized view at
+	// a time: no copy on the way in, and cancellation polled once per view.
+	off := 0
+	st, pulled, emitErr := runShards(ctx, cl, &cfg, shards, workers, func() ([]rules.Header, bool) {
+		view := headers[off:min(off+cfg.BatchSize, len(headers))]
+		off += len(view)
+		return view, off < len(headers)
+	}, emit)
+	// The contiguous tail the dispatcher never pulled is canceled without
+	// being emitted; everything it did pull went through the sequencer.
+	tail := len(headers) - pulled
+	st.Canceled += tail
+	cfg.Metrics.recordUndispatched(uint64(tail))
+	return st, runErr(ctx, &st, emitErr, len(headers))
 }

@@ -121,7 +121,7 @@ func TestSingleWorkerIsOrderedByConstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.MaxReorder > 1 {
+	if st.MaxReorder != 0 {
 		t.Errorf("single worker should not need reordering, MaxReorder = %d", st.MaxReorder)
 	}
 }

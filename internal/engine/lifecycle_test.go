@@ -14,7 +14,7 @@ import (
 )
 
 // TestShardedNoLeakOnFlowCacheFailure: when a later shard's flow cache
-// fails to construct, runSharded must return the error without leaking
+// fails to construct, RunContext must return the error without leaking
 // the serve goroutines of the shards built before it. The old code
 // launched each shard's goroutine inside the construction loop, so a
 // failure at shard i left shards 0..i-1 blocked forever on their

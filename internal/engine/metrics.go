@@ -14,9 +14,10 @@ import (
 )
 
 // shardMetrics is one shard's instrument block. During a run it has a
-// single writer — the shard's serve goroutine (the dispatcher and
-// emission loop write only to the shed/canceled counters and the reorder
-// histogram, which live on separate instruments) — so every update is an
+// single writer — the shard's serve goroutine (the dispatcher and the
+// sequencer write only to the shed/canceled counters and the reorder
+// histogram, which live on separate instruments; several workers on a
+// cache-less single lane merely share the atomics) — so every update is an
 // uncontended atomic. The trailing pad keeps neighboring shards' blocks
 // off each other's cache lines.
 type shardMetrics struct {
@@ -37,7 +38,7 @@ type shardMetrics struct {
 	cacheHits   obs.Counter
 	cacheMisses obs.Counter
 	// cacheBypasses counts batches served cache-free because generation
-	// churn outpaced the redo budget (see shard.classifyJob).
+	// churn outpaced the redo budget (see lane.classify).
 	cacheBypasses obs.Counter
 	// batchFill observes packets per dispatched batch.
 	batchFill obs.Hist
@@ -120,8 +121,9 @@ func (sm *shardMetrics) recordCache(hits, misses uint64, lastHits, lastMisses *u
 // runs merely merge their numbers).
 type Metrics struct {
 	shards []shardMetrics
-	// reorderHeld observes the reorder ring's held count, sampled once
-	// per result batch by the emission loop.
+	// reorderHeld observes the packets the sequencer still holds after the
+	// drain that follows each batch's arrival (what Stats.MaxReorder is
+	// the maximum of).
 	reorderHeld obs.Hist
 	// undispatched counts packets canceled before any shard saw them
 	// (the dispatcher's cut-off tail, attributable to no shard).
@@ -171,8 +173,8 @@ func (m *Metrics) recordUndispatched(n uint64) {
 	m.undispatched.Add(n)
 }
 
-// reorderHeldHist returns the reorder-occupancy histogram (nil for a nil
-// Metrics; Hist methods are nil-safe, so emission loops observe into the
+// reorderHeldHist returns the sequencer-occupancy histogram (nil for a nil
+// Metrics; Hist methods are nil-safe, so the sequencer observes into the
 // result unconditionally).
 func (m *Metrics) reorderHeldHist() *obs.Hist {
 	if m == nil {
@@ -243,7 +245,7 @@ func (m *Metrics) Collect(emit func(obs.Sample)) {
 	}
 	rh := m.reorderHeld.Snapshot()
 	emit(obs.Sample{Name: "pc_engine_reorder_held",
-		Help: "Results held in the reorder ring, sampled per result batch.",
+		Help: "Packets the sequencer still held after the drain that follows a batch's arrival (0 = in order).",
 		Type: "histogram", Hist: &rh})
 	if v := m.undispatched.Load(); v > 0 {
 		emit(obs.Sample{Name: "pc_engine_undispatched_total",

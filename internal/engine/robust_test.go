@@ -3,8 +3,10 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -247,4 +249,134 @@ func TestSingleWorkerPanicIsDeterministic(t *testing.T) {
 	if failedSeq != 41 {
 		t.Errorf("panic landed on seq %d, want 41", failedSeq)
 	}
+}
+
+// poisonClassifier is a BatchClassifier that panics on one chosen header.
+// It identifies the batch object behind every call by the backing array of
+// the headers it is handed, which is how the test below knows objects were
+// reused without reaching into the pool.
+type poisonClassifier struct {
+	inner  BatchClassifier
+	poison rules.Header
+
+	mu        sync.Mutex
+	calls     int
+	sightings map[*rules.Header]int // per backing array: calls that handed it over
+	after     map[*rules.Header]int // per array that once carried poison: calls since
+}
+
+func (p *poisonClassifier) Classify(h rules.Header) int {
+	if h == p.poison {
+		panic("poisoned header")
+	}
+	return p.inner.Classify(h)
+}
+
+func (p *poisonClassifier) ClassifyBatch(hs []rules.Header, out []int) {
+	poisoned := false
+	for _, h := range hs {
+		poisoned = poisoned || h == p.poison
+	}
+	p.mu.Lock()
+	p.calls++
+	p.sightings[&hs[0]]++
+	if _, was := p.after[&hs[0]]; was {
+		p.after[&hs[0]]++
+	} else if poisoned {
+		p.after[&hs[0]] = 0
+	}
+	p.mu.Unlock()
+	if poisoned {
+		panic("poisoned batch")
+	}
+	p.inner.ClassifyBatch(hs, out)
+}
+
+type poisonLane struct{ *poisonClassifier }
+
+func (poisonLane) ShedOnOverload() bool { return false }
+
+// TestPanickedBatchRecyclesClean: results live in the batch that carried
+// them, and batches are recycled, so a contained panic's per-packet errors
+// must die with the trip through the pool. A classifier panics on one
+// header planted every 997 packets; with 8-packet batches and shallow rings
+// a run owns a few dozen batch objects and pushes thousands of batches
+// through them, so every object is reused many times after it was poisoned.
+// Exactly the planted packets carry a *PanicError, their batch neighbours
+// carry their true matches, and nothing later inherits an error.
+func TestPanickedBatchRecyclesClean(t *testing.T) {
+	rs, tree, headers := fixtures(t, 40000)
+	poison := rules.Header{SrcIP: 0xdeadbeef, DstIP: 0xfeedface, SrcPort: 4242, DstPort: 2424, Proto: 0xfd}
+	planted := 0
+	for i := 500; i < len(headers); i += 997 {
+		headers[i] = poison
+		planted++
+	}
+	check := func(t *testing.T, serve func(cl *poisonClassifier, cfg Config, emit func(Result)) (Stats, error)) {
+		cl := &poisonClassifier{inner: tree, poison: poison,
+			sightings: make(map[*rules.Header]int), after: make(map[*rules.Header]int)}
+		var next uint64
+		panicked := 0
+		// One worker per lane: with several on one lane a descheduled worker
+		// lets the others run arbitrarily far ahead, the sequencer holds
+		// their batches, and the count of objects in flight has no bound to
+		// assert against.
+		st, err := serve(cl, Config{Workers: 1, BatchSize: 8, QueueDepth: 2, PreserveOrder: true}, func(r Result) {
+			if r.Seq != next {
+				t.Fatalf("seq %d emitted at position %d", r.Seq, next)
+			}
+			next++
+			if r.Header != headers[r.Seq] {
+				t.Fatalf("seq %d carries another packet's header", r.Seq)
+			}
+			var pe *PanicError
+			switch {
+			case r.Header == poison:
+				if !errors.As(r.Err, &pe) || r.Match != -1 {
+					t.Fatalf("planted seq %d emitted as (%d, %v), want a *PanicError", r.Seq, r.Match, r.Err)
+				}
+				panicked++
+			case r.Err != nil:
+				t.Fatalf("innocent seq %d inherited %v", r.Seq, r.Err)
+			case r.Match != rs.Match(r.Header):
+				t.Fatalf("seq %d: match %d, oracle %d", r.Seq, r.Match, rs.Match(r.Header))
+			}
+		})
+		if err == nil {
+			t.Fatal("a run with contained panics must return an error")
+		}
+		if int(next) != len(headers) || panicked != planted || st.Panics != planted || st.Packets != len(headers)-planted {
+			t.Fatalf("emitted %d of %d, %d panicked of %d planted; stats %+v", next, len(headers), panicked, planted, st)
+		}
+		// Reuse actually happened: few objects, many trips, and poisoned
+		// objects kept serving.
+		if len(cl.sightings)*10 > cl.calls {
+			t.Fatalf("%d batch objects for %d batches: not reused 10 times on average", len(cl.sightings), cl.calls)
+		}
+		most := 0
+		for _, n := range cl.after {
+			most = max(most, n)
+		}
+		if most < 10 {
+			t.Fatalf("no poisoned batch object was reused 10 times (most: %d)", most)
+		}
+	}
+	for _, shards := range []int{1, 2, 3, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			check(t, func(cl *poisonClassifier, cfg Config, emit func(Result)) (Stats, error) {
+				cfg.Shards = shards
+				return Run(cl, cfg, headers, emit)
+			})
+		})
+	}
+	t.Run("tenants", func(t *testing.T) {
+		check(t, func(cl *poisonClassifier, cfg Config, emit func(Result)) (Stats, error) {
+			cfg.Shards = 2
+			res := mapResolver{1: poisonLane{cl}, 2: poisonLane{cl}, 3: poisonLane{cl}}
+			ts, err := RunTenants(context.Background(), res, cfg, tenantStream(headers, []uint32{1, 2, 3}),
+				func(r TenantResult) { emit(r.Result) })
+			checkTenantIdentity(t, ts, tenantStream(headers, []uint32{1, 2, 3}), cfg.Shards)
+			return ts.Stats, err
+		})
+	})
 }

@@ -2,14 +2,15 @@
 // mapping gives every microengine its own thread group, local flow state
 // and a hardware hash unit that sprays packets across engines by 5-tuple;
 // this file is the commodity-core translation. A dispatcher hashes each
-// packet's flow onto one of cfg.Shards serving loops, so all packets of a
-// flow are classified by the same goroutine against that shard's private
-// flow cache and pools — the hot path shares no mutable state across
-// shards. Results converge on one emission goroutine whose sliding reorder
-// ring doubles as the cross-shard sequencer: per-shard FIFO order plus
-// sequence-numbered reordering reproduces exactly the ordered-emission,
-// shed/cancel-accounting and panic-attribution contracts of the unsharded
-// path.
+// packet's flow onto one of cfg.Shards lanes, so all packets of a flow are
+// classified by the same goroutine against that shard's private flow cache
+// — the hot path shares no mutable state across shards. A stage hands its
+// successor a pointer to the batch, never the packets: the batch the
+// dispatcher filled is the batch the shard classifies in place and the
+// batch the sequencer (sequencer.go) emits from, in arrival order, before
+// returning it to the run's one pool. RunContext serves a slice through
+// this core and RunStream a Source; both get ordered emission, gap-free
+// shed/cancel markers and per-packet panic attribution from the same code.
 package engine
 
 import (
@@ -58,18 +59,6 @@ func shardOf(h rules.Header, shards int) int {
 	return int(uint64(flowHash(h)) * uint64(shards) >> 32)
 }
 
-// shardJob is one dispatched batch for a shard. Unlike the unsharded
-// path's contiguous header sub-slices, a shard's packets are scattered
-// through the arrival order, so headers are copied into the job alongside
-// their per-packet sequence numbers. Jobs cycle through the owning
-// shard's pool. The multi-tenant dispatcher additionally stamps the batch
-// with its (single) tenant; the single-table path leaves tenant zero.
-type shardJob struct {
-	seqs   []uint64
-	hs     []rules.Header
-	tenant uint32
-}
-
 // lane is the classification state of one serving context: the
 // classifier (batched when it supports it), an optional private flow
 // cache, and the generation-bracketing state that keeps a batch from
@@ -85,20 +74,17 @@ type lane struct {
 	lastGen uint64
 }
 
-// shard is one serving lane: a private job ring, private job/result pools
-// and an optional private flow cache, all touched only by the dispatcher
-// (job acquisition) and the shard's serve goroutine.
+// shard is one serving lane: a private job ring and an optional private
+// flow cache. The dispatcher touches only the ring; everything else belongs
+// to the shard's serve goroutine.
 type shard struct {
 	lane
 
-	jobs    chan *shardJob
-	jobPool sync.Pool
-	resPool sync.Pool
+	jobs chan *batch
 
-	// busy accumulates classification time. Written only by the serve
-	// goroutine; published to the emission goroutine by the results-close
-	// happens-before edge.
-	busy time.Duration
+	// busy is cumulative classification time in nanoseconds; each serve
+	// goroutine adds its total as it exits.
+	busy atomic.Int64
 
 	// m is the shard's instrument block and events the flight recorder
 	// (both nil when Config.Metrics is unset). lastHits / lastMisses hold
@@ -109,34 +95,26 @@ type shard struct {
 	lastHits, lastMisses uint64
 }
 
-// serve is the shard's loop: drain the job ring, classify each batch with
-// panic containment, deliver one resultBatch per job. It fails canceled
+// serve is the shard's loop: drain the job ring, classify each batch in
+// place with panic containment, pass the same batch on. It fails canceled
 // batches fast (the ring drains at cancellation speed, which is what
 // bounds dispatcher blocking under OverloadBlock) and never exits before
-// its ring closes, so delivery can never deadlock.
-func (s *shard) serve(ctx context.Context, results chan<- *resultBatch, panics *atomic.Int64) {
-	var matches []int
-	for j := range s.jobs {
+// its ring closes, so delivery can never deadlock. RunContext runs
+// Config.Workers of these on a cache-less single lane; every other lane
+// runs exactly one.
+func (s *shard) serve(ctx context.Context, results chan<- *batch) {
+	var total time.Duration
+	for b := range s.jobs {
 		queued := len(s.jobs)
-		out := s.resPool.Get().(*resultBatch)
-		out.home = &s.resPool
-		out.rs = out.rs[:len(j.hs)]
 		if err := ctx.Err(); err != nil {
-			for i, h := range j.hs {
-				out.rs[i] = Result{Seq: j.seqs[i], Header: h, Match: -1, Err: err}
-			}
-			s.m.addCanceled(uint64(len(j.hs)))
+			fail(b, err, s.m)
 		} else {
-			if matches == nil && (s.bc != nil || s.cache != nil) {
-				matches = make([]int, cap(j.hs))
-			}
 			start := time.Now()
-			p := s.lane.classifyJob(j, out.rs, matches, s.m, s.events)
+			p := s.lane.classify(b, s.m, s.events)
 			busy := time.Since(start)
-			panics.Add(p)
-			s.busy += busy
+			total += busy
 			if s.m != nil {
-				s.m.recordBatch(len(j.hs), busy, queued)
+				s.m.recordBatch(len(b.hs), busy, queued)
 				s.m.addPanics(uint64(p))
 				if s.cache != nil {
 					hits, misses := s.cache.Stats()
@@ -144,27 +122,54 @@ func (s *shard) serve(ctx context.Context, results chan<- *resultBatch, panics *
 				}
 			}
 		}
-		j.seqs, j.hs = j.seqs[:0], j.hs[:0]
-		s.jobPool.Put(j)
-		results <- out
+		results <- b
+	}
+	s.busy.Add(int64(total))
+}
+
+// fail marks a whole batch failed without classifying it — ErrShed under
+// overload or for an unknown tenant, the context's error otherwise. The
+// caller still delivers it, which is what keeps the sequence space
+// gap-free for the sequencer.
+func fail(b *batch, err error, m *shardMetrics) {
+	b.err = err
+	if errors.Is(err, ErrShed) {
+		m.addShed(uint64(len(b.hs)))
+	} else {
+		m.addCanceled(uint64(len(b.hs)))
 	}
 }
 
-// maxGenRetries bounds how many times classifyJob re-runs a batch whose
+// dispatch hands a filled batch to its lane. A shedding dispatcher never
+// waits: a batch that finds the ring full overtakes the queued ones to the
+// sequencer as ErrShed markers.
+func dispatch(b *batch, jobs, results chan<- *batch, shed bool, m *shardMetrics) {
+	if shed {
+		select {
+		case jobs <- b:
+		default:
+			fail(b, ErrShed, m)
+			results <- b
+		}
+		return
+	}
+	jobs <- b
+}
+
+// maxGenRetries bounds how many times classify re-runs a batch whose
 // generation moved underneath it before bypassing the cache. Two retries
 // absorb any isolated swap; only sustained churn (a delta apply every few
 // microseconds) exhausts them.
 const maxGenRetries = 3
 
-// classifyJob fills rs for one batch. Without a cache it is the sharded
-// twin of classifyBatch. With a cache, batches are classified under a
-// generation-stability protocol: read the generation, stale the cache if
-// it moved since the last batch, classify, and re-read. If the generation
-// changed underneath the batch, the batch is re-run — so on exit every
-// result of the batch (cache hits and misses alike) is attributable to
-// the single observed generation, and no batch on any shard ever
-// straddles a hot-swap. Generations are monotonic, so equal reads bracket
-// the whole batch.
+// classify writes b.matches. Without a cache it is classifyBatch. With a
+// cache, batches are classified under a generation-stability protocol:
+// read the generation, stale the cache if it moved since the last batch,
+// classify, and re-read. If the generation changed underneath the batch,
+// the batch is re-run — so on exit every result of the batch (cache hits
+// and misses alike) is attributable to the single observed generation, and
+// no batch on any shard ever straddles a hot-swap. Generations are
+// monotonic, so equal reads bracket the whole batch.
 //
 // Each generation change is absorbed with an O(1) epoch bump, not an
 // O(capacity) clear: delta-layer churn publishes a generation per edit
@@ -175,9 +180,9 @@ const maxGenRetries = 3
 // against the raw classifier — update.Manager's ClassifyBatch is
 // internally coherent (one generation load per batch), so correctness
 // holds and only this batch's cache benefit is lost.
-func (l *lane) classifyJob(j *shardJob, rs []Result, matches []int, m *shardMetrics, events *obs.Ring) int64 {
+func (l *lane) classify(b *batch, m *shardMetrics, events *obs.Ring) int64 {
 	if l.cache == nil {
-		return classifyBatchSeqs(l.cl, l.bc, j.seqs, j.hs, rs, matches)
+		return classifyBatch(l.cl, l.bc, b)
 	}
 	for attempt := 0; l.gen == nil || attempt < maxGenRetries; attempt++ {
 		var gen uint64
@@ -192,7 +197,7 @@ func (l *lane) classifyJob(j *shardJob, rs []Result, matches []int, m *shardMetr
 					"shard flow cache epoch advanced at generation %d", gen)
 			}
 		}
-		n := classifyBatchSeqs(l.cache, l.cache, j.seqs, j.hs, rs, matches)
+		n := classifyBatch(l.cache, l.cache, b)
 		if l.gen == nil || l.gen.Generation() == gen {
 			return n
 		}
@@ -202,27 +207,7 @@ func (l *lane) classifyJob(j *shardJob, rs []Result, matches []int, m *shardMetr
 	// Churn outpaced the retry budget: serve this batch cache-free. The
 	// next batch re-enters the protocol (and stales the cache then).
 	m.addCacheBypass()
-	return classifyBatchSeqs(l.cl, l.bc, j.seqs, j.hs, rs, matches)
-}
-
-// classifyBatchSeqs is classifyBatch for scattered sequence numbers: the
-// batched fast path with per-packet panic re-attribution on fallback.
-func classifyBatchSeqs(cl Classifier, bc BatchClassifier, seqs []uint64, hs []rules.Header, rs []Result, matches []int) int64 {
-	if bc != nil && classifyBatchContained(bc, hs, matches[:len(hs)]) {
-		for i, h := range hs {
-			rs[i] = Result{Seq: seqs[i], Header: h, Match: matches[i]}
-		}
-		return 0
-	}
-	var panicked int64
-	for i, h := range hs {
-		r := classifyOne(cl, seqs[i], h)
-		if r.Err != nil {
-			panicked++
-		}
-		rs[i] = r
-	}
-	return panicked
+	return classifyBatch(l.cl, l.bc, b)
 }
 
 // makeShards constructs and validates every shard for one run before any
@@ -230,9 +215,8 @@ func classifyBatchSeqs(cl Classifier, bc BatchClassifier, seqs []uint64, hs []ru
 // loop: if shard i's flow cache fails to construct after shards 0..i-1
 // started serving, those goroutines would block forever on their
 // never-closed job rings — nothing in the early-return path would ever
-// close them. Shared by the slice path (runSharded) and the streaming
-// path (RunStream).
-func makeShards(cl Classifier, cfg Config) ([]*shard, error) {
+// close them.
+func makeShards(cl Classifier, cfg *Config) ([]*shard, error) {
 	bc := cfg.batcher(cl)
 	// With pipelining on, the flow cache's slow path is the pipelined
 	// adapter, so cache-miss sub-batches take the staged walk too. The
@@ -243,16 +227,7 @@ func makeShards(cl Classifier, cfg Config) ([]*shard, error) {
 	}
 	shards := make([]*shard, cfg.Shards)
 	for i := range shards {
-		s := &shard{lane: lane{cl: cl, bc: bc}, jobs: make(chan *shardJob, cfg.QueueDepth)}
-		s.jobPool.New = func() any {
-			return &shardJob{
-				seqs: make([]uint64, 0, cfg.BatchSize),
-				hs:   make([]rules.Header, 0, cfg.BatchSize),
-			}
-		}
-		s.resPool.New = func() any {
-			return &resultBatch{rs: make([]Result, 0, cfg.BatchSize)}
-		}
+		s := &shard{lane: lane{cl: cl, bc: bc}, jobs: make(chan *batch, cfg.QueueDepth)}
 		if cfg.FlowCacheFlows > 0 {
 			c, err := newFlowCache(cacheSlow, cfg.FlowCacheFlows)
 			if err != nil {
@@ -273,118 +248,95 @@ func makeShards(cl Classifier, cfg Config) ([]*shard, error) {
 	return shards, nil
 }
 
-// shed fails a whole pending batch through results without classifying
-// it — ErrShed markers under overload, cancellation markers otherwise —
-// keeping the sequence space gap-free for the sequencer.
-func (s *shard) shed(j *shardJob, err error, results chan<- *resultBatch) {
-	out := s.resPool.Get().(*resultBatch)
-	out.home = &s.resPool
-	out.rs = out.rs[:len(j.hs)]
-	for k, h := range j.hs {
-		out.rs[k] = Result{Seq: j.seqs[k], Header: h, Match: -1, Err: err}
-	}
-	if errors.Is(err, ErrShed) {
-		s.m.addShed(uint64(len(j.hs)))
-	} else {
-		s.m.addCanceled(uint64(len(j.hs)))
-	}
-	j.seqs, j.hs = j.seqs[:0], j.hs[:0]
-	s.jobPool.Put(j)
-	results <- out
-}
-
-// runSharded is RunContext's serving path for Shards > 1 or a non-zero
-// flow cache. Contracts are identical to the unsharded path; see the
-// package comment at the top of this file for the layout.
-func runSharded(ctx context.Context, cl Classifier, cfg Config, headers []rules.Header, emit func(Result)) (Stats, error) {
-	nShards := cfg.Shards
-	results := make(chan *resultBatch, cfg.QueueDepth)
-	shards, err := makeShards(cl, cfg)
-	if err != nil {
-		return Stats{}, err
-	}
+// runShards is the serve loop behind RunContext and RunStream. next
+// surrenders the input a run of headers at a time (valid until the next
+// call; more=false ends the input); a run shorter than a batch is a batch
+// boundary and flushes every half-built batch (see Source). Each lane gets
+// workers serving goroutines — more than one only when nothing is private
+// to the lane. It returns once every pulled packet has been emitted, with
+// how many were pulled and the emit stage's error, if any.
+func runShards(ctx context.Context, cl Classifier, cfg *Config, shards []*shard, workers int,
+	next func() (hs []rules.Header, more bool), emit func(Result)) (Stats, int, error) {
+	nShards := len(shards)
+	// Sized like a job ring: a lane that finishes a batch should find room
+	// for it rather than wait on the sequencer.
+	results := make(chan *batch, cfg.QueueDepth)
+	pool := newBatchPool(cfg.BatchSize)
 	var wg sync.WaitGroup
-	var panics atomic.Int64
 	for _, s := range shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.serve(ctx, results, &panics)
-		}()
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s.serve(ctx, results)
+			}()
+		}
 	}
 
-	// shedJob emits a whole pending batch as ErrShed markers through
-	// results, keeping the sequence space gap-free for the sequencer.
-	shedJob := func(s *shard, j *shardJob, err error) {
-		s.shed(j, err, results)
-	}
-
-	var undispatched atomic.Int64
+	// pulled is written by the dispatcher before it closes the job rings
+	// and read after results closes; the closes order the two.
+	var pulled uint64
 	go func() {
-		// Dispatcher: bin packets into per-shard pending batches by flow
-		// hash, flushing each batch when full. Cancellation is polled at
-		// batch boundaries (like the unsharded dispatcher); the pending
-		// batches it cuts off are emitted as canceled results — never
-		// silently dropped — because their sequence numbers sit *between*
-		// already-dispatched ones, and the sequencer needs the space
-		// gap-free. Only the contiguous undispatched tail is counted
-		// without emission.
+		// Dispatcher: bin each pull into per-shard pending batches by flow
+		// hash, send a batch when it fills, and flush the half-built ones
+		// when a pull comes up short. Cancellation is polled once per pull;
+		// the pending batches it cuts off are delivered as canceled results
+		// — never silently dropped — because their sequence numbers sit
+		// between already-dispatched ones. Only what was never pulled is
+		// left out.
 		defer func() {
 			for _, s := range shards {
 				close(s.jobs)
 			}
 		}()
-		pending := make([]*shardJob, nShards)
-		n := len(headers)
-		for i := 0; i < n; i++ {
-			if i%cfg.BatchSize == 0 {
-				if err := ctx.Err(); err != nil {
-					undispatched.Store(int64(n - i))
-					cfg.Metrics.recordUndispatched(uint64(n - i))
-					for si, j := range pending {
-						if j != nil {
-							shedJob(shards[si], j, err)
-						}
-					}
-					return
+		shed, size := cfg.Overload == OverloadShed, cfg.BatchSize
+		pending := make([]*batch, nShards)
+		var seq uint64
+		defer func() { pulled = seq }()
+		for {
+			var hs []rules.Header
+			more := false
+			err := ctx.Err()
+			if err == nil {
+				hs, more = next()
+			}
+			for _, h := range hs {
+				si := 0
+				if nShards > 1 {
+					si = shardOf(h, nShards)
+				}
+				b := pending[si]
+				if b == nil {
+					b = pool.get()
+					pending[si] = b
+				}
+				b.seqs = append(b.seqs, seq)
+				b.hs = append(b.hs, h)
+				seq++
+				if len(b.hs) == size {
+					pending[si] = nil
+					dispatch(b, shards[si].jobs, results, shed, shards[si].m)
 				}
 			}
-			si := 0
-			if nShards > 1 {
-				si = shardOf(headers[i], nShards)
-			}
-			j := pending[si]
-			if j == nil {
-				j = shards[si].jobPool.Get().(*shardJob)
-				pending[si] = j
-			}
-			j.seqs = append(j.seqs, uint64(i))
-			j.hs = append(j.hs, headers[i])
-			if len(j.hs) == cfg.BatchSize {
-				pending[si] = nil
-				if cfg.Overload == OverloadShed {
-					select {
-					case shards[si].jobs <- j:
-					default:
-						shedJob(shards[si], j, ErrShed)
-					}
-				} else {
-					shards[si].jobs <- j
-				}
-			}
-		}
-		for si, j := range pending {
-			if j == nil {
+			if more && len(hs) == size {
 				continue
 			}
-			if cfg.Overload == OverloadShed {
-				select {
-				case shards[si].jobs <- j:
-				default:
-					shedJob(shards[si], j, ErrShed)
+			// A short pull, the end of the input, or cancellation: nothing
+			// stays half-built.
+			for si, b := range pending {
+				if b == nil {
+					continue
 				}
-			} else {
-				shards[si].jobs <- j
+				pending[si] = nil
+				if err != nil {
+					fail(b, err, shards[si].m)
+					results <- b
+				} else {
+					dispatch(b, shards[si].jobs, results, shed, shards[si].m)
+				}
+			}
+			if !more {
+				return
 			}
 		}
 	}()
@@ -398,63 +350,36 @@ func runSharded(ctx context.Context, cl Classifier, cfg Config, headers []rules.
 	if describes {
 		st.Algorithm, st.DegradationLevel = d.DescribeAlgorithm()
 	}
-	em := &emitter{st: &st, emit: emit}
-	emitOne := em.one
-	reorderHeld := cfg.Metrics.reorderHeldHist()
-
-	if cfg.PreserveOrder {
-		// Cross-shard sequencer: shards finish batches in any relative
-		// order, but each result carries its arrival sequence number, so
-		// one sliding ring restores global order — the same structure the
-		// unsharded path uses, fed from many lanes.
-		ring := newReorderRing(cfg.BatchSize)
-		for out := range results {
-			for _, r := range out.rs {
-				ring.insert(r)
-				if ring.held > st.MaxReorder {
-					st.MaxReorder = ring.held
-				}
-				ring.drain(emitOne)
-			}
-			reorderHeld.Observe(uint64(ring.held))
-			out.rs = out.rs[:0]
-			out.home.Put(out)
-		}
-		if ring.held != 0 {
-			return st, fmt.Errorf("engine: %d results stranded in the reorder buffer", ring.held)
-		}
-	} else {
-		for out := range results {
-			for _, r := range out.rs {
-				emitOne(r)
-			}
-			out.rs = out.rs[:0]
-			out.home.Put(out)
-		}
+	seq := newSequencer(cfg, &st, pool, emit)
+	// Draining results unconditionally until close is what guarantees the
+	// lanes can always deliver and never leak.
+	for b := range results {
+		seq.accept(b)
 	}
 	if describes {
-		// Re-sample after the last result drained: a hot-swap or rung
-		// change that landed mid-run shows up as First != Final. The old
-		// single pre-serving sample silently misattributed whole runs to
-		// an algorithm that stopped serving moments in.
+		// Re-sampled after the last result drained so a mid-run hot-swap
+		// or rung change is visible as Algorithm != FinalAlgorithm.
 		st.FinalAlgorithm, st.FinalDegradationLevel = d.DescribeAlgorithm()
 	}
-	st.Panics = int(panics.Load())
-	st.Canceled += int(undispatched.Load())
 	st.ShardBusy = make([]time.Duration, nShards)
 	for i, s := range shards {
-		st.ShardBusy[i] = s.busy
+		st.ShardBusy[i] = time.Duration(s.busy.Load())
 	}
+	return st, int(pulled), seq.finish()
+}
 
+// runErr is the error a finished run reports: the emit stage's own, else
+// the cancellation that cut it short, else the contained panics.
+func runErr(ctx context.Context, st *Stats, emitErr error, offered int) error {
 	switch {
-	case em.err != nil:
-		return st, em.err
+	case emitErr != nil:
+		return emitErr
 	case ctx.Err() != nil:
-		return st, fmt.Errorf("engine: run cut short, %d of %d packets canceled: %w",
-			st.Canceled, len(headers), ctx.Err())
+		return fmt.Errorf("engine: run cut short, %d of %d packets canceled: %w",
+			st.Canceled, offered, ctx.Err())
 	case st.Panics > 0:
-		return st, fmt.Errorf("engine: %d of %d packets failed with contained classifier panics",
-			st.Panics, len(headers))
+		return fmt.Errorf("engine: %d of %d packets failed with contained classifier panics",
+			st.Panics, offered)
 	}
-	return st, nil
+	return nil
 }

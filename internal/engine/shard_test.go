@@ -369,21 +369,15 @@ func TestShardedBatchNeverStraddlesGeneration(t *testing.T) {
 // a regression here silently caps multi-core scaling with GC work.
 func TestShardedHotPathDoesNotAllocate(t *testing.T) {
 	_, tree, headers := fixtures(t, 64)
-	newJob := func() *shardJob {
-		j := &shardJob{seqs: make([]uint64, 64), hs: make([]rules.Header, 64)}
-		for i, h := range headers {
-			j.seqs[i], j.hs[i] = uint64(i), h
-		}
-		return j
+	j := (&batchPool{size: 64}).get()
+	for i, h := range headers {
+		j.seqs, j.hs = append(j.seqs, uint64(i)), append(j.hs, h)
 	}
-	rsBuf := make([]Result, 64)
-	matches := make([]int, 64)
 
-	// Batched arena walk, no cache: the sharded twin of classifyBatch.
+	// Batched arena walk, no cache.
 	s := &shard{lane: lane{cl: tree, bc: tree}}
-	j := newJob()
 	if n := testing.AllocsPerRun(100, func() {
-		s.lane.classifyJob(j, rsBuf, matches, nil, nil)
+		s.lane.classify(j, nil, nil)
 	}); n != 0 {
 		t.Errorf("sharded arena batch walk allocates %v/op, want 0", n)
 	}
@@ -396,9 +390,9 @@ func TestShardedHotPathDoesNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := &shard{lane: lane{cl: tree2, bc: tree2, cache: fc}}
-	sc.lane.classifyJob(j, rsBuf, matches, nil, nil) // warm the cache
+	sc.lane.classify(j, nil, nil) // warm the cache
 	if n := testing.AllocsPerRun(100, func() {
-		sc.lane.classifyJob(j, rsBuf, matches, nil, nil)
+		sc.lane.classify(j, nil, nil)
 	}); n != 0 {
 		t.Errorf("sharded flow-cache hit path allocates %v/op, want 0", n)
 	}
@@ -411,14 +405,14 @@ func TestShardedHotPathDoesNotAllocate(t *testing.T) {
 	s.m, sc.m = m.shard(0), m.shard(1)
 	sc.events = obs.NewRing(16)
 	if n := testing.AllocsPerRun(100, func() {
-		p := s.lane.classifyJob(j, rsBuf, matches, nil, nil)
+		p := s.lane.classify(j, nil, nil)
 		s.m.recordBatch(len(j.hs), time.Microsecond, 1)
 		s.m.addPanics(uint64(p))
 	}); n != 0 {
 		t.Errorf("instrumented arena batch walk allocates %v/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		p := sc.lane.classifyJob(j, rsBuf, matches, nil, nil)
+		p := sc.lane.classify(j, nil, nil)
 		sc.m.recordBatch(len(j.hs), time.Microsecond, 1)
 		sc.m.addPanics(uint64(p))
 		hits, misses := sc.cache.Stats()

@@ -1,21 +1,15 @@
 // Streaming ingestion: the engine's pull-based front door for real
 // packet I/O. RunContext serves a trace that is fully in memory before
 // serving starts; a pcap replay or a live socket cannot promise that, so
-// RunStream runs the same sharded machinery — flow-affine dispatch,
-// private flow caches, the cross-shard reorder sequencer, shed/cancel
-// accounting and panic containment — off a Source that surrenders
-// headers in pulls. The slice path is deliberately left untouched rather
-// than rebuilt on top of this: its dispatch loop is on the benchmarked
-// hot path, and a Source indirection there would tax every in-memory
-// run to subsidize the I/O front end.
+// RunStream runs the same core (runShards in shard.go) — flow-affine
+// dispatch, private flow caches, the sequencer, shed/cancel accounting
+// and panic containment — off a Source that surrenders headers in pulls.
+// The slice path is that core too, pulling views of the slice.
 package engine
 
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/rules"
 )
@@ -71,158 +65,16 @@ func RunStream(ctx context.Context, cl Classifier, cfg Config, src Source, emit 
 	if src == nil {
 		return Stats{}, fmt.Errorf("engine: nil Source")
 	}
-	nShards := cfg.Shards
-	results := make(chan *resultBatch, cfg.QueueDepth)
-	shards, err := makeShards(cl, cfg)
+	shards, err := makeShards(cl, &cfg)
 	if err != nil {
 		return Stats{}, err
 	}
-	var wg sync.WaitGroup
-	var panics atomic.Int64
-	for _, s := range shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.serve(ctx, results, &panics)
-		}()
-	}
-
-	// offered is the count of headers pulled from the source — the
-	// streaming stand-in for len(headers) in every accounting identity.
-	var offered atomic.Uint64
-	go func() {
-		// Dispatcher: pull a batch worth of headers at a time, bin them
-		// into per-shard pending batches by flow hash, flush each batch
-		// when full — and flush everything pending whenever the source
-		// comes up short (see Source). Cancellation is polled at pull
-		// boundaries; pending batches cut off by it are emitted as
-		// canceled results, never silently dropped, because the sequencer
-		// needs the sequence space gap-free.
-		defer func() {
-			for _, s := range shards {
-				close(s.jobs)
-			}
-		}()
-		dispatch := func(si int, j *shardJob) {
-			if cfg.Overload == OverloadShed {
-				select {
-				case shards[si].jobs <- j:
-				default:
-					shards[si].shed(j, ErrShed, results)
-				}
-			} else {
-				shards[si].jobs <- j
-			}
-		}
-		pending := make([]*shardJob, nShards)
-		flush := func() {
-			for si, j := range pending {
-				if j != nil {
-					pending[si] = nil
-					dispatch(si, j)
-				}
-			}
-		}
-		scratch := make([]rules.Header, cfg.BatchSize)
-		var seq uint64
-		for {
-			if err := ctx.Err(); err != nil {
-				for si, j := range pending {
-					if j != nil {
-						pending[si] = nil
-						shards[si].shed(j, err, results)
-					}
-				}
-				offered.Store(seq)
-				return
-			}
-			n, ok := src.Next(scratch)
-			for i := 0; i < n; i++ {
-				si := 0
-				if nShards > 1 {
-					si = shardOf(scratch[i], nShards)
-				}
-				j := pending[si]
-				if j == nil {
-					j = shards[si].jobPool.Get().(*shardJob)
-					pending[si] = j
-				}
-				j.seqs = append(j.seqs, seq)
-				j.hs = append(j.hs, scratch[i])
-				seq++
-				if len(j.hs) == cfg.BatchSize {
-					pending[si] = nil
-					dispatch(si, j)
-				}
-			}
-			if !ok {
-				flush()
-				offered.Store(seq)
-				return
-			}
-			if n < len(scratch) {
-				flush()
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	st := Stats{Shards: nShards}
-	d, describes := cl.(Describer)
-	if describes {
-		st.Algorithm, st.DegradationLevel = d.DescribeAlgorithm()
-	}
-	em := &emitter{st: &st, emit: emit}
-	emitOne := em.one
-	reorderHeld := cfg.Metrics.reorderHeldHist()
-
-	if cfg.PreserveOrder {
-		ring := newReorderRing(cfg.BatchSize)
-		for out := range results {
-			for _, r := range out.rs {
-				ring.insert(r)
-				if ring.held > st.MaxReorder {
-					st.MaxReorder = ring.held
-				}
-				ring.drain(emitOne)
-			}
-			reorderHeld.Observe(uint64(ring.held))
-			out.rs = out.rs[:0]
-			out.home.Put(out)
-		}
-		if ring.held != 0 {
-			return st, fmt.Errorf("engine: %d results stranded in the reorder buffer", ring.held)
-		}
-	} else {
-		for out := range results {
-			for _, r := range out.rs {
-				emitOne(r)
-			}
-			out.rs = out.rs[:0]
-			out.home.Put(out)
-		}
-	}
-	if describes {
-		st.FinalAlgorithm, st.FinalDegradationLevel = d.DescribeAlgorithm()
-	}
-	st.Panics = int(panics.Load())
-	st.ShardBusy = make([]time.Duration, nShards)
-	for i, s := range shards {
-		st.ShardBusy[i] = s.busy
-	}
-
-	switch {
-	case em.err != nil:
-		return st, em.err
-	case ctx.Err() != nil:
-		return st, fmt.Errorf("engine: stream cut short, %d of %d pulled packets canceled: %w",
-			st.Canceled, offered.Load(), ctx.Err())
-	case st.Panics > 0:
-		return st, fmt.Errorf("engine: %d of %d pulled packets failed with contained classifier panics",
-			st.Panics, offered.Load())
-	}
-	return st, nil
+	scratch := make([]rules.Header, cfg.BatchSize)
+	// One serving goroutine per shard, whatever cfg.Workers says: with
+	// ordering off a one-shard stream still emits in pull order.
+	st, pulled, emitErr := runShards(ctx, cl, &cfg, shards, 1, func() ([]rules.Header, bool) {
+		n, ok := src.Next(scratch)
+		return scratch[:n], ok
+	}, emit)
+	return st, runErr(ctx, &st, emitErr, pulled)
 }

@@ -40,6 +40,35 @@ func TestStreamMatchesSlicePath(t *testing.T) {
 	}
 }
 
+// A one-shard stream is one serving goroutine whatever Config.Workers
+// says (the worker pool belongs to RunContext's slice path): with ordering
+// off it still emits in pull order and the sequencer holds nothing, even
+// when some packets are slow enough that pool workers would overtake them.
+func TestStreamSingleShardIgnoresWorkers(t *testing.T) {
+	rs, tree, headers := fixtures(t, 3000)
+	for _, ordered := range []bool{false, true} {
+		slow := &slowEveryN{inner: tree, n: 50}
+		var next uint64
+		st, err := RunStream(context.Background(), slow,
+			Config{Shards: 1, Workers: 8, PreserveOrder: ordered},
+			&SliceSource{Headers: headers}, func(r Result) {
+				if r.Seq != next {
+					t.Fatalf("ordered=%v: seq %d emitted, want %d", ordered, r.Seq, next)
+				}
+				next++
+				if want := rs.Match(r.Header); r.Err != nil || r.Match != want {
+					t.Fatalf("ordered=%v: packet %d: match %d err %v, oracle %d", ordered, r.Seq, r.Match, r.Err, want)
+				}
+			})
+		if err != nil {
+			t.Fatalf("ordered=%v: %v", ordered, err)
+		}
+		if st.Packets != len(headers) || st.MaxReorder != 0 {
+			t.Errorf("ordered=%v: packets %d of %d, MaxReorder %d, want 0", ordered, st.Packets, len(headers), st.MaxReorder)
+		}
+	}
+}
+
 // trickleSource hands out headers a few at a time with ok=true short
 // fills — the shape of an idle socket — so it exercises the dispatcher's
 // flush-on-short-fill path: packets must never sit in a half-built shard

@@ -19,10 +19,8 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/flowcache"
@@ -132,18 +130,15 @@ type tenantLaneState struct {
 
 // tenantShard is one serving loop of the multi-tenant path. Like shard,
 // everything here is single-goroutine: the dispatcher touches only the
-// job ring and pools, the serve goroutine owns the lane map and the
-// flow-cache partitions.
+// job ring, the serve goroutine owns the lane map and the flow-cache
+// partitions.
 type tenantShard struct {
-	jobs    chan *shardJob
-	jobPool sync.Pool
-	resPool sync.Pool
+	jobs chan *batch
 
 	si       int
 	resolver TenantResolver
 	lanes    map[uint32]*tenantLaneState
 	parts    *flowcache.Partitioned // nil when FlowCacheFlows == 0
-	batch    int
 	// Pipelined stage walk for lanes whose classifier supports it
 	// (Config.PipelineGroup / Config.PipelineAffine).
 	pipeGroup  int
@@ -224,36 +219,22 @@ func (s *tenantShard) laneFor(tid uint32) *lane {
 	return &ls.lane
 }
 
-// serve is the tenant shard loop: resolve the batch's lane, classify
-// under the tenant's own generation bracket, deliver one single-tenant
-// resultBatch per job.
-func (s *tenantShard) serve(ctx context.Context, results chan<- *resultBatch, panics *atomic.Int64) {
-	matches := make([]int, s.batch)
-	for j := range s.jobs {
+// serve is the tenant shard loop: resolve the batch's lane, classify in
+// place under the tenant's own generation bracket, pass the batch on.
+func (s *tenantShard) serve(ctx context.Context, results chan<- *batch) {
+	for b := range s.jobs {
 		queued := len(s.jobs)
-		out := s.resPool.Get().(*resultBatch)
-		out.home = &s.resPool
-		out.rs = out.rs[:len(j.hs)]
-		out.tenant = j.tenant
-		out.si = s.si
 		if err := ctx.Err(); err != nil {
-			for i, h := range j.hs {
-				out.rs[i] = Result{Seq: j.seqs[i], Header: h, Match: -1, Err: err}
-			}
-			s.m.addCanceled(uint64(len(j.hs)))
-		} else if l := s.laneFor(j.tenant); l == nil {
-			for i, h := range j.hs {
-				out.rs[i] = Result{Seq: j.seqs[i], Header: h, Match: -1, Err: ErrUnknownTenant}
-			}
-			s.m.addShed(uint64(len(j.hs)))
+			fail(b, err, s.m)
+		} else if l := s.laneFor(b.tenant); l == nil {
+			fail(b, ErrUnknownTenant, s.m)
 		} else {
 			start := time.Now()
-			p := l.classifyJob(j, out.rs, matches, s.m, s.events)
+			p := l.classify(b, s.m, s.events)
 			busy := time.Since(start)
-			panics.Add(p)
 			s.busy += busy
 			if s.m != nil {
-				s.m.recordBatch(len(j.hs), busy, queued)
+				s.m.recordBatch(len(b.hs), busy, queued)
 				s.m.addPanics(uint64(p))
 				if s.parts != nil {
 					hits, misses := s.parts.Stats()
@@ -261,9 +242,7 @@ func (s *tenantShard) serve(ctx context.Context, results chan<- *resultBatch, pa
 				}
 			}
 		}
-		j.seqs, j.hs = j.seqs[:0], j.hs[:0]
-		s.jobPool.Put(j)
-		results <- out
+		results <- b
 	}
 }
 
@@ -297,6 +276,12 @@ func RunTenants(ctx context.Context, resolver TenantResolver, cfg Config, pkts [
 	}
 	nShards := cfg.Shards
 	ts.Stats.Shards = nShards
+	shardFor := func(p TenantPacket) int {
+		if nShards > 1 {
+			return tenantShardOf(p.Tenant, p.Header, nShards)
+		}
+		return 0
+	}
 	bdOf := func(m map[uint32]*TenantBreakdown, tid uint32) *TenantBreakdown {
 		bd := m[tid]
 		if bd == nil {
@@ -306,26 +291,19 @@ func RunTenants(ctx context.Context, resolver TenantResolver, cfg Config, pkts [
 		return bd
 	}
 
-	results := make(chan *resultBatch, cfg.QueueDepth)
+	// Sized like a job ring: a lane that finishes a batch should find room
+	// for it rather than wait on the sequencer.
+	results := make(chan *batch, cfg.QueueDepth)
+	pool := newBatchPool(cfg.BatchSize)
 	shards := make([]*tenantShard, nShards)
 	for i := range shards {
 		s := &tenantShard{
-			jobs:       make(chan *shardJob, cfg.QueueDepth),
+			jobs:       make(chan *batch, cfg.QueueDepth),
 			si:         i,
 			resolver:   resolver,
 			lanes:      make(map[uint32]*tenantLaneState),
-			batch:      cfg.BatchSize,
 			pipeGroup:  cfg.PipelineGroup,
 			pipeAffine: cfg.PipelineAffine,
-		}
-		s.jobPool.New = func() any {
-			return &shardJob{
-				seqs: make([]uint64, 0, cfg.BatchSize),
-				hs:   make([]rules.Header, 0, cfg.BatchSize),
-			}
-		}
-		s.resPool.New = func() any {
-			return &resultBatch{rs: make([]Result, 0, cfg.BatchSize)}
 		}
 		if cfg.FlowCacheFlows > 0 {
 			p, err := flowcache.NewPartitioned(cfg.FlowCacheFlows, cfg.TenantPartitions)
@@ -347,44 +325,21 @@ func RunTenants(ctx context.Context, resolver TenantResolver, cfg Config, pkts [
 		shards[i] = s
 	}
 	var wg sync.WaitGroup
-	var panics atomic.Int64
 	for _, s := range shards {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.serve(ctx, results, &panics)
+			s.serve(ctx, results)
 		}()
 	}
 
-	// shedTenantJob mirrors runSharded's shedJob: the whole pending batch
-	// becomes error results through the results channel, keeping the
-	// sequence space gap-free for the sequencer.
-	shedTenantJob := func(s *tenantShard, j *shardJob, err error) {
-		out := s.resPool.Get().(*resultBatch)
-		out.home = &s.resPool
-		out.rs = out.rs[:len(j.hs)]
-		out.tenant = j.tenant
-		out.si = s.si
-		for k, h := range j.hs {
-			out.rs[k] = Result{Seq: j.seqs[k], Header: h, Match: -1, Err: err}
-		}
-		if errors.Is(err, ErrShed) {
-			s.m.addShed(uint64(len(j.hs)))
-		} else {
-			s.m.addCanceled(uint64(len(j.hs)))
-		}
-		j.seqs, j.hs = j.seqs[:0], j.hs[:0]
-		s.jobPool.Put(j)
-		results <- out
-	}
-
 	// The dispatcher keeps its own per-(tenant, shard) Offered tally,
-	// independent of the emitter's outcome tally — the accounting identity
-	// is cross-checked between two bookkeepers that share no state. The
-	// map travels over a channel once dispatch ends (which happens-before
-	// results closes).
+	// independent of the emission side's outcome tally — the accounting
+	// identity is cross-checked between two bookkeepers that share no state.
+	// The map travels over a channel once dispatch ends (which
+	// happens-before results closes).
 	offeredCh := make(chan map[uint32]*TenantBreakdown, 1)
-	var undispatched atomic.Int64
+	undispatched := 0 // ordered like offered: written before offeredCh is sent on
 	go func() {
 		offered := make(map[uint32]*TenantBreakdown)
 		defer func() {
@@ -395,72 +350,56 @@ func RunTenants(ctx context.Context, resolver TenantResolver, cfg Config, pkts [
 		}()
 		// pending is keyed by (tenant, shard): batches are single-tenant,
 		// so two tenants interleaved on one shard fill separate batches.
-		pending := make(map[uint64]*shardJob)
-		flush := func(key uint64, j *shardJob) {
+		pending := make(map[uint64]*batch)
+		flush := func(key uint64, b *batch) {
 			delete(pending, key)
-			s := shards[uint32(key)]
+			s := shards[b.si]
 			shed := cfg.Overload == OverloadShed
-			if tl := resolver.Lane(j.tenant); tl != nil {
+			if tl := resolver.Lane(b.tenant); tl != nil {
 				shed = tl.ShedOnOverload()
 			}
-			if shed {
-				select {
-				case s.jobs <- j:
-				default:
-					shedTenantJob(s, j, ErrShed)
-				}
-			} else {
-				s.jobs <- j
-			}
+			dispatch(b, s.jobs, results, shed, s.m)
 		}
 		n := len(pkts)
-		for i := 0; i < n; i++ {
-			if i%cfg.BatchSize == 0 {
-				if err := ctx.Err(); err != nil {
-					// Count the contiguous undispatched tail per tenant
-					// (Offered and Canceled both — they were offered to this
-					// run and went nowhere), then fail the cut-off pending
-					// batches through the results channel.
-					undispatched.Store(int64(n - i))
-					cfg.Metrics.recordUndispatched(uint64(n - i))
-					for k := i; k < n; k++ {
-						tid := pkts[k].Tenant
-						si := 0
-						if nShards > 1 {
-							si = tenantShardOf(tid, pkts[k].Header, nShards)
-						}
-						sc := &bdOf(offered, tid).Shards[si]
-						sc.Offered++
-						sc.Canceled++
-					}
-					for key, j := range pending {
-						shedTenantJob(shards[uint32(key)], j, err)
-						delete(pending, key)
-					}
-					return
+		for i := 0; i < n; i += cfg.BatchSize {
+			if err := ctx.Err(); err != nil {
+				// Count the contiguous undispatched tail per tenant (Offered
+				// and Canceled both — they were offered to this run and went
+				// nowhere), then fail the cut-off pending batches through the
+				// results channel.
+				undispatched = n - i
+				cfg.Metrics.recordUndispatched(uint64(n - i))
+				for _, p := range pkts[i:] {
+					sc := &bdOf(offered, p.Tenant).Shards[shardFor(p)]
+					sc.Offered++
+					sc.Canceled++
+				}
+				for key, b := range pending {
+					delete(pending, key)
+					fail(b, err, shards[b.si].m)
+					results <- b
+				}
+				return
+			}
+			for k, p := range pkts[i:min(i+cfg.BatchSize, n)] {
+				si := shardFor(p)
+				bdOf(offered, p.Tenant).Shards[si].Offered++
+				key := uint64(p.Tenant)<<32 | uint64(uint32(si))
+				b := pending[key]
+				if b == nil {
+					b = pool.get()
+					b.tenant, b.si = p.Tenant, si
+					pending[key] = b
+				}
+				b.seqs = append(b.seqs, uint64(i+k))
+				b.hs = append(b.hs, p.Header)
+				if len(b.hs) == cfg.BatchSize {
+					flush(key, b)
 				}
 			}
-			tid := pkts[i].Tenant
-			si := 0
-			if nShards > 1 {
-				si = tenantShardOf(tid, pkts[i].Header, nShards)
-			}
-			bdOf(offered, tid).Shards[si].Offered++
-			key := uint64(tid)<<32 | uint64(uint32(si))
-			j := pending[key]
-			if j == nil {
-				j = shards[si].jobPool.Get().(*shardJob)
-				j.tenant = tid
-				pending[key] = j
-			}
-			j.seqs = append(j.seqs, uint64(i))
-			j.hs = append(j.hs, pkts[i].Header)
-			if len(j.hs) == cfg.BatchSize {
-				flush(key, j)
-			}
 		}
-		for key, j := range pending {
-			flush(key, j)
+		for key, b := range pending {
+			flush(key, b)
 		}
 	}()
 	go func() {
@@ -468,67 +407,21 @@ func RunTenants(ctx context.Context, resolver TenantResolver, cfg Config, pkts [
 		close(results)
 	}()
 
-	em := &emitter{st: &ts.Stats, emit: func(Result) {}}
+	userEmit := func(Result) {}
 	if emit != nil {
-		em.emit = func(r Result) {
-			tid := pkts[r.Seq].Tenant
-			si := 0
-			if nShards > 1 {
-				si = tenantShardOf(tid, pkts[r.Seq].Header, nShards)
-			}
-			emit(TenantResult{Result: r, Tenant: tid, Shard: si})
+		userEmit = func(r Result) {
+			p := pkts[r.Seq]
+			emit(TenantResult{Result: r, Tenant: p.Tenant, Shard: shardFor(p)})
 		}
 	}
-	emitOne := em.one
-	reorderHeld := cfg.Metrics.reorderHeldHist()
-
+	seq := newSequencer(&cfg, &ts.Stats, pool, userEmit)
 	// Outcomes are tallied per batch at receipt — they are final before
-	// the reorder ring touches them, and every batch is single-tenant
-	// from a known shard, so attribution is two field reads, not a
-	// per-result map lookup.
-	tally := func(out *resultBatch) {
-		sc := &bdOf(ts.Tenants, out.tenant).Shards[out.si]
-		for i := range out.rs {
-			switch err := out.rs[i].Err; {
-			case err == nil:
-				sc.Classified++
-			case errors.Is(err, ErrShed):
-				sc.Shed++
-			case isPanicErr(err):
-				sc.Panicked++
-			default:
-				sc.Canceled++
-			}
-		}
-	}
-
-	if cfg.PreserveOrder {
-		ring := newReorderRing(cfg.BatchSize)
-		for out := range results {
-			tally(out)
-			for _, r := range out.rs {
-				ring.insert(r)
-				if ring.held > ts.MaxReorder {
-					ts.MaxReorder = ring.held
-				}
-				ring.drain(emitOne)
-			}
-			reorderHeld.Observe(uint64(ring.held))
-			out.rs = out.rs[:0]
-			out.home.Put(out)
-		}
-		if ring.held != 0 {
-			return ts, fmt.Errorf("engine: %d results stranded in the reorder buffer", ring.held)
-		}
-	} else {
-		for out := range results {
-			tally(out)
-			for _, r := range out.rs {
-				emitOne(r)
-			}
-			out.rs = out.rs[:0]
-			out.home.Put(out)
-		}
+	// the sequencer touches them, and every batch is single-tenant from a
+	// known shard, so attribution is two field reads, not a per-result map
+	// lookup.
+	for b := range results {
+		sc := &bdOf(ts.Tenants, b.tenant).Shards[b.si] // accept may recycle b
+		sc.add(seq.accept(b))
 	}
 
 	// Fold the dispatcher's independent Offered/undispatched ledger in and
@@ -546,22 +439,10 @@ func RunTenants(ctx context.Context, resolver TenantResolver, cfg Config, pkts [
 		}
 	}
 
-	ts.Stats.Panics = int(panics.Load())
-	ts.Stats.Canceled += int(undispatched.Load())
+	ts.Stats.Canceled += undispatched
 	ts.Stats.ShardBusy = make([]time.Duration, nShards)
 	for i, s := range shards {
 		ts.Stats.ShardBusy[i] = s.busy
 	}
-
-	switch {
-	case em.err != nil:
-		return ts, em.err
-	case ctx.Err() != nil:
-		return ts, fmt.Errorf("engine: run cut short, %d of %d packets canceled: %w",
-			ts.Stats.Canceled, len(pkts), ctx.Err())
-	case ts.Stats.Panics > 0:
-		return ts, fmt.Errorf("engine: %d of %d packets failed with contained classifier panics",
-			ts.Stats.Panics, len(pkts))
-	}
-	return ts, nil
+	return ts, runErr(ctx, &ts.Stats, seq.finish(), len(pkts))
 }

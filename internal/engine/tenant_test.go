@@ -383,23 +383,21 @@ func TestTenantSteadyStateDoesNotAllocate(t *testing.T) {
 		resolver: res,
 		lanes:    make(map[uint32]*tenantLaneState),
 		parts:    parts,
-		batch:    64,
 	}
-	j := &shardJob{tenant: 5, seqs: make([]uint64, 64), hs: make([]rules.Header, 64)}
+	j := (&batchPool{size: 64}).get()
+	j.tenant = 5
 	for i, h := range headers {
-		j.seqs[i], j.hs[i] = uint64(i), h
+		j.seqs, j.hs = append(j.seqs, uint64(i)), append(j.hs, h)
 	}
-	rsBuf := make([]Result, 64)
-	matches := make([]int, 64)
 
 	l := s.laneFor(5)
 	if l == nil {
 		t.Fatal("laneFor(5) = nil")
 	}
-	l.classifyJob(j, rsBuf, matches, nil, nil) // warm lane and partition
+	l.classify(j, nil, nil) // warm lane and partition
 	if n := testing.AllocsPerRun(100, func() {
 		l := s.laneFor(5)
-		l.classifyJob(j, rsBuf, matches, nil, nil)
+		l.classify(j, nil, nil)
 	}); n != 0 {
 		t.Errorf("warm tenant batch path allocates %v/op, want 0", n)
 	}
@@ -416,23 +414,22 @@ func TestTenantLaneRebind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &tenantShard{si: 0, resolver: res, lanes: make(map[uint32]*tenantLaneState), parts: parts, batch: 64}
-	j := &shardJob{tenant: 5, seqs: make([]uint64, 64), hs: make([]rules.Header, 64)}
+	s := &tenantShard{si: 0, resolver: res, lanes: make(map[uint32]*tenantLaneState), parts: parts}
+	j := (&batchPool{size: 64}).get()
+	j.tenant = 5
 	for i, h := range headers {
-		j.seqs[i], j.hs[i] = uint64(i), h
+		j.seqs, j.hs = append(j.seqs, uint64(i)), append(j.hs, h)
 	}
-	rsBuf := make([]Result, 64)
-	matches := make([]int, 64)
-	s.laneFor(5).classifyJob(j, rsBuf, matches, nil, nil)
-	if rsBuf[0].Match != 1 {
-		t.Fatalf("before rebind: match %d, want 1", rsBuf[0].Match)
+	s.laneFor(5).classify(j, nil, nil)
+	if j.matches[0] != 1 {
+		t.Fatalf("before rebind: match %d, want 1", j.matches[0])
 	}
 
 	res[5] = &stubLane{Classifier: faultinject.FixedClassifier{Match: 2}}
-	s.laneFor(5).classifyJob(j, rsBuf, matches, nil, nil)
-	for i := range rsBuf {
-		if rsBuf[i].Match != 2 {
-			t.Fatalf("after rebind: seq %d served stale match %d from the old lane's cache", i, rsBuf[i].Match)
+	s.laneFor(5).classify(j, nil, nil)
+	for i, m := range j.matches {
+		if m != 2 {
+			t.Fatalf("after rebind: seq %d served stale match %d from the old lane's cache", i, m)
 		}
 	}
 
