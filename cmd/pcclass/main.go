@@ -13,8 +13,8 @@
 // run, and -overload picks back-pressure vs. tail-drop under load.
 // -shards and -flowcache also route through the engine, serving the
 // trace on flow-affinity shards (packets of a flow stay on one shard,
-// each with a private flow cache); -build-workers parallelizes
-// expcuts/hicuts tree construction under the same build budget.
+// each with a private flow cache); -build-workers parallelizes hicuts
+// tree construction under the same build budget.
 //
 // Builds are resource-governed: -build-timeout and -build-maxnodes set a
 // buildgov budget, so a hostile rule set aborts with a typed error
@@ -105,7 +105,7 @@ func main() {
 
 		buildTimeout  = flag.Duration("build-timeout", 0, "build budget: wall-clock bound (0 = none)")
 		buildMaxNodes = flag.Int("build-maxnodes", 0, "build budget: node/table-row bound (0 = none)")
-		buildWorkers  = flag.Int("build-workers", 0, "parallel subtree construction workers for expcuts/hicuts (0/1 = sequential)")
+		buildWorkers  = flag.Int("build-workers", 0, "parallel subtree construction workers for hicuts (0/1 = sequential; expcuts always builds sequentially)")
 		ladderNames   = flag.String("ladder", "", "build through this degradation ladder (comma-separated rungs, best first) instead of -algo")
 
 		batch      = flag.Int("batch", 0, "batch size: engine dispatch granularity with -workers, ClassifyBatch chunking when sequential (0 = default/per-packet)")
@@ -497,7 +497,7 @@ func build(algo string, rs *rules.RuleSet, budget *buildgov.Budget, buildWorkers
 	ctx := context.Background()
 	switch algo {
 	case "expcuts":
-		return expcuts.NewCtx(ctx, rs, expcuts.Config{BuildWorkers: buildWorkers}, budget)
+		return expcuts.NewCtx(ctx, rs, expcuts.Config{}, budget)
 	case "hicuts":
 		return hicuts.NewCtx(ctx, rs, hicuts.Config{BuildWorkers: buildWorkers}, budget)
 	case "hypercuts":

@@ -93,12 +93,13 @@ func TestDeadlineBudgetCancelsRunawayBuilds(t *testing.T) {
 	// storm500 blows up every decision-tree builder and rfc;
 	// storm200 is the one that gets past hsm's own table cap far
 	// enough to run long (storm500 trips hsm's MaxTableEntries check
-	// before the clock matters).
+	// before the clock matters). ExpCuts builds storm200 in about the
+	// deadline since it expands by cell class, so it gets storm500.
 	cases := []struct {
 		builder string
 		set     *rules.RuleSet
 	}{
-		{"expcuts", faultinject.WildcardStorm("storm", 200, 7)},
+		{"expcuts", faultinject.WildcardStorm("storm", 500, 7)},
 		{"hicuts", faultinject.WildcardStorm("storm", 200, 7)},
 		{"hypercuts", faultinject.WildcardStorm("storm", 200, 7)},
 		{"hsm", faultinject.WildcardStorm("storm", 200, 7)},

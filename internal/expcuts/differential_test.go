@@ -19,9 +19,10 @@ import (
 // ExpCuts lookup: the compressed native arena, and the paper's full-depth
 // layout (builder graph, serialized image, access programs). For every
 // header of a rule-directed trace the arena walk, the graph walk and the
-// image Lookup must agree — across strides, HABS widths, sharing modes,
-// sequential and parallel builds, and rule families from the realistic to
-// the adversarial.
+// image Lookup must agree with each other and with linear search — across
+// strides, HABS widths, every sharing mode (each builds by cell class but
+// ShareNone, which builds every cell), and rule families from the realistic
+// to the adversarial.
 func TestArenaDifferential(t *testing.T) {
 	generated := func(kind rulegen.Kind, size int) *rules.RuleSet {
 		rs, err := rulegen.Generate(rulegen.Config{Kind: kind, Size: size, Seed: 1201})
@@ -51,12 +52,18 @@ func TestArenaDifferential(t *testing.T) {
 		rules.NewRuleSet("points", points),
 	}
 
-	built := map[expcuts.SharingMode]int{}
+	type modeStride struct {
+		sharing expcuts.SharingMode
+		w       uint
+	}
+	built := map[modeStride]int{}
 	for _, rs := range families {
 		tr, err := pktgen.Generate(rs, pktgen.Config{Count: 300, Seed: 1203, MatchFraction: 0.85})
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := make([]int, len(tr.Headers))
+		linear.New(rs).ClassifyBatch(tr.Headers, want)
 		for _, w := range []uint{1, 2, 4, 8} {
 			maxV := min(w, bitstring.MaxV)
 			for _, v := range []uint{1, 4, maxV} {
@@ -64,31 +71,41 @@ func TestArenaDifferential(t *testing.T) {
 					continue // rejected by the config, or a repeat of maxV
 				}
 				for _, sharing := range []expcuts.SharingMode{expcuts.ShareGlobal, expcuts.ShareSiblings, expcuts.ShareNone} {
-					for _, workers := range []int{1, 4} {
-						name := fmt.Sprintf("%s w=%d v=%d %v workers=%d", rs.Name, w, v, sharing, workers)
-						cfg := expcuts.Config{StrideW: w, HabsV: v, Sharing: sharing, BuildWorkers: workers}
-						if sharing != expcuts.ShareGlobal {
-							cfg.MaxNodes = 1 << 13 // fail fast where sharing less is infeasible
+					name := fmt.Sprintf("%s w=%d v=%d %v", rs.Name, w, v, sharing)
+					cfg := expcuts.Config{StrideW: w, HabsV: v, Sharing: sharing}
+					if sharing != expcuts.ShareGlobal {
+						cfg.MaxNodes = 1 << 13 // fail fast where sharing less is infeasible
+					}
+					tree, err := expcuts.New(rs, cfg)
+					if err != nil {
+						if cfg.MaxNodes != 0 && strings.Contains(err.Error(), "node budget") {
+							continue
 						}
-						tree, err := expcuts.New(rs, cfg)
-						if err != nil {
-							if cfg.MaxNodes != 0 && strings.Contains(err.Error(), "node budget") {
-								continue
-							}
-							t.Fatalf("%s: %v", name, err)
+						t.Fatalf("%s: %v", name, err)
+					}
+					built[modeStride{sharing, w}]++
+					for i, h := range tr.Headers {
+						if got := tree.Classify(h); got != want[i] {
+							t.Fatalf("%s: Classify(%v) = %d, linear = %d", name, h, got, want[i])
 						}
-						built[sharing]++
-						if err := expcuts.CheckArena(tree, tr.Headers); err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
+					}
+					if err := expcuts.CheckArena(tree, tr.Headers); err != nil {
+						t.Fatalf("%s: %v", name, err)
 					}
 				}
 			}
 		}
 	}
 	for _, sharing := range []expcuts.SharingMode{expcuts.ShareGlobal, expcuts.ShareSiblings, expcuts.ShareNone} {
-		if built[sharing] < 16 {
-			t.Errorf("sharing %v: only %d configurations built under the node cap", sharing, built[sharing])
+		total := 0
+		for _, w := range []uint{1, 2, 4, 8} {
+			if built[modeStride{sharing, w}] == 0 {
+				t.Errorf("sharing %v: nothing built under the node cap at w=%d", sharing, w)
+			}
+			total += built[modeStride{sharing, w}]
+		}
+		if total < 8 {
+			t.Errorf("sharing %v: only %d configurations built under the node cap", sharing, total)
 		}
 	}
 }
@@ -130,11 +147,11 @@ func fuzzHeader(b []byte) rules.Header {
 // FuzzExpCutsEquivalence is the classifier-equivalence target for ExpCuts: a
 // random rule set of at most 16 rules and a header must classify the same
 // through every native walk — Classify, ClassifyBatch, ClassifyBatchPipelined
-// at group 1, 3 and 64 with affine on and off — as through linear search.
-// Besides the fuzzed header, each rule's low and high corner is probed, so
-// rule boundaries are hit whatever the header bytes are. shape picks the
-// stride (bits 0-1), the HABS width (bits 2-4, clamped) and sibling-only
-// sharing (bit 5).
+// at group 1, 3 and 64 with affine on and off — as through linear search, in
+// every sharing mode, and checkArena must hold for each build. Besides the
+// fuzzed header, each rule's low and high corner is probed, so rule
+// boundaries are hit whatever the header bytes are. shape picks the stride
+// (bits 0-1) and the HABS width (bits 2-4, clamped); bit 5 is unused.
 func FuzzExpCutsEquivalence(f *testing.F) {
 	rule := func(src uint32, sl uint8, dst uint32, dl uint8, sp, dp [2]uint16, proto, flags uint8) []byte {
 		b := make([]byte, fuzzRuleBytes)
@@ -178,16 +195,6 @@ func FuzzExpCutsEquivalence(f *testing.F) {
 		if rs.Len() == 0 || len(hdrData) < 13 {
 			t.Skip()
 		}
-		cfg := expcuts.Config{StrideW: 1 << (shape & 3), MaxNodes: 1 << 15}
-		cfg.HabsV = min(1+uint(shape>>2&7), cfg.StrideW, bitstring.MaxV)
-		if shape&(1<<5) != 0 {
-			cfg.Sharing = expcuts.ShareSiblings
-		}
-		tree, err := expcuts.New(rs, cfg)
-		if err != nil {
-			t.Skip(err) // node cap: 16 overlapping rules can still be too many
-		}
-
 		hs := []rules.Header{fuzzHeader(hdrData)}
 		for i := range rs.Rules {
 			b := rs.Rules[i].Box()
@@ -199,24 +206,38 @@ func FuzzExpCutsEquivalence(f *testing.F) {
 		linear.New(rs).ClassifyBatch(hs, want)
 
 		got := make([]int, len(hs))
-		check := func(walk string) {
-			for i := range hs {
-				if got[i] != want[i] {
-					t.Fatalf("%s(%v) = %d, linear = %d (w=%d v=%d %v, rules %v)",
-						walk, hs[i], got[i], want[i], cfg.StrideW, cfg.HabsV, cfg.Sharing, rs.Rules)
+		for _, sharing := range []expcuts.SharingMode{expcuts.ShareGlobal, expcuts.ShareSiblings, expcuts.ShareNone} {
+			cfg := expcuts.Config{StrideW: 1 << (shape & 3), Sharing: sharing, MaxNodes: 1 << 15}
+			cfg.HabsV = min(1+uint(shape>>2&7), cfg.StrideW, bitstring.MaxV)
+			if sharing == expcuts.ShareNone {
+				cfg.MaxNodes = 1 << 11 // fail fast: each wildcard level multiplies the tree by 2^w
+			}
+			tree, err := expcuts.New(rs, cfg)
+			if err != nil {
+				continue // node cap: 16 overlapping rules can still be too many
+			}
+			check := func(walk string) {
+				for i := range hs {
+					if got[i] != want[i] {
+						t.Fatalf("%s(%v) = %d, linear = %d (w=%d v=%d %v, rules %v)",
+							walk, hs[i], got[i], want[i], cfg.StrideW, cfg.HabsV, cfg.Sharing, rs.Rules)
+					}
 				}
 			}
-		}
-		for i, h := range hs {
-			got[i] = tree.Classify(h)
-		}
-		check("Classify")
-		tree.ClassifyBatch(hs, got)
-		check("ClassifyBatch")
-		for _, group := range []int{1, 3, 64} {
-			for _, affine := range []bool{false, true} {
-				tree.ClassifyBatchPipelined(hs, got, group, affine)
-				check(fmt.Sprintf("ClassifyBatchPipelined[group=%d affine=%v]", group, affine))
+			for i, h := range hs {
+				got[i] = tree.Classify(h)
+			}
+			check("Classify")
+			tree.ClassifyBatch(hs, got)
+			check("ClassifyBatch")
+			for _, group := range []int{1, 3, 64} {
+				for _, affine := range []bool{false, true} {
+					tree.ClassifyBatchPipelined(hs, got, group, affine)
+					check(fmt.Sprintf("ClassifyBatchPipelined[group=%d affine=%v]", group, affine))
+				}
+			}
+			if err := expcuts.CheckArena(tree, hs); err != nil {
+				t.Fatalf("w=%d v=%d %v: %v (rules %v)", cfg.StrideW, cfg.HabsV, sharing, err, rs.Rules)
 			}
 		}
 	})

@@ -20,6 +20,13 @@
 // §4.2.2 wins back: child pointer arrays are compressed with a Hierarchical
 // Aggregation Bit String (HABS, internal/bitstring) and sub-spaces with
 // identical relative rule geometry share one child node.
+//
+// The same observation makes the build cheap. Along a node's cut dimension
+// only the cells holding and following a rule endpoint can differ from
+// their left neighbour, so the builder groups the 2^w cells into classes
+// of equivalent cells and builds one child per class (≈ 5 per node on
+// CR04 instead of 256). The tree is the one a per-cell expansion builds,
+// node for node.
 package expcuts
 
 import (
@@ -54,18 +61,6 @@ type Config struct {
 	Channels int
 	// Headroom weights the level-to-channel allocation.
 	Headroom memlayout.Headroom
-	// BuildWorkers fans subtree construction out over a bounded worker
-	// pool: the root's 2^w cells are statically partitioned into
-	// contiguous chunks, one builder goroutine per chunk, all charging
-	// the same build governor (the budget bounds the build's *total*
-	// consumption). 0 or 1 builds sequentially — the default, and the
-	// only mode whose node ordering (and therefore serialized image) is
-	// bit-for-bit reproducible against earlier releases. Parallel builds
-	// are deterministic for a fixed worker count and classify identically
-	// to sequential builds; they may share fewer nodes (each worker
-	// deduplicates within its own memo scope), trading memory for build
-	// wall-clock.
-	BuildWorkers int
 
 	// noLevelMajor skips the BFS level-major node reorder that makes each
 	// level's arena entries contiguous. Unexported: it exists only so the
@@ -156,9 +151,6 @@ func (c *Config) fillDefaults() error {
 	if c.Channels < 1 || c.Channels > memlayout.NumChannels {
 		return fmt.Errorf("expcuts: channels %d out of [1,%d]", c.Channels, memlayout.NumChannels)
 	}
-	if c.BuildWorkers < 0 {
-		return fmt.Errorf("expcuts: build workers %d must be >= 0", c.BuildWorkers)
-	}
 	return nil
 }
 
@@ -215,7 +207,8 @@ type Tree struct {
 	nodes []*node
 	root  ref
 	stats BuildStats
-	ar    arena // compressed flat lookup structure; see arena.go
+	ar    arena     // compressed flat lookup structure; see arena.go
+	work  buildWork // what buildGraph did
 
 	// levelOff[l] is the first node id of level l after the level-major
 	// reorder (levelOff[depth] == len(nodes)); nil when the reorder was
@@ -229,19 +222,35 @@ type Tree struct {
 	nodeAddrs []uint32 // per node: pointer word (channel+offset encoded)
 }
 
-// builder carries the construction state of one build goroutine. Builders
-// append into their own nodes slice (merged by ref-offset remapping when
-// building in parallel) and share the governor and the MaxNodes counter,
-// so budget accounting stays exact across the pool.
+// builder carries the construction state of one build. Nodes are appended
+// in post-order (children before their parent).
 type builder struct {
 	t     *Tree
 	gov   *buildgov.Governor
-	memo  map[string]ref // builder-scoped memo (ShareGlobal only)
-	sig   []byte
 	mode  SharingMode
 	nodes []*node
-	count *atomic.Int64 // total nodes across all builders, vs cfg.MaxNodes
+	work  buildWork
+
+	// Scratch reused by every node expansion; build finishes with it before
+	// it recurses.
+	sig   []byte
+	class []int32    // per cell of the node being expanded: its class
+	spans []ruleSpan // per rule of that node: the cells it spans
 }
+
+// ruleSpan is rule ri's span of cells lo..hi along a node's cut dimension.
+type ruleSpan struct{ ri, lo, hi int32 }
+
+// cellClass is a run of equivalent cells ending before cell end (it starts
+// where the previous class ends) and the rules intersecting it.
+type cellClass struct {
+	end   int
+	rules []int32
+}
+
+// buildWork counts what a build did: build calls, signatures computed and
+// memo hits among them. The golden test pins these for two paper sets.
+type buildWork struct{ calls, sigs, hits int }
 
 // New builds an ExpCuts tree over the rule set and serializes it.
 func New(rs *rules.RuleSet, cfg Config) (*Tree, error) {
@@ -261,34 +270,32 @@ func NewCtx(ctx context.Context, rs *rules.RuleSet, cfg Config, budget *buildgov
 		return nil, err
 	}
 	t := &Tree{cfg: cfg, rs: rs}
-	gov := buildgov.Start(ctx, budget)
-	all := make([]int32, rs.Len())
-	for i := range all {
-		all[i] = int32(i)
-	}
-	var count atomic.Int64
-	if cfg.BuildWorkers > 1 {
-		root, err := t.buildParallel(gov, &count, all, cfg.BuildWorkers)
-		if err != nil {
-			return nil, err
-		}
-		t.root = root
-	} else {
-		b := &builder{t: t, mode: cfg.Sharing, gov: gov, count: &count}
-		if b.mode == ShareGlobal {
-			b.memo = make(map[string]ref)
-		}
-		root, err := b.build(0, rules.FullBox(), all, b.memo)
-		if err != nil {
-			return nil, err
-		}
-		t.root = root
-		t.nodes = b.nodes
+	if err := t.buildGraph(buildgov.Start(ctx, budget)); err != nil {
+		return nil, err
 	}
 	if err := t.finish(); err != nil {
 		return nil, err
 	}
 	return t, nil
+}
+
+// buildGraph builds the pointer graph (t.nodes, t.root) under gov.
+func (t *Tree) buildGraph(gov *buildgov.Governor) error {
+	b := &builder{t: t, mode: t.cfg.Sharing, gov: gov, class: make([]int32, 1<<t.cfg.StrideW)}
+	var memo map[string]ref
+	if b.mode == ShareGlobal {
+		memo = make(map[string]ref)
+	}
+	all := make([]int32, t.rs.Len())
+	for i := range all {
+		all[i] = int32(i)
+	}
+	root, err := b.build(0, rules.FullBox(), all, memo)
+	if err != nil {
+		return err
+	}
+	t.root, t.nodes, t.work = root, b.nodes, b.work
+	return nil
 }
 
 // finish derives everything served or reported from the built graph
@@ -311,6 +318,7 @@ func (t *Tree) finish() error {
 // map shared with its siblings only (ShareSiblings), or nil (ShareNone).
 func (b *builder) build(pos uint, box rules.Box, ruleIdx []int32, memo map[string]ref) (ref, error) {
 	t := b.t
+	b.work.calls++
 	if err := b.gov.Check(); err != nil {
 		return 0, err
 	}
@@ -337,7 +345,9 @@ func (b *builder) build(pos uint, box rules.Box, ruleIdx []int32, memo map[strin
 	var key string
 	if memo != nil {
 		key = b.signature(pos, box, ruleIdx)
+		b.work.sigs++
 		if r, ok := memo[key]; ok {
+			b.work.hits++
 			return r, nil
 		}
 	}
@@ -347,42 +357,76 @@ func (b *builder) build(pos uint, box rules.Box, ruleIdx []int32, memo map[strin
 	cells := 1 << w
 	log2cw := uint(rules.DimBits[dim]) - (pos - rules.DimOffset[dim]) - w
 
-	// Distribute rules to cells along dim.
-	cellRules := make([][]int32, cells)
+	childMemo := memo // ShareGlobal: one map for the whole tree
+	if b.mode == ShareSiblings {
+		childMemo = make(map[string]ref)
+	}
+
+	// Group the cells along dim into classes. A class starts at cell 0 and
+	// at the cells holding and following each clipped rule endpoint, so a
+	// class of two or more cells lies wholly inside or wholly outside every
+	// rule: its cells share one rule list and one relative geometry, hence
+	// one signature and one child. Only a class's first cell is built; the
+	// others would be memo hits, or the same leaf or no-match, so the tree
+	// is the one a per-cell expansion builds. Without a memo (ShareNone)
+	// every cell is built, so every cell starts a class.
+	class := b.class[:cells] // 1 marks a class start, until numbered below
+	var start int32
+	if childMemo == nil {
+		start = 1
+	}
+	for c := range class {
+		class[c] = start
+	}
+	class[0] = 1
 	boxLo := box[dim].Lo
+	spans := b.spans[:0]
 	for _, ri := range ruleIdx {
 		clip, ok := t.rs.Rules[ri].Span(dim).Intersect(box[dim])
 		if !ok {
 			continue
 		}
-		lo := int(uint64(clip.Lo-boxLo) >> log2cw)
-		hi := int(uint64(clip.Hi-boxLo) >> log2cw)
-		for c := lo; c <= hi; c++ {
-			cellRules[c] = append(cellRules[c], ri)
+		s := ruleSpan{ri: ri, lo: int32(uint64(clip.Lo-boxLo) >> log2cw), hi: int32(uint64(clip.Hi-boxLo) >> log2cw)}
+		spans = append(spans, s)
+		for _, c := range [...]int32{s.lo, s.lo + 1, s.hi, s.hi + 1} {
+			if int(c) < cells {
+				class[c] = 1
+			}
+		}
+	}
+	b.spans = spans
+	var classes []cellClass
+	for c, s := range class {
+		if s == 1 {
+			classes = append(classes, cellClass{})
+		}
+		class[c] = int32(len(classes) - 1)
+		classes[len(classes)-1].end = c + 1
+	}
+	for _, s := range spans {
+		for k := class[s.lo]; k <= class[s.hi]; k++ {
+			classes[k].rules = append(classes[k].rules, s.ri)
 		}
 	}
 
-	childMemo := memo // ShareGlobal: one map for the whole tree
-	if b.mode == ShareSiblings {
-		childMemo = make(map[string]ref)
-	}
 	n := &node{level: int(pos / w), ptrs: make([]ref, cells)}
-	for c := 0; c < cells; c++ {
+	first := 0
+	for _, cl := range classes {
 		cellBox := box
 		cellBox[dim] = rules.Span{
-			Lo: boxLo + uint32(uint64(c)<<log2cw),
-			Hi: boxLo + uint32(uint64(c+1)<<log2cw) - 1,
+			Lo: boxLo + uint32(uint64(first)<<log2cw),
+			Hi: boxLo + uint32(uint64(first+1)<<log2cw) - 1,
 		}
-		child, err := b.build(pos+w, cellBox, cellRules[c], childMemo)
+		child, err := b.build(pos+w, cellBox, cl.rules, childMemo)
 		if err != nil {
 			return 0, err
 		}
-		n.ptrs[c] = child
+		for c := first; c < cl.end; c++ {
+			n.ptrs[c] = child
+		}
+		first = cl.end
 	}
-	// The MaxNodes counter is shared by every builder of a parallel build,
-	// so the cap bounds the whole tree; with in-flight charges the total
-	// can overshoot by at most one node per worker.
-	if int(b.count.Add(1)) > t.cfg.MaxNodes {
+	if len(b.nodes) >= t.cfg.MaxNodes {
 		return 0, fmt.Errorf("expcuts: node budget %d exhausted (rule set %q, w=%d, sharing %v)",
 			t.cfg.MaxNodes, t.rs.Name, w, b.mode)
 	}
@@ -405,15 +449,15 @@ func (b *builder) build(pos uint, box rules.Box, ruleIdx []int32, memo map[strin
 
 // Estimated per-entry heap costs used by the governor's byte accounting.
 // A node charges cells*8 + nodeOverheadBytes: the live ptrs array is
-// cells*4, and the other cells*4 amortizes the per-cell rule-distribution
-// slices the builder allocates while expanding the node — transient, but
-// what actually drives peak heap during a blowup. Calibrated against
-// measured peak HeapAlloc on ACL-family builds at 10k/100k rules, where
-// the previous cells*4+48 charge ran ~4× under the real peak in the
-// early, rule-heavy phase of the build (trips fired *after* the blowup);
-// with this accounting the estimate stays within the 3× band buildgov's
-// TestEstimateAccuracyAtScale enforces, converging to ~1× over long
-// builds.
+// cells*4, and the rest stands for what expanding the node allocates
+// besides it — the per-class rule lists, the class table, the node header
+// and, under ShareSiblings, the child memo. The constants were calibrated
+// against measured peak HeapAlloc on ACL-family builds at 10k/100k rules
+// when rules were still distributed per cell (a cells*4+48 charge had run
+// ~4× under the peak, so trips fired *after* the blowup). Distributing per
+// class allocates less, but the constants are kept so a budget trips at the
+// node count it always did; the estimate stays within the band buildgov's
+// TestEstimateAccuracyAtScale enforces.
 const (
 	nodeOverheadBytes = 256
 	memoOverheadBytes = 64
@@ -539,14 +583,18 @@ func (t *Tree) collectStats() {
 	uniqueTotal := 0
 	cells := 1 << t.cfg.StrideW
 	sub := 1 << (t.cfg.StrideW - t.cfg.HabsV)
-	distinct := make(map[ref]bool, 1<<t.cfg.StrideW)
-	for _, n := range t.nodes {
+	// seen[r+off] == id+1 once node id counted child r; refs run from the
+	// last rule leaf, -(rules+1), up to the last node.
+	off := t.rs.Len() + 1
+	seen := make([]int32, off+len(t.nodes))
+	for id, n := range t.nodes {
 		st.NodesPerLevel[n.level]++
-		clear(distinct)
 		for _, p := range n.ptrs {
-			distinct[p] = true
+			if i := int(p) + off; seen[i] != int32(id+1) {
+				seen[i] = int32(id + 1)
+				uniqueTotal++
+			}
 		}
-		uniqueTotal += len(distinct)
 		// Aggregated: 1 HABS word + one 2^u-pointer sub-array per set bit.
 		subArrays := 1
 		for i := sub; i < cells; i += sub {

@@ -1,0 +1,97 @@
+package expcuts
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"math"
+	"testing"
+
+	"repro/internal/buildgov"
+	"repro/internal/rulegen"
+)
+
+// TestGoldenBuilds pins the tree each of the paper's seven rule sets
+// builds: node count, serialized footprint, the SHA-256 of the saved SRAM
+// image and the mean distinct children per node. For CR01 and CR04 it also
+// pins the builder's work — build calls, signatures and memo hits — so a
+// builder that returns to expanding every cell of every node fails here
+// even though it builds the same tree. (Per-cell expansion took 439 553
+// calls and 234 999 signatures on CR01, 2 935 297 and 1 798 358 on CR04.)
+func TestGoldenBuilds(t *testing.T) {
+	for _, g := range []struct {
+		set         string
+		nodes       int
+		bytes       int
+		sha256      string
+		avgChildren float64
+		work        buildWork // zero: not pinned
+	}{
+		{"FW01", 6224, 870272, "4d4f825da6794c3aad730c2d9d5f3a60d59cdf6e28290829d47985fa7ac7c572", 1.9286632390745502, buildWork{}},
+		{"FW02", 20500, 2635280, "e15345e86714c77be9cb726f4bb8c90a4c4dde03db199fa8df342c9c063b378b", 1.8437560975609757, buildWork{}},
+		{"FW03", 79894, 10249752, "05e6557063c87c016ff615c3609d90320441e60a961742a521fd31f6fc351c67", 1.8870253085338073, buildWork{}},
+		{"CR01", 1717, 293972, "4fd3a869821ebe6f88d530bfb392ad3f3c922a4f20593abfd9a04a3b01887df5", 2.156668608037274,
+			buildWork{calls: 8335, sigs: 4900, hits: 3183}},
+		{"CR02", 4073, 717348, "fb04d09fcf7e1ee65a2bd56ee03e254828fb19890da4ca41206270730e030477", 2.210164497913086, buildWork{}},
+		{"CR03", 11608, 1928736, "20cf9766e96f9c5c634633d56b7e0c3888824d90e27dfbb05ca831de06e30f8e", 2.1612680909717437, buildWork{}},
+		{"CR04", 11466, 1972712, "18b2665caa50eba0d8dd2670b216b303deb2f11a6dcddd6cc7684d75533a2688", 2.2949590092447236,
+			buildWork{calls: 60231, sigs: 37862, hits: 26396}},
+	} {
+		rs, err := rulegen.Standard(g.set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := New(rs, Config{})
+		if err != nil {
+			t.Fatalf("%s: %v", g.set, err)
+		}
+		st := tree.Stats()
+		if st.Nodes != g.nodes || tree.MemoryBytes() != g.bytes {
+			t.Errorf("%s: %d nodes, %d B; want %d nodes, %d B", g.set, st.Nodes, tree.MemoryBytes(), g.nodes, g.bytes)
+		}
+		if math.Abs(st.AvgUniqueChildren-g.avgChildren) > 1e-12 {
+			t.Errorf("%s: %v distinct children per node, want %v", g.set, st.AvgUniqueChildren, g.avgChildren)
+		}
+		h := sha256.New()
+		if err := tree.Image().Save(h); err != nil {
+			t.Fatal(err)
+		}
+		if sum := hex.EncodeToString(h.Sum(nil)); sum != g.sha256 {
+			t.Errorf("%s: image SHA-256 %s, want %s", g.set, sum, g.sha256)
+		}
+		if g.work != (buildWork{}) && tree.work != g.work {
+			t.Errorf("%s: builder work %+v, want %+v", g.set, tree.work, g.work)
+		}
+	}
+}
+
+// TestBuildChargesAreExact checks that the governor's node and memo counts
+// equal what the built graph holds: each node and memo entry is charged
+// once, and the cells a class build skips charge nothing.
+func TestBuildChargesAreExact(t *testing.T) {
+	rs := buildSet(t, rulegen.CoreRouter, 500, 321)
+	for _, sharing := range []SharingMode{ShareGlobal, ShareSiblings} {
+		cfg := Config{Sharing: sharing}
+		if err := cfg.fillDefaults(); err != nil {
+			t.Fatal(err)
+		}
+		tree := &Tree{cfg: cfg, rs: rs}
+		gov := buildgov.Start(context.Background(), &buildgov.Budget{})
+		if err := tree.buildGraph(gov); err != nil {
+			t.Fatalf("%v: %v", sharing, err)
+		}
+		st := gov.Stats()
+		if st.Nodes != len(tree.nodes) {
+			t.Errorf("%v: governor charged %d nodes, graph has %d", sharing, st.Nodes, len(tree.nodes))
+		}
+		// Every node but a memo-less root entered a memo once.
+		memoNodes := len(tree.nodes)
+		if sharing == ShareSiblings {
+			memoNodes--
+		}
+		if st.MemoEntries != memoNodes || tree.work.sigs-tree.work.hits != memoNodes {
+			t.Errorf("%v: %d memo entries charged, %d signature misses, want %d",
+				sharing, st.MemoEntries, tree.work.sigs-tree.work.hits, memoNodes)
+		}
+	}
+}
