@@ -6,15 +6,13 @@
 //
 //	pcclass -rules cr04.rules -trace cr04.trace -algo expcuts
 //	pcclass -ruleset CR04 -gen 10000 -algo hsm -verify
-//	pcclass -ruleset FW01 -gen 100000 -workers 8 -timeout 2s -overload shed
+//	pcclass -ruleset FW01 -gen 100000 -shards 4 -timeout 2s -overload shed
 //
-// With -workers > 0 the trace runs through the hardened parallel engine:
-// classifier panics are contained per-packet, -timeout bounds the whole
-// run, and -overload picks back-pressure vs. tail-drop under load.
-// -shards and -flowcache also route through the engine, serving the
-// trace on flow-affinity shards (packets of a flow stay on one shard,
-// each with a private flow cache); -build-workers parallelizes hicuts
-// tree construction under the same build budget.
+// With -shards or -flowcache the trace runs through the hardened parallel
+// engine, served on flow-affinity shards (packets of a flow stay on one
+// shard, each with a private flow cache): classifier panics are contained
+// per-packet, -timeout bounds the whole run, and -overload picks
+// back-pressure vs. tail-drop under load.
 //
 // Builds are resource-governed: -build-timeout and -build-maxnodes set a
 // buildgov budget, so a hostile rule set aborts with a typed error
@@ -94,7 +92,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "generated-trace seed")
 		algo      = flag.String("algo", "expcuts", "expcuts, hicuts, hypercuts, hsm, rfc, rmi, linear")
 		verify    = flag.Bool("verify", false, "cross-check every result against linear search")
-		workers   = flag.Int("workers", 0, "classify through the parallel engine with this many workers (0 = sequential)")
 		shards    = flag.Int("shards", 0, "engine: flow-affinity serving shards (0 = GOMAXPROCS when the engine runs; implies the engine)")
 		flowCache = flag.Int("flowcache", 0, "engine: per-shard flow-cache capacity in flows, held in 8-way sets so 8 or more rounds down to a multiple of 8 (0 = off; implies the engine)")
 		queue     = flag.Int("queue", 0, "engine dispatch ring depth (default 256)")
@@ -105,10 +102,9 @@ func main() {
 
 		buildTimeout  = flag.Duration("build-timeout", 0, "build budget: wall-clock bound (0 = none)")
 		buildMaxNodes = flag.Int("build-maxnodes", 0, "build budget: node/table-row bound (0 = none)")
-		buildWorkers  = flag.Int("build-workers", 0, "parallel subtree construction workers for hicuts (0/1 = sequential; expcuts always builds sequentially)")
 		ladderNames   = flag.String("ladder", "", "build through this degradation ladder (comma-separated rungs, best first) instead of -algo")
 
-		batch      = flag.Int("batch", 0, "batch size: engine dispatch granularity with -workers, ClassifyBatch chunking when sequential (0 = default/per-packet)")
+		batch      = flag.Int("batch", 0, "batch size: engine dispatch granularity, ClassifyBatch chunking when sequential (0 = default/per-packet)")
 		pipelined  = flag.Bool("pipeline", false, "classify batches through the software-pipelined stage walk (engine paths and the sequential batched path)")
 		group      = flag.Int("group", engine.PipelineAuto, "stage group size for -pipeline (-1 = auto from GOMAXPROCS)")
 		affine     = flag.Bool("affine", false, "with -pipeline: shard-affine counting-sorted walk order")
@@ -184,7 +180,7 @@ func main() {
 	if *ladderNames != "" {
 		cl, err = buildLadder(strings.Split(*ladderNames, ","), rs, budget, ring, reg)
 	} else {
-		cl, err = build(*algo, rs, budget, *buildWorkers)
+		cl, err = build(*algo, rs, budget)
 	}
 	if err != nil {
 		fatal(err)
@@ -209,9 +205,6 @@ func main() {
 		}
 	}
 
-	if *workers < 0 {
-		fatal(fmt.Errorf("-workers must be >= 0 (0 = sequential), got %d", *workers))
-	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -242,11 +235,10 @@ func main() {
 	var engineErr error
 	var tenantStats engine.TenantStats
 	var tenantReg *tenant.Registry
-	useEngine := *workers > 0 || *shards > 0 || *flowCache > 0 || *tenantsN > 1
+	useEngine := *shards > 0 || *flowCache > 0 || *tenantsN > 1
 	start = time.Now()
 	if useEngine {
 		ecfg := engine.Config{
-			Workers:        *workers,
 			Shards:         *shards,
 			FlowCacheFlows: *flowCache,
 			QueueDepth:     *queue,
@@ -357,13 +349,8 @@ func main() {
 		len(headers), classifyTime.Round(time.Millisecond),
 		float64(len(headers))/classifyTime.Seconds()/1e6)
 	if useEngine {
-		if engineStats.Shards > 1 || *flowCache > 0 {
-			fmt.Printf("engine        %d flow-affinity shards (flow cache %d flows/shard), %s overload, order %v\n",
-				engineStats.Shards, *flowCache, *overload, !*unordered)
-		} else {
-			fmt.Printf("engine        %d workers, %s overload, order %v\n",
-				*workers, *overload, !*unordered)
-		}
+		fmt.Printf("engine        %d flow-affinity shards (flow cache %d flows/shard), %s overload, order %v\n",
+			engineStats.Shards, *flowCache, *overload, !*unordered)
 		fmt.Printf("  classified %d  shed %d  panics %d  canceled %d  max-reorder %d\n",
 			engineStats.Packets, engineStats.Shed, engineStats.Panics,
 			engineStats.Canceled, engineStats.MaxReorder)
@@ -493,13 +480,13 @@ func loadTrace(rs *rules.RuleSet, file string, gen int, seed int64) ([]rules.Hea
 	return out, nil
 }
 
-func build(algo string, rs *rules.RuleSet, budget *buildgov.Budget, buildWorkers int) (classifier, error) {
+func build(algo string, rs *rules.RuleSet, budget *buildgov.Budget) (classifier, error) {
 	ctx := context.Background()
 	switch algo {
 	case "expcuts":
 		return expcuts.NewCtx(ctx, rs, expcuts.Config{}, budget)
 	case "hicuts":
-		return hicuts.NewCtx(ctx, rs, hicuts.Config{BuildWorkers: buildWorkers}, budget)
+		return hicuts.NewCtx(ctx, rs, hicuts.Config{}, budget)
 	case "hypercuts":
 		return hypercuts.NewCtx(ctx, rs, hypercuts.Config{}, budget)
 	case "hsm":

@@ -95,7 +95,7 @@ func serveMain(args []string) {
 	if *ladder != "" {
 		cl, err = buildLadder(strings.Split(*ladder, ","), rs, budget, nil, reg)
 	} else {
-		cl, err = build(*algo, rs, budget, 0)
+		cl, err = build(*algo, rs, budget)
 	}
 	if err != nil {
 		fatal(err)

@@ -54,7 +54,7 @@ func main() {
 	}
 
 	// Classify the first half, hot-update the policy, classify the rest.
-	// The engine preserves arrival order across worker goroutines.
+	// The engine preserves arrival order across its shard goroutines.
 	classify := func(hs []repro.Header) (permits, denies, noMatch int) {
 		cache, err := repro.NewFlowCache(mgr, 1024)
 		if err != nil {
@@ -66,7 +66,7 @@ func main() {
 		// mutable structure, and the engine's shard loops would otherwise
 		// call it concurrently (Shards defaults to GOMAXPROCS). Sharded
 		// setups let the engine own per-shard caches via FlowCacheFlows.
-		_, err = repro.RunEngine(cache, repro.EngineConfig{Workers: 1, Shards: 1, PreserveOrder: true}, hs,
+		_, err = repro.RunEngine(cache, repro.EngineConfig{Shards: 1, PreserveOrder: true}, hs,
 			func(r repro.EngineResult) {
 				if !first && r.Seq != lastSeq+1 {
 					log.Fatalf("packet reordered: %d after %d", r.Seq, lastSeq)

@@ -24,8 +24,8 @@ type batch struct {
 	// errs is nil unless the batched lookup panicked and the batch was
 	// re-run packet by packet; then errs[i] is packet i's *PanicError or nil.
 	errs []error
-	// tenant and si are the multi-tenant path's attribution (every tenant
-	// batch is single-tenant, bound for one shard); zero elsewhere.
+	// tenant and si attribute the batch: every batch is single-tenant
+	// (tenant 0 on the single-table path) and bound for one shard.
 	tenant uint32
 	si     int
 	// left counts the packets the sequencer has not emitted yet.

@@ -12,7 +12,7 @@ import (
 )
 
 // countingBatcher implements BatchClassifier and records how work arrived
-// (atomically: it is called from every worker).
+// (atomically: it is called from every shard).
 type countingBatcher struct {
 	inner      BatchClassifier
 	batchCalls atomic.Int64
@@ -35,7 +35,7 @@ func (c *countingBatcher) ClassifyBatch(hs []rules.Header, out []int) {
 func TestBatchFastPathUsed(t *testing.T) {
 	rs, tree, headers := fixtures(t, 4000)
 	cb := &countingBatcher{inner: tree}
-	st, err := Run(cb, Config{Workers: 4, PreserveOrder: true, BatchSize: 64}, headers, func(r Result) {
+	st, err := Run(cb, Config{Shards: 4, PreserveOrder: true, BatchSize: 64}, headers, func(r Result) {
 		if want := rs.Match(r.Header); r.Match != want {
 			t.Fatalf("packet %d: match %d, oracle %d", r.Seq, r.Match, want)
 		}
@@ -62,7 +62,7 @@ func TestBatchSizesAgree(t *testing.T) {
 	collect := func(batch int) []int {
 		matches := make([]int, 0, len(headers))
 		var next uint64
-		st, err := Run(tree, Config{Workers: 8, PreserveOrder: true, BatchSize: batch}, headers, func(r Result) {
+		st, err := Run(tree, Config{Shards: 4, PreserveOrder: true, BatchSize: batch}, headers, func(r Result) {
 			if r.Seq != next {
 				t.Fatalf("batch %d: out of order, seq %d want %d", batch, r.Seq, next)
 			}
@@ -126,7 +126,7 @@ func TestBatchPanicAttributedPerPacket(t *testing.T) {
 	base := runtime.NumGoroutine()
 	var next uint64
 	bad := 0
-	st, err := Run(cl, Config{Workers: 4, PreserveOrder: true, BatchSize: 64}, headers, func(r Result) {
+	st, err := Run(cl, Config{Shards: 4, PreserveOrder: true, BatchSize: 64}, headers, func(r Result) {
 		if r.Seq != next {
 			t.Fatalf("out of order: seq %d, want %d", r.Seq, next)
 		}
@@ -166,7 +166,7 @@ func TestBatchShedAccounting(t *testing.T) {
 	slow := &faultinject.SlowClassifier{Inner: tree, EveryN: 1, Delay: 30 * time.Microsecond}
 	base := runtime.NumGoroutine()
 	shedSeen, okSeen := 0, 0
-	st, err := Run(slow, Config{Workers: 1, Shards: 1, QueueDepth: 1, PreserveOrder: true, Overload: OverloadShed, BatchSize: 16},
+	st, err := Run(slow, Config{Shards: 1, QueueDepth: 1, PreserveOrder: true, Overload: OverloadShed, BatchSize: 16},
 		headers, func(r Result) {
 			if errors.Is(r.Err, ErrShed) {
 				shedSeen++
@@ -195,7 +195,7 @@ func TestOddBatchTail(t *testing.T) {
 	_, tree, headers := fixtures(t, 1000)
 	for _, n := range []int{1, 63, 64, 65, 999} {
 		seen := make([]bool, n)
-		st, err := Run(tree, Config{Workers: 3, PreserveOrder: true, BatchSize: 64}, headers[:n], func(r Result) {
+		st, err := Run(tree, Config{Shards: 3, PreserveOrder: true, BatchSize: 64}, headers[:n], func(r Result) {
 			if seen[r.Seq] {
 				t.Fatalf("n=%d: duplicate seq %d", n, r.Seq)
 			}
@@ -218,10 +218,10 @@ func TestOddBatchTail(t *testing.T) {
 // TestBatchSizeValidation pins the BatchSize bounds.
 func TestBatchSizeValidation(t *testing.T) {
 	_, tree, headers := fixtures(t, 10)
-	if _, err := Run(tree, Config{Workers: 1, BatchSize: -1}, headers, func(Result) {}); err == nil {
+	if _, err := Run(tree, Config{BatchSize: -1}, headers, func(Result) {}); err == nil {
 		t.Error("negative batch size should fail")
 	}
-	if _, err := Run(tree, Config{Workers: 1, BatchSize: MaxBatchSize + 1}, headers, func(Result) {}); err == nil {
+	if _, err := Run(tree, Config{BatchSize: MaxBatchSize + 1}, headers, func(Result) {}); err == nil {
 		t.Error("oversized batch size should fail")
 	}
 }

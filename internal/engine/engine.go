@@ -143,12 +143,6 @@ func (p OverloadPolicy) String() string {
 
 // Config parameterizes the engine.
 type Config struct {
-	// Workers is the number of classification goroutines on the single
-	// lane of an unsharded, cache-less RunContext (Shards == 1,
-	// FlowCacheFlows == 0), where no state is private to the lane. Ignored
-	// otherwise — by RunStream and RunTenants too: a shard is one serving
-	// loop.
-	Workers int
 	// QueueDepth bounds the dispatch ring (back-pressure).
 	QueueDepth int
 	// PreserveOrder, when set, re-sequences results into arrival order
@@ -217,39 +211,33 @@ type Config struct {
 	// the bound the least recently served tenant's partition is reclaimed
 	// (a tenant-evicted event, cold misses for the victim, never a
 	// correctness change). 0 means DefaultTenantPartitions. Ignored by
-	// RunContext.
+	// RunContext and RunStream.
 	TenantPartitions int
 }
 
 // DefaultBatchSize is the packets-per-dispatch default. 64 packets is
 // large enough to make channel operations disappear from profiles and
-// small enough that per-worker batch buffers stay inside the L1 cache.
+// small enough that per-shard batch buffers stay inside the L1 cache.
 const DefaultBatchSize = 64
 
 // MaxBatchSize bounds BatchSize; beyond this the batch buffers stop
 // fitting caches and shed/cancel granularity gets needlessly coarse.
 const MaxBatchSize = 1 << 16
 
-// DefaultConfig runs 8 workers — one per hardware thread of a single
-// microengine — with ordering on, blocking back-pressure, and 64-packet
-// batches.
+// DefaultConfig serves with ordering on, blocking back-pressure, a
+// 256-batch ring per shard and 64-packet batches; Shards is left to
+// default to GOMAXPROCS.
 func DefaultConfig() Config {
-	return Config{Workers: 8, QueueDepth: 256, PreserveOrder: true, BatchSize: DefaultBatchSize}
+	return Config{QueueDepth: 256, PreserveOrder: true, BatchSize: DefaultBatchSize}
 }
 
 func (c *Config) fillDefaults() error {
 	d := DefaultConfig()
-	if c.Workers == 0 {
-		c.Workers = d.Workers
-	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = d.QueueDepth
 	}
 	if c.BatchSize == 0 {
 		c.BatchSize = d.BatchSize
-	}
-	if c.Workers < 1 {
-		return fmt.Errorf("engine: workers must be >= 1, got %d", c.Workers)
 	}
 	if c.QueueDepth < 1 {
 		return fmt.Errorf("engine: queue depth must be >= 1, got %d", c.QueueDepth)
@@ -288,16 +276,16 @@ func (c *Config) fillDefaults() error {
 }
 
 // ErrShed marks a Result dropped by the OverloadShed policy before it
-// reached a worker.
+// reached a shard.
 var ErrShed = errors.New("engine: packet shed under overload")
 
-// PanicError wraps a classifier panic contained by a worker. The packet
+// PanicError wraps a classifier panic contained by a shard. The packet
 // that triggered it gets a Result with Err set to a *PanicError; every
 // other packet is unaffected.
 type PanicError struct {
 	// Value is the recovered panic value.
 	Value any
-	// Stack is the worker stack at recovery time.
+	// Stack is the shard's stack at recovery time.
 	Stack []byte
 }
 
@@ -323,7 +311,7 @@ type Stats struct {
 	Packets int
 	// Shed packets tail-dropped by the overload policy.
 	Shed int
-	// Panics is the number of classifier panics contained by workers.
+	// Panics is the number of classifier panics contained by the shards.
 	Panics int
 	// Canceled packets: those cut off by context cancellation — either
 	// never dispatched or overtaken in the ring.
@@ -352,9 +340,8 @@ type Stats struct {
 	FinalDegradationLevel int
 	// Shards is how many flow-affinity shards served the run.
 	Shards int
-	// ShardBusy is each shard's cumulative classification busy time
-	// (summed over its workers when a single lane runs several). On a host
-	// with fewer cores than shards, packets/max(ShardBusy) is the
+	// ShardBusy is each shard's cumulative classification busy time. On a
+	// host with fewer cores than shards, packets/max(ShardBusy) is the
 	// critical-path throughput the shard layout would sustain with one core
 	// per shard — the projection internal/experiments reports alongside
 	// measured wall-clock numbers.
@@ -380,29 +367,23 @@ func Run(cl Classifier, cfg Config, headers []rules.Header, emit func(Result)) (
 //
 // Failure containment: a classifier panic yields a Result with a
 // *PanicError for that packet only. If emit itself panics, the engine
-// stops calling it, drains the workers so nothing leaks, and reports the
+// stops calling it, drains the shards so nothing leaks, and reports the
 // panic in the returned error.
 func RunContext(ctx context.Context, cl Classifier, cfg Config, headers []rules.Header, emit func(Result)) (Stats, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return Stats{}, err
 	}
-	shards, err := makeShards(cl, &cfg)
+	shards, err := makeShards(cl, nil, &cfg)
 	if err != nil {
 		return Stats{}, err
-	}
-	// The worker pool of the unsharded slice path: nothing is private to a
-	// single cache-less lane, so Workers goroutines may share it.
-	workers := 1
-	if cfg.Shards == 1 && cfg.FlowCacheFlows == 0 {
-		workers = cfg.Workers
 	}
 	// The slice is served through the streaming core a batch-sized view at
 	// a time: no copy on the way in, and cancellation polled once per view.
 	off := 0
-	st, pulled, emitErr := runShards(ctx, cl, &cfg, shards, workers, func() ([]rules.Header, bool) {
+	st, pulled, emitErr := runShards(ctx, cl, &cfg, shards, nil, func() ([]rules.Header, []uint32, bool) {
 		view := headers[off:min(off+cfg.BatchSize, len(headers))]
 		off += len(view)
-		return view, off < len(headers)
+		return view, nil, off < len(headers)
 	}, emit)
 	// The contiguous tail the dispatcher never pulled is canceled without
 	// being emitted; everything it did pull went through the sequencer.

@@ -32,7 +32,7 @@ func TestOrderingPreserved(t *testing.T) {
 	rs, tree, headers := fixtures(t, 20000)
 	var prev uint64
 	first := true
-	st, err := Run(tree, Config{Workers: 8, PreserveOrder: true}, headers, func(r Result) {
+	st, err := Run(tree, Config{Shards: 4, PreserveOrder: true}, headers, func(r Result) {
 		if !first && r.Seq != prev+1 {
 			t.Fatalf("out of order: %d after %d", r.Seq, prev)
 		}
@@ -53,7 +53,7 @@ func TestOrderingPreserved(t *testing.T) {
 func TestUnorderedDeliversEverything(t *testing.T) {
 	_, tree, headers := fixtures(t, 10000)
 	seen := make([]bool, len(headers))
-	st, err := Run(tree, Config{Workers: 8, PreserveOrder: false}, headers, func(r Result) {
+	st, err := Run(tree, Config{Shards: 4, PreserveOrder: false}, headers, func(r Result) {
 		if seen[r.Seq] {
 			t.Fatalf("duplicate result %d", r.Seq)
 		}
@@ -92,7 +92,7 @@ func TestReorderBufferAbsorbsSkew(t *testing.T) {
 	slow := &slowEveryN{inner: tree, n: 50}
 	var prev uint64
 	first := true
-	st, err := Run(slow, Config{Workers: 8, PreserveOrder: true}, headers, func(r Result) {
+	st, err := Run(slow, Config{Shards: 4, PreserveOrder: true}, headers, func(r Result) {
 		if !first && r.Seq != prev+1 {
 			t.Fatalf("out of order: %d after %d", r.Seq, prev)
 		}
@@ -108,7 +108,7 @@ func TestReorderBufferAbsorbsSkew(t *testing.T) {
 	if st.Packets != len(headers) {
 		t.Errorf("packets = %d", st.Packets)
 	}
-	// With 8 workers and induced skew the reorder stage must actually
+	// With 4 shards and induced skew the reorder stage must actually
 	// have held something back.
 	if st.MaxReorder < 2 {
 		t.Logf("note: MaxReorder = %d (scheduling-dependent; not failing)", st.MaxReorder)
@@ -117,21 +117,21 @@ func TestReorderBufferAbsorbsSkew(t *testing.T) {
 
 func TestSingleWorkerIsOrderedByConstruction(t *testing.T) {
 	_, tree, headers := fixtures(t, 2000)
-	st, err := Run(tree, Config{Workers: 1, Shards: 1, PreserveOrder: true}, headers, func(Result) {})
+	st, err := Run(tree, Config{Shards: 1, PreserveOrder: true}, headers, func(Result) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.MaxReorder != 0 {
-		t.Errorf("single worker should not need reordering, MaxReorder = %d", st.MaxReorder)
+		t.Errorf("a single shard should not need reordering, MaxReorder = %d", st.MaxReorder)
 	}
 }
 
 func TestConfigValidation(t *testing.T) {
 	_, tree, headers := fixtures(t, 10)
-	if _, err := Run(tree, Config{Workers: -2}, headers, func(Result) {}); err == nil {
-		t.Error("negative workers should fail")
+	if _, err := Run(tree, Config{Shards: -2}, headers, func(Result) {}); err == nil {
+		t.Error("negative shards should fail")
 	}
-	if _, err := Run(tree, Config{Workers: 1, QueueDepth: -1}, headers, func(Result) {}); err == nil {
+	if _, err := Run(tree, Config{QueueDepth: -1}, headers, func(Result) {}); err == nil {
 		t.Error("negative queue depth should fail")
 	}
 }

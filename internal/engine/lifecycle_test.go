@@ -95,13 +95,13 @@ func (s *swappingDescriber) DescribeAlgorithm() (string, int) {
 // TestDescriberResampledAfterServing: Stats must carry both the
 // algorithm that started the run and the one live when it finished. The
 // old code sampled DescribeAlgorithm once, before serving, so a mid-run
-// swap or rung change was invisible in the run's stats. Exercised on
-// both serving paths.
+// swap or rung change was invisible in the run's stats. Exercised with
+// and without a flow cache.
 func TestDescriberResampledAfterServing(t *testing.T) {
 	_, tree, headers := fixtures(t, 2000)
 	for _, cfg := range []Config{
-		{Workers: 4, PreserveOrder: true},                    // unsharded worker pool
-		{Shards: 3, PreserveOrder: true},                     // sharded
+		{Shards: 2, PreserveOrder: true},                     // two shards
+		{Shards: 3, PreserveOrder: true},                     // three shards
 		{Shards: 1, FlowCacheFlows: 64, PreserveOrder: true}, // sharded via cache
 	} {
 		cl := &swappingDescriber{Classifier: tree}

@@ -16,8 +16,7 @@ import (
 // shardMetrics is one shard's instrument block. During a run it has a
 // single writer — the shard's serve goroutine (the dispatcher and the
 // sequencer write only to the shed/canceled counters and the reorder
-// histogram, which live on separate instruments; several workers on a
-// cache-less single lane merely share the atomics) — so every update is an
+// histogram, which live on separate instruments) — so every update is an
 // uncontended atomic. The trailing pad keeps neighboring shards' blocks
 // off each other's cache lines.
 type shardMetrics struct {
@@ -181,16 +180,6 @@ func (m *Metrics) reorderHeldHist() *obs.Hist {
 		return nil
 	}
 	return &m.reorderHeld
-}
-
-// eventsRing returns the flight recorder (nil for a nil Metrics; Ring
-// methods are nil-safe, so callers record into the result
-// unconditionally).
-func (m *Metrics) eventsRing() *obs.Ring {
-	if m == nil {
-		return nil
-	}
-	return m.events
 }
 
 // Register registers the engine collector on reg.

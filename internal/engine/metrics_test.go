@@ -36,7 +36,7 @@ func collect(m *Metrics) (map[string]float64, map[string]obs.HistSnapshot) {
 func TestMetricsAccountAllPackets(t *testing.T) {
 	_, tree, headers := fixtures(t, 4096)
 	for _, cfg := range []Config{
-		{Workers: 4, BatchSize: 32, PreserveOrder: true, Metrics: NewMetrics(8)},
+		{Shards: 2, BatchSize: 32, PreserveOrder: true, Metrics: NewMetrics(8)},
 		{Shards: 3, BatchSize: 32, FlowCacheFlows: 128, PreserveOrder: true, Metrics: NewMetrics(8)},
 	} {
 		st, err := Run(tree, cfg, headers, func(Result) {})
@@ -150,7 +150,7 @@ func TestMetricsShedCanceledPanics(t *testing.T) {
 	// Shed: tiny ring, dawdling classifier, tail-drop policy.
 	slow := &faultinject.SlowClassifier{Inner: tree, EveryN: 1, Delay: 30 * time.Microsecond}
 	for _, cfg := range []Config{
-		{Workers: 2, QueueDepth: 1, BatchSize: 16, Overload: OverloadShed, Metrics: NewMetrics(8)},
+		{Shards: 2, QueueDepth: 1, BatchSize: 16, Overload: OverloadShed, Metrics: NewMetrics(8)},
 		{Shards: 4, QueueDepth: 1, BatchSize: 16, Overload: OverloadShed, Metrics: NewMetrics(8)},
 	} {
 		st, err := Run(slow, cfg, headers, func(Result) {})

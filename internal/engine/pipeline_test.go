@@ -40,7 +40,7 @@ func (c *countingPipeliner) ClassifyBatchPipelined(hs []rules.Header, out []int,
 func TestPipelinedPathUsed(t *testing.T) {
 	rs, tree, headers := fixtures(t, 4000)
 	for _, cfg := range []Config{
-		{Workers: 4, PreserveOrder: true, PipelineGroup: 16, PipelineAffine: true},
+		{Shards: 4, PreserveOrder: true, PipelineGroup: 16, PipelineAffine: true},
 		{Shards: 3, PreserveOrder: true, PipelineGroup: 16, PipelineAffine: true},
 		{Shards: 2, FlowCacheFlows: 256, PreserveOrder: true, PipelineGroup: 16, PipelineAffine: true},
 	} {

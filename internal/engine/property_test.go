@@ -5,7 +5,8 @@
 //	matched + no-match + shed + canceled + panicked == offered
 //
 // with the matched/no-match split read from the emitted results and the
-// rest cross-checked against Stats. Packet counts are deliberately not
+// rest cross-checked against Stats, through RunContext, RunStream and
+// RunTenants alike. Packet counts are deliberately not
 // multiples of BatchSize, so the final short batch and the pending-batch
 // flush paths are always exercised.
 package engine
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/rules"
 )
 
 // tally classifies one run's emissions into the identity's buckets.
@@ -70,6 +72,60 @@ func (a *tally) check(t *testing.T, st Stats, offered int) {
 	}
 }
 
+// entryPoint is one of the engine's three entry points, serving hs and
+// reporting how many packets it was offered: all of hs, except that
+// RunStream leaves what it never pulled in the source. RunTenants carries
+// every packet on tenant 0, whose lane sheds exactly when cfg does, and
+// checks its per-tenant identity as well.
+type entryPoint struct {
+	name  string
+	serve func(t *testing.T, ctx context.Context, cl Classifier, cfg Config, hs []rules.Header, emit func(Result)) (Stats, int, error)
+}
+
+var entryPoints = []entryPoint{
+	{"slice", func(t *testing.T, ctx context.Context, cl Classifier, cfg Config, hs []rules.Header, emit func(Result)) (Stats, int, error) {
+		st, err := RunContext(ctx, cl, cfg, hs, emit)
+		return st, len(hs), err
+	}},
+	{"stream", func(t *testing.T, ctx context.Context, cl Classifier, cfg Config, hs []rules.Header, emit func(Result)) (Stats, int, error) {
+		src := &countingSource{inner: SliceSource{Headers: hs}}
+		st, err := RunStream(ctx, cl, cfg, src, emit)
+		return st, src.yielded, err
+	}},
+	{"tenants", func(t *testing.T, ctx context.Context, cl Classifier, cfg Config, hs []rules.Header, emit func(Result)) (Stats, int, error) {
+		pkts := tenantStream(hs, []uint32{0})
+		res := mapResolver{0: asLane(cl, cfg.Overload == OverloadShed)}
+		ts, err := RunTenants(ctx, res, cfg, pkts, func(r TenantResult) { emit(r.Result) })
+		checkTenantIdentity(t, ts, pkts, cfg.Shards)
+		return ts.Stats, len(hs), err
+	}},
+}
+
+// eachEntryPoint runs one identity case through every entry point: newCl
+// builds a fresh classifier per run (fault injectors count their calls),
+// timeout bounds each run when nonzero, and check sees the run's tally.
+func eachEntryPoint(t *testing.T, newCl func() Classifier, cfg Config, hs []rules.Header, timeout time.Duration,
+	check func(t *testing.T, a *tally, st Stats, offered int, err error)) {
+	for _, ep := range entryPoints {
+		t.Run(ep.name, func(t *testing.T) {
+			ctx := context.Background()
+			if timeout > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, timeout)
+				defer cancel()
+			}
+			var a tally
+			st, offered, err := ep.serve(t, ctx, newCl(), cfg, hs, func(r Result) {
+				if e := a.add(r); e != nil {
+					t.Error(e)
+				}
+			})
+			a.check(t, st, offered)
+			check(t, &a, st, offered, err)
+		})
+	}
+}
+
 func TestAccountingIdentityProperty(t *testing.T) {
 	_, tree, headers := fixtures(t, 4097)
 	shardCounts := []int{1, 3, 8}
@@ -85,37 +141,28 @@ func TestAccountingIdentityProperty(t *testing.T) {
 					cfg := Config{Shards: shards, BatchSize: 16, Overload: policy,
 						PreserveOrder: ordered, Metrics: NewMetrics(8)}
 					t.Run(fmt.Sprintf("clean/n=%d/shards=%d/%v/ordered=%v", n, shards, policy, ordered), func(t *testing.T) {
-						var a tally
-						st, err := Run(tree, cfg, hs, func(r Result) {
-							if e := a.add(r); e != nil {
-								t.Error(e)
-							}
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						a.check(t, st, n)
-						if a.matched == 0 {
-							t.Error("trace with 0.9 match fraction matched nothing")
-						}
+						eachEntryPoint(t, func() Classifier { return tree }, cfg, hs, 0,
+							func(t *testing.T, a *tally, st Stats, offered int, err error) {
+								if err != nil {
+									t.Fatal(err)
+								}
+								if a.matched == 0 {
+									t.Error("trace with 0.9 match fraction matched nothing")
+								}
+							})
 					})
 				}
 				t.Run(fmt.Sprintf("panicky/n=%d/shards=%d/%v", n, shards, policy), func(t *testing.T) {
-					cl := &faultinject.PanickyClassifier{Inner: tree, EveryN: 61}
-					var a tally
-					st, err := Run(cl, Config{Shards: shards, BatchSize: 16, Overload: policy, PreserveOrder: true},
-						hs, func(r Result) {
-							if e := a.add(r); e != nil {
-								t.Error(e)
-							}
-						})
-					if err == nil {
-						t.Fatal("contained panics must surface as a run error")
-					}
-					a.check(t, st, n)
-					if a.panicked == 0 {
-						t.Error("panic injection every 61 packets produced no panicked results")
-					}
+					newCl := func() Classifier { return &faultinject.PanickyClassifier{Inner: tree, EveryN: 61} }
+					cfg := Config{Shards: shards, BatchSize: 16, Overload: policy, PreserveOrder: true}
+					eachEntryPoint(t, newCl, cfg, hs, 0, func(t *testing.T, a *tally, st Stats, offered int, err error) {
+						if err == nil {
+							t.Fatal("contained panics must surface as a run error")
+						}
+						if a.panicked == 0 {
+							t.Error("panic injection every 61 packets produced no panicked results")
+						}
+					})
 				})
 			}
 		}
@@ -125,18 +172,15 @@ func TestAccountingIdentityProperty(t *testing.T) {
 	// drops on every shard count.
 	for _, shards := range shardCounts {
 		t.Run(fmt.Sprintf("shed/shards=%d", shards), func(t *testing.T) {
-			slow := &faultinject.SlowClassifier{Inner: tree, EveryN: 1, Delay: 20 * time.Microsecond}
-			var a tally
-			st, err := Run(slow, Config{Shards: shards, QueueDepth: 1, BatchSize: 16, Overload: OverloadShed},
-				headers[:1037], func(r Result) {
-					if e := a.add(r); e != nil {
-						t.Error(e)
-					}
-				})
-			if err != nil {
-				t.Fatal(err)
+			newCl := func() Classifier {
+				return &faultinject.SlowClassifier{Inner: tree, EveryN: 1, Delay: 20 * time.Microsecond}
 			}
-			a.check(t, st, 1037)
+			cfg := Config{Shards: shards, QueueDepth: 1, BatchSize: 16, Overload: OverloadShed}
+			eachEntryPoint(t, newCl, cfg, headers[:1037], 0, func(t *testing.T, a *tally, st Stats, offered int, err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
 		})
 	}
 
@@ -144,23 +188,19 @@ func TestAccountingIdentityProperty(t *testing.T) {
 	// cancels packets mid-run; the identity must still hold exactly.
 	for _, shards := range shardCounts {
 		t.Run(fmt.Sprintf("deadline/shards=%d", shards), func(t *testing.T) {
-			slow := &faultinject.SlowClassifier{Inner: tree, EveryN: 1, Delay: 50 * time.Microsecond}
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-			defer cancel()
-			var a tally
-			st, err := RunContext(ctx, slow, Config{Shards: shards, BatchSize: 16, PreserveOrder: true},
-				headers[:4097], func(r Result) {
-					if e := a.add(r); e != nil {
-						t.Error(e)
+			newCl := func() Classifier {
+				return &faultinject.SlowClassifier{Inner: tree, EveryN: 1, Delay: 50 * time.Microsecond}
+			}
+			cfg := Config{Shards: shards, BatchSize: 16, PreserveOrder: true}
+			eachEntryPoint(t, newCl, cfg, headers[:4097], 10*time.Millisecond,
+				func(t *testing.T, a *tally, st Stats, offered int, err error) {
+					if err == nil {
+						t.Fatal("expected a cancellation error")
+					}
+					if st.Canceled == 0 {
+						t.Error("a 10ms deadline against ~200ms of work canceled nothing")
 					}
 				})
-			if err == nil {
-				t.Fatal("expected a cancellation error")
-			}
-			a.check(t, st, 4097)
-			if st.Canceled == 0 {
-				t.Error("a 10ms deadline against ~200ms of work canceled nothing")
-			}
 		})
 	}
 }

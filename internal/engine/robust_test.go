@@ -15,7 +15,7 @@ import (
 )
 
 // waitNoLeaks fails the test if the goroutine count does not return to the
-// baseline captured before the run — the engine must not leak workers no
+// baseline captured before the run — the engine must not leak goroutines no
 // matter how a run ends.
 func waitNoLeaks(t *testing.T, base int) {
 	t.Helper()
@@ -40,7 +40,7 @@ func TestClassifierPanicContained(t *testing.T) {
 	panicky := &faultinject.PanickyClassifier{Inner: tree, EveryN: 100}
 	base := runtime.NumGoroutine()
 	var good, bad int
-	st, err := Run(panicky, Config{Workers: 8, PreserveOrder: true}, headers, func(r Result) {
+	st, err := Run(panicky, Config{Shards: 4, PreserveOrder: true}, headers, func(r Result) {
 		if r.Err != nil {
 			var pe *PanicError
 			if !errors.As(r.Err, &pe) {
@@ -73,7 +73,7 @@ func TestPanicContainedPreservesOrder(t *testing.T) {
 	_, tree, headers := fixtures(t, 3000)
 	panicky := &faultinject.PanickyClassifier{Inner: tree, EveryN: 37}
 	var next uint64
-	_, err := Run(panicky, Config{Workers: 8, PreserveOrder: true}, headers, func(r Result) {
+	_, err := Run(panicky, Config{Shards: 4, PreserveOrder: true}, headers, func(r Result) {
 		if r.Seq != next {
 			t.Fatalf("out of order: seq %d, want %d", r.Seq, next)
 		}
@@ -91,7 +91,7 @@ func TestEmitPanicDoesNotLeakWorkers(t *testing.T) {
 	_, tree, headers := fixtures(t, 5000)
 	base := runtime.NumGoroutine()
 	calls := 0
-	st, err := Run(tree, Config{Workers: 8, PreserveOrder: true}, headers, func(r Result) {
+	st, err := Run(tree, Config{Shards: 4, PreserveOrder: true}, headers, func(r Result) {
 		calls++
 		if calls == 100 {
 			panic("emit exploded mid-drain")
@@ -116,7 +116,7 @@ func TestDeadlineExpiryCancelsRun(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	emitted := 0
-	st, err := RunContext(ctx, slow, Config{Workers: 4, PreserveOrder: true}, headers, func(r Result) {
+	st, err := RunContext(ctx, slow, Config{Shards: 4, PreserveOrder: true}, headers, func(r Result) {
 		emitted++
 		if r.Err != nil && !errors.Is(r.Err, context.DeadlineExceeded) {
 			t.Fatalf("packet %d: unexpected error %v", r.Seq, r.Err)
@@ -143,7 +143,7 @@ func TestCancelBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	base := runtime.NumGoroutine()
-	st, err := RunContext(ctx, tree, Config{Workers: 4}, headers, func(r Result) {
+	st, err := RunContext(ctx, tree, Config{Shards: 4}, headers, func(r Result) {
 		if r.Err == nil {
 			t.Errorf("packet %d classified after cancellation", r.Seq)
 		}
@@ -162,12 +162,12 @@ func TestCancelBeforeStart(t *testing.T) {
 
 func TestOverloadShedDropsAndCounts(t *testing.T) {
 	_, tree, headers := fixtures(t, 4000)
-	// One worker that dawdles on every packet against a tiny ring forces
+	// One shard that dawdles on every packet against a tiny ring forces
 	// the dispatcher into its overload path.
 	slow := &faultinject.SlowClassifier{Inner: tree, EveryN: 1, Delay: 50 * time.Microsecond}
 	base := runtime.NumGoroutine()
 	shedSeen := 0
-	st, err := Run(slow, Config{Workers: 1, Shards: 1, QueueDepth: 1, PreserveOrder: true, Overload: OverloadShed},
+	st, err := Run(slow, Config{Shards: 1, QueueDepth: 1, PreserveOrder: true, Overload: OverloadShed},
 		headers, func(r Result) {
 			if errors.Is(r.Err, ErrShed) {
 				if r.Match != -1 {
@@ -194,7 +194,7 @@ func TestOverloadShedDropsAndCounts(t *testing.T) {
 func TestOverloadBlockNeverSheds(t *testing.T) {
 	_, tree, headers := fixtures(t, 3000)
 	slow := &faultinject.SlowClassifier{Inner: tree, EveryN: 1, Delay: 10 * time.Microsecond}
-	st, err := Run(slow, Config{Workers: 1, Shards: 1, QueueDepth: 1, PreserveOrder: true}, headers, func(r Result) {
+	st, err := Run(slow, Config{Shards: 1, QueueDepth: 1, PreserveOrder: true}, headers, func(r Result) {
 		if r.Err != nil {
 			t.Fatalf("packet %d: unexpected error %v", r.Seq, r.Err)
 		}
@@ -209,13 +209,13 @@ func TestOverloadBlockNeverSheds(t *testing.T) {
 
 func TestInvalidOverloadPolicy(t *testing.T) {
 	_, tree, headers := fixtures(t, 10)
-	if _, err := Run(tree, Config{Workers: 1, Overload: OverloadPolicy(42)}, headers, func(Result) {}); err == nil {
+	if _, err := Run(tree, Config{Overload: OverloadPolicy(42)}, headers, func(Result) {}); err == nil {
 		t.Error("bogus overload policy should fail validation")
 	}
 }
 
 // sequentialPanicky panics on an exact arrival position — usable with one
-// worker where arrival order equals call order.
+// shard, where arrival order equals call order.
 type sequentialPanicky struct {
 	inner Classifier
 	at    int
@@ -233,12 +233,12 @@ func (s *sequentialPanicky) Classify(h rules.Header) int {
 func TestSingleWorkerPanicIsDeterministic(t *testing.T) {
 	_, tree, headers := fixtures(t, 100)
 	cl := &sequentialPanicky{inner: tree, at: 42}
-	st, err := Run(tree, Config{Workers: 1}, headers, func(Result) {})
+	st, err := Run(tree, Config{}, headers, func(Result) {})
 	if err != nil || st.Panics != 0 {
 		t.Fatalf("clean baseline failed: %v %+v", err, st)
 	}
 	var failedSeq uint64
-	st, err = Run(cl, Config{Workers: 1, Shards: 1, PreserveOrder: true}, headers, func(r Result) {
+	st, err = Run(cl, Config{Shards: 1, PreserveOrder: true}, headers, func(r Result) {
 		if r.Err != nil {
 			failedSeq = r.Seq
 		}
@@ -317,11 +317,10 @@ func TestPanickedBatchRecyclesClean(t *testing.T) {
 			sightings: make(map[*rules.Header]int), after: make(map[*rules.Header]int)}
 		var next uint64
 		panicked := 0
-		// One worker per lane: with several on one lane a descheduled worker
-		// lets the others run arbitrarily far ahead, the sequencer holds
-		// their batches, and the count of objects in flight has no bound to
-		// assert against.
-		st, err := serve(cl, Config{Workers: 1, BatchSize: 8, QueueDepth: 2, PreserveOrder: true}, func(r Result) {
+		// Every lane is one serve goroutine and the rings are shallow, so
+		// the count of batch objects in flight has a bound to assert
+		// against.
+		st, err := serve(cl, Config{BatchSize: 8, QueueDepth: 2, PreserveOrder: true}, func(r Result) {
 			if r.Seq != next {
 				t.Fatalf("seq %d emitted at position %d", r.Seq, next)
 			}

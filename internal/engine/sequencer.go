@@ -24,7 +24,7 @@ import (
 // never shrinks, so the steady state allocates nothing. Batches may
 // interleave their sequence ranges and overtake one another freely: two
 // tenants' batches on one shard overlap, a shed batch passes the queued
-// ones, workers sharing a lane finish out of order.
+// ones, shards finish out of order.
 //
 // All methods run on the single emission goroutine.
 type sequencer struct {

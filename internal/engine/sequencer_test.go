@@ -162,7 +162,7 @@ func (h *seqHarness) finish(delivered int) {
 // 1…batchSize, odd tails when a lane is closed early) or delivers one
 // closed batch — the oldest, the newest (a shed batch overtaking the queued
 // ones; far ahead, it forces the ring to grow in a window that has long
-// since wrapped) or one in between (pool workers finishing out of order).
+// since wrapped) or one in between (shards finishing out of order).
 // What is left when ops run out is delivered newest first.
 func runSequencerModel(t testing.TB, ops []byte) {
 	if len(ops) < 2 {

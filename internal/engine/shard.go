@@ -1,16 +1,17 @@
-// Sharded serving: the engine's multi-core fast path. The paper's IXP2850
+// Sharded serving: the engine's one serve loop. The paper's IXP2850
 // mapping gives every microengine its own thread group, local flow state
 // and a hardware hash unit that sprays packets across engines by 5-tuple;
 // this file is the commodity-core translation. A dispatcher hashes each
-// packet's flow onto one of cfg.Shards lanes, so all packets of a flow are
-// classified by the same goroutine against that shard's private flow cache
-// — the hot path shares no mutable state across shards. A stage hands its
-// successor a pointer to the batch, never the packets: the batch the
-// dispatcher filled is the batch the shard classifies in place and the
+// packet's (tenant, flow) onto one of cfg.Shards lanes, so all packets of a
+// flow are classified by the same goroutine against that shard's private
+// flow cache — the hot path shares no mutable state across shards. A stage
+// hands its successor a pointer to the batch, never the packets: the batch
+// the dispatcher filled is the batch the shard classifies in place and the
 // batch the sequencer (sequencer.go) emits from, in arrival order, before
 // returning it to the run's one pool. RunContext serves a slice through
-// this core and RunStream a Source; both get ordered emission, gap-free
-// shed/cancel markers and per-packet panic attribution from the same code.
+// this core, RunStream a Source and RunTenants a multi-tenant slice; all
+// three get ordered emission, gap-free shed/cancel markers and per-packet
+// panic attribution from the same dispatcher and the same serve loop.
 package engine
 
 import (
@@ -18,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/flowcache"
@@ -53,82 +53,103 @@ func flowHash(h rules.Header) uint32 {
 	return uint32(x)
 }
 
-// shardOf maps a header to a shard index with a multiply-shift reduction
-// (no modulo on the per-packet path).
-func shardOf(h rules.Header, shards int) int {
-	return int(uint64(flowHash(h)) * uint64(shards) >> 32)
+// shardOf pins a (tenant, flow) pair to a shard with a multiply-shift
+// reduction (no modulo on the per-packet path). The tenant ID is folded
+// into the flow hash so two tenants' identical 5-tuples spread
+// independently; tenant 0, which every single-table packet is, leaves the
+// hash as it is.
+func shardOf(tid uint32, h rules.Header, shards int) int {
+	return int(uint64(flowHash(h)^(tid*0x9E3779B1)) * uint64(shards) >> 32)
 }
 
 // lane is the classification state of one serving context: the
 // classifier (batched when it supports it), an optional private flow
 // cache, and the generation-bracketing state that keeps a batch from
-// straddling a hot-swap. The single-table path owns one lane per shard;
-// the multi-tenant path keeps one lane per (shard, tenant) so every
-// tenant gets its own cache epoch and its own generation bracket.
+// straddling a hot-swap. A single-table shard owns one lane; a
+// multi-tenant shard keeps one lane per tenant so every tenant gets its
+// own cache epoch and its own generation bracket.
 type lane struct {
 	cl    Classifier
 	bc    BatchClassifier
 	cache *flowcache.Cache
-	gen   generationProvider // non-nil only when cache != nil and cl versions itself
+	gen   generationProvider // consulted only when cache != nil
 
 	lastGen uint64
 }
 
-// shard is one serving lane: a private job ring and an optional private
-// flow cache. The dispatcher touches only the ring; everything else belongs
-// to the shard's serve goroutine.
+// slow is what a flow cache in front of the lane falls back to on a miss:
+// the batched path when there is one, so with pipelining on cache-miss
+// sub-batches take the staged walk too. The raw classifier keeps serving
+// the per-packet and generation roles.
+func (l *lane) slow() Classifier {
+	if l.bc != nil {
+		return l.bc
+	}
+	return l.cl
+}
+
+// shard is one serving loop: a private job ring and the lane state it
+// classifies with. The dispatcher touches only the ring (and, on the
+// tenant path, the resolver); everything else belongs to the shard's serve
+// goroutine.
 type shard struct {
+	// lane serves every batch of a single-table run. tenants, set on the
+	// multi-tenant path instead, resolves each batch's own lane.
 	lane
+	tenants *tenantLanes
 
 	jobs chan *batch
 
-	// busy is cumulative classification time in nanoseconds; each serve
-	// goroutine adds its total as it exits.
-	busy atomic.Int64
+	busy time.Duration // cumulative classification time, stored as serve exits
 
 	// m is the shard's instrument block and events the flight recorder
-	// (both nil when Config.Metrics is unset). lastHits / lastMisses hold
-	// the flow cache's previous counter readings so hits and misses are
-	// exported as per-batch deltas without adding atomics to the cache.
+	// (both nil when Config.Metrics is unset). counters reads the
+	// cumulative hit/miss counts of the shard's flow cache or partitions
+	// (nil without one); lastHits / lastMisses hold the previous reading so
+	// hits and misses are exported as per-batch deltas without adding
+	// atomics to the cache.
 	m                    *shardMetrics
 	events               *obs.Ring
+	counters             interface{ Stats() (hits, misses uint64) }
 	lastHits, lastMisses uint64
 }
 
 // serve is the shard's loop: drain the job ring, classify each batch in
-// place with panic containment, pass the same batch on. It fails canceled
-// batches fast (the ring drains at cancellation speed, which is what
-// bounds dispatcher blocking under OverloadBlock) and never exits before
-// its ring closes, so delivery can never deadlock. RunContext runs
-// Config.Workers of these on a cache-less single lane; every other lane
-// runs exactly one.
+// place on its lane with panic containment, pass the same batch on. It
+// fails canceled batches fast (the ring drains at cancellation speed,
+// which is what bounds dispatcher blocking under OverloadBlock) and never
+// exits before its ring closes, so delivery can never deadlock.
 func (s *shard) serve(ctx context.Context, results chan<- *batch) {
-	var total time.Duration
+	var total time.Duration // not s.busy: the dispatcher reads s every batch
 	for b := range s.jobs {
 		queued := len(s.jobs)
-		if err := ctx.Err(); err != nil {
+		l, err := &s.lane, ctx.Err()
+		if err == nil && s.tenants != nil {
+			l, err = s.tenants.laneFor(b.tenant)
+		}
+		if err != nil {
 			fail(b, err, s.m)
 		} else {
 			start := time.Now()
-			p := s.lane.classify(b, s.m, s.events)
+			p := l.classify(b, s.m, s.events)
 			busy := time.Since(start)
 			total += busy
 			if s.m != nil {
 				s.m.recordBatch(len(b.hs), busy, queued)
 				s.m.addPanics(uint64(p))
-				if s.cache != nil {
-					hits, misses := s.cache.Stats()
+				if s.counters != nil {
+					hits, misses := s.counters.Stats()
 					s.m.recordCache(hits, misses, &s.lastHits, &s.lastMisses)
 				}
 			}
 		}
 		results <- b
 	}
-	s.busy.Add(int64(total))
+	s.busy = total
 }
 
 // fail marks a whole batch failed without classifying it — ErrShed under
-// overload or for an unknown tenant, the context's error otherwise. The
+// overload or for a refused tenant, the context's error otherwise. The
 // caller still delivers it, which is what keeps the sequence space
 // gap-free for the sequencer.
 func fail(b *batch, err error, m *shardMetrics) {
@@ -138,22 +159,6 @@ func fail(b *batch, err error, m *shardMetrics) {
 	} else {
 		m.addCanceled(uint64(len(b.hs)))
 	}
-}
-
-// dispatch hands a filled batch to its lane. A shedding dispatcher never
-// waits: a batch that finds the ring full overtakes the queued ones to the
-// sequencer as ErrShed markers.
-func dispatch(b *batch, jobs, results chan<- *batch, shed bool, m *shardMetrics) {
-	if shed {
-		select {
-		case jobs <- b:
-		default:
-			fail(b, ErrShed, m)
-			results <- b
-		}
-		return
-	}
-	jobs <- b
 }
 
 // maxGenRetries bounds how many times classify re-runs a batch whose
@@ -211,52 +216,50 @@ func (l *lane) classify(b *batch, m *shardMetrics, events *obs.Ring) int64 {
 }
 
 // makeShards constructs and validates every shard for one run before any
-// goroutine launches. Construction must not be folded into the launch
-// loop: if shard i's flow cache fails to construct after shards 0..i-1
-// started serving, those goroutines would block forever on their
+// goroutine launches: a single-table lane over cl, or — with a resolver,
+// and cl nil — a tenant lane table. Construction must not be folded into
+// the launch loop: if shard i's flow cache fails to construct after shards
+// 0..i-1 started serving, those goroutines would block forever on their
 // never-closed job rings — nothing in the early-return path would ever
 // close them.
-func makeShards(cl Classifier, cfg *Config) ([]*shard, error) {
-	bc := cfg.batcher(cl)
-	// With pipelining on, the flow cache's slow path is the pipelined
-	// adapter, so cache-miss sub-batches take the staged walk too. The
-	// raw classifier keeps serving the per-packet and generation roles.
-	cacheSlow := cl
-	if bc != nil {
-		cacheSlow = bc
-	}
+func makeShards(cl Classifier, resolver TenantResolver, cfg *Config) ([]*shard, error) {
 	shards := make([]*shard, cfg.Shards)
 	for i := range shards {
-		s := &shard{lane: lane{cl: cl, bc: bc}, jobs: make(chan *batch, cfg.QueueDepth)}
-		if cfg.FlowCacheFlows > 0 {
-			c, err := newFlowCache(cacheSlow, cfg.FlowCacheFlows)
+		s := &shard{lane: lane{cl: cl, bc: cfg.batcher(cl)}, jobs: make(chan *batch, cfg.QueueDepth)}
+		if cfg.Metrics != nil {
+			s.m = cfg.Metrics.shard(i)
+			s.events = cfg.Metrics.events
+		}
+		if resolver != nil {
+			if err := s.serveTenants(resolver, cfg, i); err != nil {
+				return nil, err
+			}
+		} else if cfg.FlowCacheFlows > 0 {
+			c, err := newFlowCache(s.slow(), cfg.FlowCacheFlows)
 			if err != nil {
 				return nil, fmt.Errorf("engine: shard %d flow cache: %w", i, err)
 			}
-			s.cache = c
+			s.cache, s.counters = c, c
 			s.gen, _ = cl.(generationProvider)
 			if s.gen != nil {
 				s.lastGen = s.gen.Generation()
 			}
-		}
-		if cfg.Metrics != nil {
-			s.m = cfg.Metrics.shard(i)
-			s.events = cfg.Metrics.events
 		}
 		shards[i] = s
 	}
 	return shards, nil
 }
 
-// runShards is the serve loop behind RunContext and RunStream. next
-// surrenders the input a run of headers at a time (valid until the next
-// call; more=false ends the input); a run shorter than a batch is a batch
-// boundary and flushes every half-built batch (see Source). Each lane gets
-// workers serving goroutines — more than one only when nothing is private
-// to the lane. It returns once every pulled packet has been emitted, with
-// how many were pulled and the emit stage's error, if any.
-func runShards(ctx context.Context, cl Classifier, cfg *Config, shards []*shard, workers int,
-	next func() (hs []rules.Header, more bool), emit func(Result)) (Stats, int, error) {
+// runShards is the serve loop behind RunContext, RunStream and RunTenants.
+// next surrenders the input a run of headers at a time, with each header's
+// tenant (tids nil: all tenant 0); both slices are valid until the next
+// call, and more=false ends the input. A run shorter than a batch is a
+// batch boundary and flushes every half-built batch (see Source). led, set
+// on the tenant path only, receives the per-tenant accounting. runShards
+// returns once every pulled packet has been emitted, with how many were
+// pulled and the emit stage's error, if any.
+func runShards(ctx context.Context, cl Classifier, cfg *Config, shards []*shard, led *tenantLedger,
+	next func() (hs []rules.Header, tids []uint32, more bool), emit func(Result)) (Stats, int, error) {
 	nShards := len(shards)
 	// Sized like a job ring: a lane that finishes a batch should find room
 	// for it rather than wait on the sequencer.
@@ -264,78 +267,134 @@ func runShards(ctx context.Context, cl Classifier, cfg *Config, shards []*shard,
 	pool := newBatchPool(cfg.BatchSize)
 	var wg sync.WaitGroup
 	for _, s := range shards {
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				s.serve(ctx, results)
-			}()
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.serve(ctx, results)
+		}()
 	}
 
-	// pulled is written by the dispatcher before it closes the job rings
-	// and read after results closes; the closes order the two.
+	// pulled (and led.offered) are written by the dispatcher before it
+	// closes the job rings and read after results closes; the closes order
+	// the two.
 	var pulled uint64
 	go func() {
-		// Dispatcher: bin each pull into per-shard pending batches by flow
-		// hash, send a batch when it fills, and flush the half-built ones
-		// when a pull comes up short. Cancellation is polled once per pull;
-		// the pending batches it cuts off are delivered as canceled results
-		// — never silently dropped — because their sequence numbers sit
-		// between already-dispatched ones. Only what was never pulled is
-		// left out.
+		// Dispatcher: bin each pull into pending batches by (tenant, flow
+		// hash), send a batch when it fills, and flush the half-built ones
+		// when a pull comes up short. Every batch is single-tenant, bound
+		// for one shard. Cancellation is polled once per pull; the pending
+		// batches it cuts off are delivered as canceled results — never
+		// silently dropped — because their sequence numbers sit between
+		// already-dispatched ones. Only what was never pulled is left out.
 		defer func() {
 			for _, s := range shards {
 				close(s.jobs)
 			}
 		}()
-		shed, size := cfg.Overload == OverloadShed, cfg.BatchSize
-		pending := make([]*batch, nShards)
-		var seq uint64
-		defer func() { pulled = seq }()
-		for {
-			var hs []rules.Header
-			more := false
-			err := ctx.Err()
-			if err == nil {
-				hs, more = next()
+		// rows holds each tenant's pending batches, one slot per shard. A
+		// single-table run bins every pull into tenant 0's row, held in row0,
+		// so it makes no map access at all.
+		rows := make(map[uint32][]*batch)
+		rowOf := func(tid uint32) []*batch {
+			row := rows[tid]
+			if row == nil {
+				row = make([]*batch, nShards)
+				rows[tid] = row
 			}
+			return row
+		}
+		// send hands a batch to its shard, or — failed with err, or shed —
+		// straight to the sequencer. The overload policy is cfg's, or on the
+		// tenant path the tenant lane's own (cfg's for an unknown tenant). A
+		// shedding dispatcher never waits: a batch that finds the ring full
+		// overtakes the queued ones to the sequencer as ErrShed markers.
+		send := func(b *batch, err error) {
+			s := shards[b.si]
+			if led != nil {
+				led.counts(led.offered, b.tenant, b.si).Offered += uint64(len(b.hs))
+			}
+			shed := cfg.Overload == OverloadShed
+			if s.tenants != nil {
+				if tl := s.tenants.resolver.Lane(b.tenant); tl != nil {
+					shed = tl.ShedOnOverload()
+				}
+			}
+			switch {
+			case err != nil:
+			case !shed:
+				s.jobs <- b
+				return
+			default:
+				select {
+				case s.jobs <- b:
+					return
+				default:
+					err = ErrShed
+				}
+			}
+			fail(b, err, s.m)
+			results <- b
+		}
+		// bin files a run of one tenant's packets, numbered from seq, into
+		// the tenant's row and returns the next number. It is a call of its
+		// own so the per-packet loop keeps its state in registers.
+		size := cfg.BatchSize
+		bin := func(hs []rules.Header, tid uint32, row []*batch, seq uint64) uint64 {
 			for _, h := range hs {
 				si := 0
 				if nShards > 1 {
-					si = shardOf(h, nShards)
+					si = shardOf(tid, h, nShards)
 				}
-				b := pending[si]
+				b := row[si]
 				if b == nil {
 					b = pool.get()
-					pending[si] = b
+					b.tenant, b.si = tid, si
+					row[si] = b
 				}
 				b.seqs = append(b.seqs, seq)
 				b.hs = append(b.hs, h)
 				seq++
 				if len(b.hs) == size {
-					pending[si] = nil
-					dispatch(b, shards[si].jobs, results, shed, shards[si].m)
+					row[si] = nil
+					send(b, nil)
 				}
+			}
+			return seq
+		}
+		row0, seq := rowOf(0), uint64(0)
+		for {
+			var hs []rules.Header
+			var tids []uint32
+			more := false
+			err := ctx.Err()
+			if err == nil {
+				hs, tids, more = next()
+			}
+			if tids == nil {
+				seq = bin(hs, 0, row0, seq)
+			}
+			// The tenant path bins each run of equal tenant IDs at once.
+			for lo, hi := 0, 0; lo < len(tids); lo = hi {
+				tid := tids[lo]
+				for hi = lo + 1; hi < len(tids) && tids[hi] == tid; hi++ {
+				}
+				seq = bin(hs[lo:hi], tid, rowOf(tid), seq)
 			}
 			if more && len(hs) == size {
 				continue
 			}
 			// A short pull, the end of the input, or cancellation: nothing
 			// stays half-built.
-			for si, b := range pending {
-				if b == nil {
-					continue
-				}
-				pending[si] = nil
-				if err != nil {
-					fail(b, err, shards[si].m)
-					results <- b
-				} else {
-					dispatch(b, shards[si].jobs, results, shed, shards[si].m)
+			for _, row := range rows {
+				for si, b := range row {
+					if b != nil {
+						row[si] = nil
+						send(b, err)
+					}
 				}
 			}
 			if !more {
+				pulled = seq
 				return
 			}
 		}
@@ -354,7 +413,12 @@ func runShards(ctx context.Context, cl Classifier, cfg *Config, shards []*shard,
 	// Draining results unconditionally until close is what guarantees the
 	// lanes can always deliver and never leak.
 	for b := range results {
-		seq.accept(b)
+		if led == nil {
+			seq.accept(b)
+			continue
+		}
+		sc := led.counts(led.outcomes, b.tenant, b.si) // accept may recycle b
+		sc.add(seq.accept(b))
 	}
 	if describes {
 		// Re-sampled after the last result drained so a mid-run hot-swap
@@ -363,7 +427,7 @@ func runShards(ctx context.Context, cl Classifier, cfg *Config, shards []*shard,
 	}
 	st.ShardBusy = make([]time.Duration, nShards)
 	for i, s := range shards {
-		st.ShardBusy[i] = time.Duration(s.busy.Load())
+		st.ShardBusy[i] = s.busy
 	}
 	return st, int(pulled), seq.finish()
 }

@@ -60,12 +60,12 @@ func TestFlowAffinityIsStable(t *testing.T) {
 	_, _, headers := fixtures(t, 500)
 	for _, shards := range []int{2, 7, 16} {
 		for _, h := range headers {
-			a, b := shardOf(h, shards), shardOf(h, shards)
+			a, b := shardOf(0, h, shards), shardOf(0, h, shards)
 			if a != b {
 				t.Fatalf("shardOf not deterministic for %v", h)
 			}
 			if a < 0 || a >= shards {
-				t.Fatalf("shardOf(%v, %d) = %d out of range", h, shards, a)
+				t.Fatalf("shardOf(0, %v, %d) = %d out of range", h, shards, a)
 			}
 		}
 	}

@@ -4,7 +4,8 @@
 // RunStream runs the same core (runShards in shard.go) — flow-affine
 // dispatch, private flow caches, the sequencer, shed/cancel accounting
 // and panic containment — off a Source that surrenders headers in pulls.
-// The slice path is that core too, pulling views of the slice.
+// The slice and multi-tenant paths are that core too, pulling their
+// slices a batch at a time.
 package engine
 
 import (
@@ -65,16 +66,14 @@ func RunStream(ctx context.Context, cl Classifier, cfg Config, src Source, emit 
 	if src == nil {
 		return Stats{}, fmt.Errorf("engine: nil Source")
 	}
-	shards, err := makeShards(cl, &cfg)
+	shards, err := makeShards(cl, nil, &cfg)
 	if err != nil {
 		return Stats{}, err
 	}
 	scratch := make([]rules.Header, cfg.BatchSize)
-	// One serving goroutine per shard, whatever cfg.Workers says: with
-	// ordering off a one-shard stream still emits in pull order.
-	st, pulled, emitErr := runShards(ctx, cl, &cfg, shards, 1, func() ([]rules.Header, bool) {
+	st, pulled, emitErr := runShards(ctx, cl, &cfg, shards, nil, func() ([]rules.Header, []uint32, bool) {
 		n, ok := src.Next(scratch)
-		return scratch[:n], ok
+		return scratch[:n], nil, ok
 	}, emit)
 	return st, runErr(ctx, &st, emitErr, pulled)
 }

@@ -40,17 +40,16 @@ func TestStreamMatchesSlicePath(t *testing.T) {
 	}
 }
 
-// A one-shard stream is one serving goroutine whatever Config.Workers
-// says (the worker pool belongs to RunContext's slice path): with ordering
-// off it still emits in pull order and the sequencer holds nothing, even
-// when some packets are slow enough that pool workers would overtake them.
-func TestStreamSingleShardIgnoresWorkers(t *testing.T) {
+// A one-shard stream is one serving goroutine: with ordering off it still
+// emits in pull order and the sequencer holds nothing, even when some
+// packets are slow enough that a second goroutine would overtake them.
+func TestStreamSingleShardEmitsInPullOrder(t *testing.T) {
 	rs, tree, headers := fixtures(t, 3000)
 	for _, ordered := range []bool{false, true} {
 		slow := &slowEveryN{inner: tree, n: 50}
 		var next uint64
 		st, err := RunStream(context.Background(), slow,
-			Config{Shards: 1, Workers: 8, PreserveOrder: ordered},
+			Config{Shards: 1, PreserveOrder: ordered},
 			&SliceSource{Headers: headers}, func(r Result) {
 				if r.Seq != next {
 					t.Fatalf("ordered=%v: seq %d emitted, want %d", ordered, r.Seq, next)

@@ -1,13 +1,15 @@
 // Multi-tenant serving: thousands of independent rule tables multiplexed
-// over the same shard loops. Each packet carries a tenant ID; the
-// dispatcher bins packets by (tenant, flow) so every dispatched batch is
-// single-tenant by construction, and each shard keeps one classification
-// lane per tenant — the tenant's classifier, its own flow-cache
-// partition with its own epoch, and its own generation bracket, so a
-// batch never straddles one tenant's hot-swap and one tenant's
-// invalidation never stales another's cache. The NP analogue is SRAM
-// banking: one physical memory, per-tenant banks, no cross-bank
-// interference.
+// over the engine's one serve loop (runShards in shard.go). Each packet
+// carries a tenant ID; the dispatcher bins packets by (tenant, flow) so
+// every dispatched batch is single-tenant by construction, and each shard
+// resolves a batch's tenant to a lane of its own — the tenant's
+// classifier, its own flow-cache partition with its own epoch, and its
+// own generation bracket, so a batch never straddles one tenant's
+// hot-swap and one tenant's invalidation never stales another's cache.
+// The NP analogue is SRAM banking: one physical memory, per-tenant banks,
+// no cross-bank interference. A single-table run is the one-tenant case
+// of the same loop: every packet is tenant 0 and every batch is served on
+// the shard's one lane.
 //
 // Isolation is the contract, not an optimization: a hostile tenant may
 // drive its own lane to the bottom of its degradation ladder, flood its
@@ -20,8 +22,7 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sync"
-	"time"
+	"reflect"
 
 	"repro/internal/flowcache"
 	"repro/internal/obs"
@@ -56,6 +57,12 @@ type TenantResult struct {
 // update.Manager contract) get per-batch generation bracketing — both
 // detected dynamically, exactly like RunContext detects them on a bare
 // classifier. internal/tenant.Runtime is the canonical implementation.
+//
+// A lane's dynamic value must be comparable — a pointer, or a struct
+// whose fields are all comparable: each shard tells a rebind apart from
+// the lane it already built by comparing the resolver's answer with it.
+// A lane that cannot be compared (one holding a slice, map or func) is
+// refused: its packets fail with ErrLaneUncomparable.
 type TenantLane interface {
 	Classifier
 	// ShedOnOverload reports the tenant's overload policy: true to shed
@@ -77,6 +84,11 @@ type TenantResolver interface {
 // does not know. It wraps ErrShed: an unknown tenant is an admission
 // refusal, accounted as shed, never as a failure of a serving tenant.
 var ErrUnknownTenant = fmt.Errorf("engine: unknown tenant: %w", ErrShed)
+
+// ErrLaneUncomparable marks results for packets whose tenant's lane is
+// not comparable (see TenantLane). Like ErrUnknownTenant it is an
+// admission refusal and wraps ErrShed.
+var ErrLaneUncomparable = fmt.Errorf("engine: tenant lane of uncomparable type: %w", ErrShed)
 
 // TenantCounts is one tenant's packet accounting on one shard (or in
 // total). The identity Offered == Classified + Shed + Canceled +
@@ -112,145 +124,122 @@ type TenantStats struct {
 	Tenants map[uint32]*TenantBreakdown
 }
 
-// tenantShardOf pins (tenant, flow) to a shard: same flow hash as the
-// single-table path, with the tenant ID folded in so two tenants'
-// identical 5-tuples spread independently.
-func tenantShardOf(tid uint32, h rules.Header, shards int) int {
-	x := uint64(flowHash(h) ^ (tid * 0x9E3779B1))
-	return int(x * uint64(shards) >> 32)
+// tenantLedger is RunTenants' per-tenant accounting, kept by two
+// bookkeepers that share no state: the dispatcher tallies Offered for
+// every batch it hands off, the emission goroutine each arrived batch's
+// outcomes. The accounting identity then cross-checks the one against the
+// other.
+type tenantLedger struct {
+	shards            int
+	offered, outcomes map[uint32]*TenantBreakdown
 }
 
-// tenantLaneState is one (shard, tenant) lane plus the TenantLane it was
-// built from, so a registry rebind (Remove + Add, or a swapped runtime)
-// is detected as a pointer change and the lane rebuilt from scratch.
-type tenantLaneState struct {
-	lane
-	src TenantLane
+// counts is tenant tid's tally on shard si in m, created on first use.
+func (l *tenantLedger) counts(m map[uint32]*TenantBreakdown, tid uint32, si int) *TenantCounts {
+	bd := m[tid]
+	if bd == nil {
+		bd = &TenantBreakdown{Shards: make([]TenantCounts, l.shards)}
+		m[tid] = bd
+	}
+	return &bd.Shards[si]
 }
 
-// tenantShard is one serving loop of the multi-tenant path. Like shard,
-// everything here is single-goroutine: the dispatcher touches only the
-// job ring, the serve goroutine owns the lane map and the flow-cache
-// partitions.
-type tenantShard struct {
-	jobs chan *batch
-
-	si       int
+// tenantLanes is a multi-tenant shard's lane table. Like the rest of the
+// shard it belongs to the serve goroutine; the dispatcher reads only the
+// resolver.
+type tenantLanes struct {
 	resolver TenantResolver
-	lanes    map[uint32]*tenantLaneState
+	cfg      *Config
+	lanes    map[uint32]*lane
 	parts    *flowcache.Partitioned // nil when FlowCacheFlows == 0
-	// Pipelined stage walk for lanes whose classifier supports it
-	// (Config.PipelineGroup / Config.PipelineAffine).
-	pipeGroup  int
-	pipeAffine bool
+}
 
-	busy time.Duration
-
-	m      *shardMetrics
-	events *obs.Ring
-	// The partitions' previous cumulative counter readings, so hits and
-	// misses are exported as per-batch deltas (as shard does for its cache).
-	lastHits, lastMisses uint64
+// serveTenants makes s a multi-tenant shard: lanes are built on demand
+// from the resolver, and with FlowCacheFlows set each tenant gets its own
+// flow-cache partition, at most cfg.TenantPartitions resident at once.
+func (s *shard) serveTenants(resolver TenantResolver, cfg *Config, si int) error {
+	t := &tenantLanes{resolver: resolver, cfg: cfg, lanes: make(map[uint32]*lane)}
+	if cfg.FlowCacheFlows > 0 {
+		p, err := flowcache.NewPartitioned(cfg.FlowCacheFlows, cfg.TenantPartitions)
+		if err != nil {
+			return fmt.Errorf("engine: shard %d tenant partitions: %w", si, err)
+		}
+		events := s.events
+		p.OnEvict = func(victim uint32) {
+			delete(t.lanes, victim)
+			events.Recordf(obs.EventTenantEvicted,
+				"tenant %d flow-cache partition reclaimed on shard %d", victim, si)
+		}
+		t.parts, s.counters = p, p
+	}
+	s.tenants = t
+	return nil
 }
 
 // laneFor resolves the tenant's lane, (re)building it on first sight or
 // rebind and re-resolving the flow-cache partition every call (the
 // partition may have been reclaimed for another tenant since the last
 // batch; Partition also stamps recency, which is what drives partition
-// eviction by actual traffic). Returns nil for unknown tenants. The
-// steady state — known tenant, resident partition — is two map reads.
-func (s *tenantShard) laneFor(tid uint32) *lane {
-	tl := s.resolver.Lane(tid)
+// eviction by actual traffic). Unknown tenants and uncomparable lanes are
+// refused with their error. The steady state — known tenant, resident
+// partition — is two map reads.
+func (t *tenantLanes) laneFor(tid uint32) (*lane, error) {
+	tl := t.resolver.Lane(tid)
 	if tl == nil {
 		// Tenant gone (or never existed): drop whatever lane state it had
 		// so a later re-add starts clean.
-		if _, ok := s.lanes[tid]; ok {
-			delete(s.lanes, tid)
-			if s.parts != nil {
-				s.parts.Drop(tid)
-			}
-		}
-		return nil
+		t.drop(tid)
+		return nil, ErrUnknownTenant
 	}
-	ls, ok := s.lanes[tid]
-	if !ok || ls.src != tl {
-		if ok && s.parts != nil {
-			// Rebind: the cached partition fronts the old lane's slow path.
-			s.parts.Drop(tid)
+	l, ok := t.lanes[tid]
+	// Only comparable lanes are ever stored, so this comparison cannot
+	// panic: two interface values compare unequal without inspecting
+	// either value when their dynamic types differ.
+	if !ok || l.cl != tl {
+		// First sight or rebind. A rebound tenant's partition fronts the
+		// old lane's slow path, so it goes with the old lane.
+		t.drop(tid)
+		if !reflect.ValueOf(tl).Comparable() {
+			return nil, ErrLaneUncomparable
 		}
-		if !ok {
-			ls = &tenantLaneState{}
-			s.lanes[tid] = ls
-		}
-		ls.src = tl
-		ls.cl = tl
-		ls.bc, _ = tl.(BatchClassifier)
-		if s.pipeGroup > 0 {
-			if pc, ok := tl.(PipelinedClassifier); ok {
-				// The tenant's batches (and, below, its flow-cache
-				// partition's miss sub-batches) take the staged walk.
-				ls.bc = pipelined{pc: pc, group: s.pipeGroup, affine: s.pipeAffine}
-			}
-		}
-		ls.gen, _ = tl.(generationProvider)
-		ls.cache = nil
-		ls.lastGen = 0
+		l = &lane{cl: tl, bc: t.cfg.batcher(tl)}
+		l.gen, _ = tl.(generationProvider)
+		t.lanes[tid] = l
 	}
-	if s.parts != nil {
-		slow := Classifier(tl)
-		if ls.bc != nil {
-			slow = ls.bc
-		}
-		c, err := s.parts.Partition(tid, slow)
+	if t.parts != nil {
+		c, err := t.parts.Partition(tid, l.slow())
 		if err != nil {
 			// Unreachable: bounds are validated at construction. Serve
 			// cache-free rather than fail the batch.
 			c = nil
 		}
-		if c != ls.cache {
+		if c != l.cache {
 			// Fresh partition (first use, or re-admitted after eviction):
 			// it is empty, so bracket from the current generation.
-			ls.cache = c
-			if ls.gen != nil {
-				ls.lastGen = ls.gen.Generation()
+			l.cache = c
+			if l.gen != nil {
+				l.lastGen = l.gen.Generation()
 			}
 		}
 	}
-	return &ls.lane
+	return l, nil
 }
 
-// serve is the tenant shard loop: resolve the batch's lane, classify in
-// place under the tenant's own generation bracket, pass the batch on.
-func (s *tenantShard) serve(ctx context.Context, results chan<- *batch) {
-	for b := range s.jobs {
-		queued := len(s.jobs)
-		if err := ctx.Err(); err != nil {
-			fail(b, err, s.m)
-		} else if l := s.laneFor(b.tenant); l == nil {
-			fail(b, ErrUnknownTenant, s.m)
-		} else {
-			start := time.Now()
-			p := l.classify(b, s.m, s.events)
-			busy := time.Since(start)
-			s.busy += busy
-			if s.m != nil {
-				s.m.recordBatch(len(b.hs), busy, queued)
-				s.m.addPanics(uint64(p))
-				if s.parts != nil {
-					hits, misses := s.parts.Stats()
-					s.m.recordCache(hits, misses, &s.lastHits, &s.lastMisses)
-				}
-			}
+// drop forgets a tenant's lane and flow-cache partition.
+func (t *tenantLanes) drop(tid uint32) {
+	if _, ok := t.lanes[tid]; ok {
+		delete(t.lanes, tid)
+		if t.parts != nil {
+			t.parts.Drop(tid)
 		}
-		results <- b
 	}
 }
 
 // RunTenants serves a multi-tenant packet stream through cfg.Shards
-// tenant-aware shard loops and returns per-tenant accounting alongside
-// the usual aggregate Stats. Contracts mirror RunContext's sharded path —
-// ordered emission under PreserveOrder, batch-granular shed/cancel,
-// per-packet panic attribution — with tenancy layered on:
+// tenant-aware shards and returns per-tenant accounting alongside the
+// usual aggregate Stats. Contracts mirror RunContext's — ordered emission
+// under PreserveOrder, batch-granular shed/cancel, per-packet panic
+// attribution — with tenancy layered on:
 //
 //   - every batch is single-tenant, so per-batch generation bracketing is
 //     per-tenant bracketing;
@@ -259,8 +248,9 @@ func (s *tenantShard) serve(ctx context.Context, results chan<- *batch) {
 //     stalls the dispatcher when its shard queue fills — head-of-line
 //     blocking that can delay other tenants' dispatch; shed is the
 //     isolating policy and what hostile-tenant configurations should use;
-//   - packets of unknown tenants are refused with ErrUnknownTenant
-//     (accounted as shed, never silently dropped);
+//   - packets of unknown tenants are refused with ErrUnknownTenant, and
+//     those of tenants with uncomparable lanes with ErrLaneUncomparable
+//     (both accounted as shed, never silently dropped);
 //   - cfg.FlowCacheFlows sizes each tenant's per-shard cache partition
 //     and cfg.TenantPartitions bounds resident partitions per shard.
 //
@@ -274,163 +264,45 @@ func RunTenants(ctx context.Context, resolver TenantResolver, cfg Config, pkts [
 	if err := cfg.fillDefaults(); err != nil {
 		return ts, err
 	}
-	nShards := cfg.Shards
-	ts.Stats.Shards = nShards
-	shardFor := func(p TenantPacket) int {
-		if nShards > 1 {
-			return tenantShardOf(p.Tenant, p.Header, nShards)
-		}
-		return 0
+	shards, err := makeShards(nil, resolver, &cfg)
+	if err != nil {
+		return ts, err
 	}
-	bdOf := func(m map[uint32]*TenantBreakdown, tid uint32) *TenantBreakdown {
-		bd := m[tid]
-		if bd == nil {
-			bd = &TenantBreakdown{Shards: make([]TenantCounts, nShards)}
-			m[tid] = bd
-		}
-		return bd
-	}
-
-	// Sized like a job ring: a lane that finishes a batch should find room
-	// for it rather than wait on the sequencer.
-	results := make(chan *batch, cfg.QueueDepth)
-	pool := newBatchPool(cfg.BatchSize)
-	shards := make([]*tenantShard, nShards)
-	for i := range shards {
-		s := &tenantShard{
-			jobs:       make(chan *batch, cfg.QueueDepth),
-			si:         i,
-			resolver:   resolver,
-			lanes:      make(map[uint32]*tenantLaneState),
-			pipeGroup:  cfg.PipelineGroup,
-			pipeAffine: cfg.PipelineAffine,
-		}
-		if cfg.FlowCacheFlows > 0 {
-			p, err := flowcache.NewPartitioned(cfg.FlowCacheFlows, cfg.TenantPartitions)
-			if err != nil {
-				return ts, fmt.Errorf("engine: shard %d tenant partitions: %w", i, err)
-			}
-			events := cfg.Metrics.eventsRing()
-			p.OnEvict = func(victim uint32) {
-				delete(s.lanes, victim)
-				events.Recordf(obs.EventTenantEvicted,
-					"tenant %d flow-cache partition reclaimed on shard %d", victim, s.si)
-			}
-			s.parts = p
-		}
-		if cfg.Metrics != nil {
-			s.m = cfg.Metrics.shard(i)
-			s.events = cfg.Metrics.events
-		}
-		shards[i] = s
-	}
-	var wg sync.WaitGroup
-	for _, s := range shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.serve(ctx, results)
-		}()
-	}
-
-	// The dispatcher keeps its own per-(tenant, shard) Offered tally,
-	// independent of the emission side's outcome tally — the accounting
-	// identity is cross-checked between two bookkeepers that share no state.
-	// The map travels over a channel once dispatch ends (which
-	// happens-before results closes).
-	offeredCh := make(chan map[uint32]*TenantBreakdown, 1)
-	undispatched := 0 // ordered like offered: written before offeredCh is sent on
-	go func() {
-		offered := make(map[uint32]*TenantBreakdown)
-		defer func() {
-			offeredCh <- offered
-			for _, s := range shards {
-				close(s.jobs)
-			}
-		}()
-		// pending is keyed by (tenant, shard): batches are single-tenant,
-		// so two tenants interleaved on one shard fill separate batches.
-		pending := make(map[uint64]*batch)
-		flush := func(key uint64, b *batch) {
-			delete(pending, key)
-			s := shards[b.si]
-			shed := cfg.Overload == OverloadShed
-			if tl := resolver.Lane(b.tenant); tl != nil {
-				shed = tl.ShedOnOverload()
-			}
-			dispatch(b, s.jobs, results, shed, s.m)
-		}
-		n := len(pkts)
-		for i := 0; i < n; i += cfg.BatchSize {
-			if err := ctx.Err(); err != nil {
-				// Count the contiguous undispatched tail per tenant (Offered
-				// and Canceled both — they were offered to this run and went
-				// nowhere), then fail the cut-off pending batches through the
-				// results channel.
-				undispatched = n - i
-				cfg.Metrics.recordUndispatched(uint64(n - i))
-				for _, p := range pkts[i:] {
-					sc := &bdOf(offered, p.Tenant).Shards[shardFor(p)]
-					sc.Offered++
-					sc.Canceled++
-				}
-				for key, b := range pending {
-					delete(pending, key)
-					fail(b, err, shards[b.si].m)
-					results <- b
-				}
-				return
-			}
-			for k, p := range pkts[i:min(i+cfg.BatchSize, n)] {
-				si := shardFor(p)
-				bdOf(offered, p.Tenant).Shards[si].Offered++
-				key := uint64(p.Tenant)<<32 | uint64(uint32(si))
-				b := pending[key]
-				if b == nil {
-					b = pool.get()
-					b.tenant, b.si = p.Tenant, si
-					pending[key] = b
-				}
-				b.seqs = append(b.seqs, uint64(i+k))
-				b.hs = append(b.hs, p.Header)
-				if len(b.hs) == cfg.BatchSize {
-					flush(key, b)
-				}
-			}
-		}
-		for key, b := range pending {
-			flush(key, b)
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
+	n := cfg.Shards
 	userEmit := func(Result) {}
 	if emit != nil {
 		userEmit = func(r Result) {
 			p := pkts[r.Seq]
-			emit(TenantResult{Result: r, Tenant: p.Tenant, Shard: shardFor(p)})
+			emit(TenantResult{Result: r, Tenant: p.Tenant, Shard: shardOf(p.Tenant, p.Header, n)})
 		}
 	}
-	seq := newSequencer(&cfg, &ts.Stats, pool, userEmit)
-	// Outcomes are tallied per batch at receipt — they are final before
-	// the sequencer touches them, and every batch is single-tenant from a
-	// known shard, so attribution is two field reads, not a per-result map
-	// lookup.
-	for b := range results {
-		sc := &bdOf(ts.Tenants, b.tenant).Shards[b.si] // accept may recycle b
-		sc.add(seq.accept(b))
-	}
+	led := &tenantLedger{shards: n, offered: make(map[uint32]*TenantBreakdown), outcomes: ts.Tenants}
+	hs, tids := make([]rules.Header, cfg.BatchSize), make([]uint32, cfg.BatchSize)
+	off := 0
+	st, pulled, emitErr := runShards(ctx, nil, &cfg, shards, led, func() ([]rules.Header, []uint32, bool) {
+		view := pkts[off:min(off+cfg.BatchSize, len(pkts))]
+		for i, p := range view {
+			hs[i], tids[i] = p.Header, p.Tenant
+		}
+		off += len(view)
+		return hs[:len(view)], tids[:len(view)], off < len(pkts)
+	}, userEmit)
+	ts.Stats = st
 
-	// Fold the dispatcher's independent Offered/undispatched ledger in and
-	// derive totals.
-	for tid, bd := range <-offeredCh {
-		dst := bdOf(ts.Tenants, tid)
+	// The contiguous tail the dispatcher never pulled was offered to this
+	// run and went nowhere: Offered and Canceled both, never emitted.
+	tail := pkts[pulled:]
+	ts.Canceled += len(tail)
+	cfg.Metrics.recordUndispatched(uint64(len(tail)))
+	for _, p := range tail {
+		sc := led.counts(ts.Tenants, p.Tenant, shardOf(p.Tenant, p.Header, n))
+		sc.Offered++
+		sc.Canceled++
+	}
+	// Fold the dispatcher's independent Offered ledger in and derive totals.
+	for tid, bd := range led.offered {
 		for si := range bd.Shards {
-			dst.Shards[si].Offered += bd.Shards[si].Offered
-			dst.Shards[si].Canceled += bd.Shards[si].Canceled
+			led.counts(ts.Tenants, tid, si).Offered += bd.Shards[si].Offered
 		}
 	}
 	for _, bd := range ts.Tenants {
@@ -438,11 +310,5 @@ func RunTenants(ctx context.Context, resolver TenantResolver, cfg Config, pkts [
 			bd.Total.add(bd.Shards[si])
 		}
 	}
-
-	ts.Stats.Canceled += undispatched
-	ts.Stats.ShardBusy = make([]time.Duration, nShards)
-	for i, s := range shards {
-		ts.Stats.ShardBusy[i] = s.busy
-	}
-	return ts, runErr(ctx, &ts.Stats, seq.finish(), len(pkts))
+	return ts, runErr(ctx, &ts.Stats, emitErr, len(pkts))
 }

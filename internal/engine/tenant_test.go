@@ -3,12 +3,14 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/flowcache"
 	"repro/internal/obs"
 	"repro/internal/rules"
 )
@@ -22,6 +24,24 @@ type stubLane struct {
 }
 
 func (s *stubLane) ShedOnOverload() bool { return s.shed }
+
+// batchLane is stubLane over a batched classifier, so the engine takes
+// the same batched path it takes for the bare classifier.
+type batchLane struct {
+	BatchClassifier
+	shed bool
+}
+
+func (b *batchLane) ShedOnOverload() bool { return b.shed }
+
+// asLane wraps cl as a TenantLane with the given overload policy, keeping
+// its batched path when it has one.
+func asLane(cl Classifier, shed bool) TenantLane {
+	if bc, ok := cl.(BatchClassifier); ok {
+		return &batchLane{BatchClassifier: bc, shed: shed}
+	}
+	return &stubLane{Classifier: cl, shed: shed}
+}
 
 // mapResolver resolves lanes from a plain map; a missing key yields the
 // untyped nil the TenantResolver contract requires.
@@ -111,11 +131,8 @@ func TestRunTenantsMatchesPerTenantOracle(t *testing.T) {
 					t.Fatalf("shards=%d seq %d: tenant %d got match %d — cross-tenant classification",
 						shards, r.Seq, r.Tenant, r.Match)
 				}
-				if want := 0; shards > 1 {
-					want = tenantShardOf(r.Tenant, r.Header, shards)
-					if r.Shard != want {
-						t.Fatalf("shards=%d seq %d: shard %d, want %d", shards, r.Seq, r.Shard, want)
-					}
+				if want := shardOf(r.Tenant, r.Header, shards); r.Shard != want {
+					t.Fatalf("shards=%d seq %d: shard %d, want %d", shards, r.Seq, r.Shard, want)
 				}
 				seen++
 			})
@@ -350,14 +367,14 @@ func TestTenantShardOfSpreads(t *testing.T) {
 	for _, shards := range []int{2, 3, 8} {
 		differs := false
 		for _, h := range headers {
-			a := tenantShardOf(1, h, shards)
-			if a != tenantShardOf(1, h, shards) {
-				t.Fatalf("tenantShardOf not deterministic for %v", h)
+			a := shardOf(1, h, shards)
+			if a != shardOf(1, h, shards) {
+				t.Fatalf("shardOf not deterministic for %v", h)
 			}
 			if a < 0 || a >= shards {
-				t.Fatalf("tenantShardOf out of range: %d of %d", a, shards)
+				t.Fatalf("shardOf out of range: %d of %d", a, shards)
 			}
-			if tenantShardOf(2, h, shards) != a {
+			if shardOf(2, h, shards) != a {
 				differs = true
 			}
 		}
@@ -373,30 +390,20 @@ func TestTenantShardOfSpreads(t *testing.T) {
 // single-table sharded hot path.
 func TestTenantSteadyStateDoesNotAllocate(t *testing.T) {
 	_, tree, headers := fixtures(t, 64)
-	res := mapResolver{5: &stubLane{Classifier: tree}}
-	parts, err := flowcache.NewPartitioned(128, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &tenantShard{
-		si:       0,
-		resolver: res,
-		lanes:    make(map[uint32]*tenantLaneState),
-		parts:    parts,
-	}
+	s := newTenantShard(t, mapResolver{5: &stubLane{Classifier: tree}})
 	j := (&batchPool{size: 64}).get()
 	j.tenant = 5
 	for i, h := range headers {
 		j.seqs, j.hs = append(j.seqs, uint64(i)), append(j.hs, h)
 	}
 
-	l := s.laneFor(5)
-	if l == nil {
-		t.Fatal("laneFor(5) = nil")
+	l, err := s.tenants.laneFor(5)
+	if err != nil {
+		t.Fatalf("laneFor(5): %v", err)
 	}
 	l.classify(j, nil, nil) // warm lane and partition
 	if n := testing.AllocsPerRun(100, func() {
-		l := s.laneFor(5)
+		l, _ := s.tenants.laneFor(5)
 		l.classify(j, nil, nil)
 	}); n != 0 {
 		t.Errorf("warm tenant batch path allocates %v/op, want 0", n)
@@ -410,23 +417,27 @@ func TestTenantSteadyStateDoesNotAllocate(t *testing.T) {
 func TestTenantLaneRebind(t *testing.T) {
 	_, _, headers := fixtures(t, 64)
 	res := mapResolver{5: &stubLane{Classifier: faultinject.FixedClassifier{Match: 1}}}
-	parts, err := flowcache.NewPartitioned(128, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &tenantShard{si: 0, resolver: res, lanes: make(map[uint32]*tenantLaneState), parts: parts}
+	s := newTenantShard(t, res)
 	j := (&batchPool{size: 64}).get()
 	j.tenant = 5
 	for i, h := range headers {
 		j.seqs, j.hs = append(j.seqs, uint64(i)), append(j.hs, h)
 	}
-	s.laneFor(5).classify(j, nil, nil)
+	classify := func() {
+		t.Helper()
+		l, err := s.tenants.laneFor(5)
+		if err != nil {
+			t.Fatalf("laneFor(5): %v", err)
+		}
+		l.classify(j, nil, nil)
+	}
+	classify()
 	if j.matches[0] != 1 {
 		t.Fatalf("before rebind: match %d, want 1", j.matches[0])
 	}
 
 	res[5] = &stubLane{Classifier: faultinject.FixedClassifier{Match: 2}}
-	s.laneFor(5).classify(j, nil, nil)
+	classify()
 	for i, m := range j.matches {
 		if m != 2 {
 			t.Fatalf("after rebind: seq %d served stale match %d from the old lane's cache", i, m)
@@ -435,10 +446,133 @@ func TestTenantLaneRebind(t *testing.T) {
 
 	// And a vanished tenant drops its state entirely.
 	delete(res, 5)
-	if s.laneFor(5) != nil {
-		t.Fatal("laneFor survived tenant removal")
+	if l, err := s.tenants.laneFor(5); l != nil || !errors.Is(err, ErrUnknownTenant) {
+		t.Fatalf("laneFor after tenant removal = (%v, %v), want ErrUnknownTenant", l, err)
 	}
-	if _, ok := s.lanes[5]; ok {
+	if _, ok := s.tenants.lanes[5]; ok {
 		t.Fatal("stale lane state retained after tenant removal")
+	}
+}
+
+// newTenantShard builds the one shard of a multi-tenant run over res, with
+// 128-flow cache partitions, four resident at most.
+func newTenantShard(t *testing.T, res TenantResolver) *shard {
+	t.Helper()
+	cfg := Config{Shards: 1, FlowCacheFlows: 128, TenantPartitions: 4}
+	if err := cfg.fillDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	shards, err := makeShards(nil, res, &cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return shards[0]
+}
+
+// sliceLane is a TenantLane whose value cannot be compared: it holds a
+// slice, so == on two of them panics.
+type sliceLane struct {
+	Classifier
+	tags []int
+}
+
+func (sliceLane) ShedOnOverload() bool { return false }
+
+// wrapLane has a comparable type, but compares by comparing the value in
+// its interface field — here a sliceLane, so == on two of them panics too.
+type wrapLane struct{ TenantLane }
+
+// TestTenantLaneUncomparableRefused: a resolver handing out lanes that
+// cannot be compared must not take the process down — rebind detection
+// compares lanes, and a panic there is outside every containment — but
+// refuse the tenant's packets as ErrLaneUncomparable (a shed), with the
+// accounting identity intact and the comparable neighbour unharmed.
+func TestTenantLaneUncomparableRefused(t *testing.T) {
+	_, tree, headers := fixtures(t, 6000)
+	bad := sliceLane{Classifier: tree, tags: []int{1}}
+	res := mapResolver{1: bad, 2: &stubLane{Classifier: tree}, 3: wrapLane{bad}}
+	pkts := tenantStream(headers, []uint32{1, 2, 3})
+	for _, shards := range []int{1, 3} {
+		refused := map[uint32]uint64{}
+		ts, err := RunTenants(context.Background(), res, Config{Shards: shards, PreserveOrder: true}, pkts,
+			func(r TenantResult) {
+				switch {
+				case r.Tenant == 2 && r.Err != nil:
+					t.Fatalf("shards=%d seq %d: comparable tenant failed: %v", shards, r.Seq, r.Err)
+				case r.Tenant != 2 && !errors.Is(r.Err, ErrLaneUncomparable):
+					t.Fatalf("shards=%d seq %d: tenant %d err = %v, want ErrLaneUncomparable", shards, r.Seq, r.Tenant, r.Err)
+				case r.Tenant != 2:
+					refused[r.Tenant]++
+				}
+			})
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		checkTenantIdentity(t, ts, pkts, shards)
+		for _, tid := range []uint32{1, 3} {
+			bd := ts.Tenants[tid]
+			if bd.Total.Shed != bd.Total.Offered || refused[tid] != bd.Total.Offered {
+				t.Errorf("shards=%d tenant %d: %+v, %d refusals emitted; want everything shed", shards, tid, bd.Total, refused[tid])
+			}
+		}
+		if ok := ts.Tenants[2].Total; ok.Classified != ok.Offered {
+			t.Errorf("shards=%d: comparable tenant disturbed: %+v", shards, ok)
+		}
+	}
+}
+
+// TestRunTenantsOneTenantMatchesRunContext: a run whose packets are all
+// tenant 0 is the single-table run. The emitted (Seq, Match, Err) stream,
+// the Stats counts and the shard every packet is reported on must be
+// RunContext's, the shard being the single-table flow placement.
+func TestRunTenantsOneTenantMatchesRunContext(t *testing.T) {
+	_, tree, headers := fixtures(t, 4097) // 65 batches: no shard ring can fill, so nothing sheds
+	pkts := tenantStream(headers, []uint32{0})
+	type out struct {
+		seq   uint64
+		match int
+		err   error
+	}
+	for _, shards := range []int{1, 3, 8} {
+		for _, policy := range []OverloadPolicy{OverloadBlock, OverloadShed} {
+			for _, ordered := range []bool{true, false} {
+				name := fmt.Sprintf("shards=%d/%v/ordered=%v", shards, policy, ordered)
+				t.Run(name, func(t *testing.T) {
+					cfg := Config{Shards: shards, Overload: policy, PreserveOrder: ordered}
+					want := make([]out, 0, len(headers))
+					st, err := RunContext(context.Background(), tree, cfg, headers, func(r Result) {
+						want = append(want, out{r.Seq, r.Match, r.Err})
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := make([]out, 0, len(headers))
+					res := mapResolver{0: asLane(tree, policy == OverloadShed)}
+					ts, err := RunTenants(context.Background(), res, cfg, pkts, func(r TenantResult) {
+						got = append(got, out{r.Seq, r.Match, r.Err})
+						if place := int(uint64(flowHash(r.Header)) * uint64(shards) >> 32); r.Shard != place {
+							t.Fatalf("seq %d reported on shard %d, single-table placement %d", r.Seq, r.Shard, place)
+						}
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !ordered {
+						// Completion order is the scheduler's: compare by sequence number.
+						for _, s := range [][]out{want, got} {
+							sort.Slice(s, func(i, j int) bool { return s[i].seq < s[j].seq })
+						}
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("RunTenants emitted %d results, RunContext %d, and the streams differ", len(got), len(want))
+					}
+					g, w := ts.Stats, st
+					if g.Packets != w.Packets || g.Shed != w.Shed || g.Canceled != w.Canceled || g.Panics != w.Panics || g.Shards != w.Shards {
+						t.Errorf("stats: RunTenants %+v, RunContext %+v", g, w)
+					}
+					checkTenantIdentity(t, ts, pkts, shards)
+				})
+			}
+		}
 	}
 }

@@ -52,7 +52,7 @@ func ServeRuleSet(seed int64) (*rules.RuleSet, error) {
 // Serve measures engine throughput per-packet versus batched for the four
 // main algorithms on the 1k-rule ACL set. batchSize 0 uses the engine
 // default. The per-packet baseline is the same engine at BatchSize 1, so
-// the comparison isolates batching itself (same workers, same channels,
+// the comparison isolates batching itself (same shards, same channels,
 // same ordering guarantee).
 func Serve(ctx Context, batchSize int) ([]ServeRow, error) {
 	ctx.fillDefaults()

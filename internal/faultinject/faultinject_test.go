@@ -68,7 +68,7 @@ func TestEveryFailureModeDegradesGracefully(t *testing.T) {
 		base := runtime.NumGoroutine()
 		panicky := &PanickyClassifier{Inner: tree, EveryN: 250}
 		var contained int
-		st, err := engine.Run(panicky, engine.Config{Workers: 8, PreserveOrder: true}, headers,
+		st, err := engine.Run(panicky, engine.Config{Shards: 4, PreserveOrder: true}, headers,
 			func(r engine.Result) {
 				if r.Err != nil {
 					contained++
@@ -91,7 +91,7 @@ func TestEveryFailureModeDegradesGracefully(t *testing.T) {
 		slow := &SlowClassifier{Inner: tree, EveryN: 1, Delay: 100 * time.Microsecond}
 		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
 		defer cancel()
-		st, err := engine.RunContext(ctx, slow, engine.Config{Workers: 2}, headers, func(engine.Result) {})
+		st, err := engine.RunContext(ctx, slow, engine.Config{Shards: 2}, headers, func(engine.Result) {})
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Errorf("err = %v, want deadline exceeded", err)
 		}
@@ -105,7 +105,7 @@ func TestEveryFailureModeDegradesGracefully(t *testing.T) {
 		base := runtime.NumGoroutine()
 		slow := &SlowClassifier{Inner: tree, EveryN: 1, Delay: 30 * time.Microsecond}
 		st, err := engine.Run(slow,
-			engine.Config{Workers: 1, QueueDepth: 1, Overload: engine.OverloadShed},
+			engine.Config{QueueDepth: 1, Overload: engine.OverloadShed},
 			headers, func(engine.Result) {})
 		if err != nil {
 			t.Errorf("shedding must not fail the run: %v", err)

@@ -65,14 +65,6 @@ type Config struct {
 	Channels int
 	// Headroom weights the channel allocation (defaults to uniform).
 	Headroom memlayout.Headroom
-	// BuildWorkers fans subtree construction out over a bounded worker
-	// pool: the root's cells are statically partitioned into contiguous
-	// chunks, one builder goroutine per chunk, all charging the same
-	// build governor. 0 or 1 builds sequentially (the default). Parallel
-	// builds are deterministic for a fixed worker count and classify
-	// identically; sibling aggregation is scoped per chunk, so a parallel
-	// tree may share fewer nodes.
-	BuildWorkers int
 }
 
 // DefaultConfig matches the paper's HiCuts configuration: binth = 8,
@@ -119,9 +111,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.Channels < 1 || c.Channels > memlayout.NumChannels {
 		return fmt.Errorf("hicuts: channels %d out of [1,%d]", c.Channels, memlayout.NumChannels)
-	}
-	if c.BuildWorkers < 0 {
-		return fmt.Errorf("hicuts: build workers %d must be >= 0", c.BuildWorkers)
 	}
 	return nil
 }
@@ -177,10 +166,9 @@ type Tree struct {
 	ruleBase uint32
 }
 
-// hbuilder is the construction state of one build goroutine: each worker
-// of a parallel build gets its own, so the chooseDim scratch map is never
-// shared, while the governor on the Tree is (it is concurrency-safe and
-// bounds the build's total consumption).
+// hbuilder is the construction state of one build: the chooseDim scratch
+// map, kept apart from the Tree, whose governor bounds the build's total
+// consumption.
 type hbuilder struct {
 	t *Tree
 	// dimSeen is chooseDim's distinct-projection scratch, hoisted here so
@@ -209,14 +197,8 @@ func NewCtx(ctx context.Context, rs *rules.RuleSet, cfg Config, budget *buildgov
 	for i := range all {
 		all[i] = i
 	}
-	var root *node
-	var err error
-	if cfg.BuildWorkers > 1 {
-		root, err = t.buildParallel(all, cfg.BuildWorkers)
-	} else {
-		hb := &hbuilder{t: t}
-		root, err = hb.build(rules.FullBox(), all, 0)
-	}
+	hb := &hbuilder{t: t}
+	root, err := hb.build(rules.FullBox(), all, 0)
 	if err != nil {
 		return nil, err
 	}

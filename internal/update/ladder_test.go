@@ -92,7 +92,7 @@ func TestEngineStatsCarryDegradationState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := engine.Run(m, engine.Config{Workers: 2}, tr.Headers, func(engine.Result) {})
+	st, err := engine.Run(m, engine.Config{Shards: 2}, tr.Headers, func(engine.Result) {})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -257,9 +257,10 @@ func SimulateApplication(cl TracedClassifier, headers []Header, app AppConfig, p
 	return pipeline.RunMultiprocessing(app, progs, packets)
 }
 
-// Concurrent classification on the host (internal/engine): a worker pool
-// of goroutines with sequence-numbered, order-preserving result delivery —
-// the software analogue of §3.2's multithreading-with-packet-ordering.
+// Concurrent classification on the host (internal/engine): flow-affinity
+// shards, one goroutine each, with sequence-numbered, order-preserving
+// result delivery — the software analogue of §3.2's
+// multithreading-with-packet-ordering.
 type (
 	// EngineConfig configures the concurrent classification engine.
 	EngineConfig = engine.Config
@@ -276,8 +277,8 @@ type Lookuper interface {
 	Classify(h Header) int
 }
 
-// RunEngine classifies headers on a goroutine pool, emitting results in
-// arrival order when cfg.PreserveOrder is set.
+// RunEngine classifies headers on the engine's shards, emitting results
+// in arrival order when cfg.PreserveOrder is set.
 func RunEngine(cl Lookuper, cfg EngineConfig, headers []Header, emit func(EngineResult)) (EngineStats, error) {
 	return engine.Run(cl, cfg, headers, emit)
 }

@@ -146,7 +146,7 @@ func TestPublicAPIEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	var next uint64
-	st, err := RunEngine(tree, EngineConfig{Workers: 4, PreserveOrder: true}, tr.Headers, func(r EngineResult) {
+	st, err := RunEngine(tree, EngineConfig{Shards: 4, PreserveOrder: true}, tr.Headers, func(r EngineResult) {
 		if r.Seq != next {
 			t.Fatalf("out of order: got %d, want %d", r.Seq, next)
 		}
