@@ -55,6 +55,8 @@ func main() {
 		fmt.Printf("  aggregated %d words, full %d words (ratio %.1f%%), avg unique children %.2f\n",
 			s.MemoryWordsAggregated, s.MemoryWordsFull,
 			float64(s.MemoryWordsAggregated)*100/float64(s.MemoryWordsFull), s.AvgUniqueChildren)
+		fmt.Printf("  native arena %d B (64-byte node lines, one CPA ref per run), image %d B\n",
+			tree.ArenaBytes(), tree.MemoryBytes())
 		fmt.Println("  nodes per level:")
 		for lvl, n := range s.NodesPerLevel {
 			fmt.Printf("    level %2d: %d\n", lvl, n)

@@ -1,11 +1,15 @@
 package expcuts
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
-// arena is the flat lookup layout every native walk reads — the in-memory
+// arena is the flat lookup layout every native walk reads — the host's
 // analogue of the paper's per-level SRAM layout (one HABS word plus one CPA
-// pointer word per level, §4.2.2/Figure 4), with two declared differences
-// from the serialized image:
+// pointer word per level, §4.2.2/Figure 4), sized to a 64-byte cache line
+// instead of a 32-bit SRAM word. It differs from the serialized image in two
+// declared ways:
 //
 //   - Single-child nodes are elided. A node whose 2^w cells all hold the
 //     same reference consumes w key bits no rule distinguishes; every
@@ -13,44 +17,58 @@ import "fmt"
 //     at, so it never enters the arena. This is the path compression of a
 //     multibit trie: it only shortens a walk, whose worst case stays
 //     ⌈104/w⌉ visits.
-//   - A node is one packed word with its key position beside it: the HABS
-//     bits and the CPA base share a uint64 (the paper's "HABS + node
-//     descriptor in one SRAM word"), and pos says which key bits the node
-//     cuts on, since a walk that skips levels can no longer count rounds.
-//     A visit is two dependent loads: nodes[id], then one cpa word.
+//   - A node is one line of run bits, the full-resolution ABS (v = w)
+//     instead of the image's 2^v-bit HABS: bit c is set iff cell c starts a
+//     run of equal resolved references, and the CPA holds one reference per
+//     run, not one 2^(w-v)-ref sub-array per HABS bit. The line also holds
+//     the CPA base, per-word rank prefixes and pos, the key bits the node
+//     cuts on (a walk that skips levels cannot count rounds). A visit is two
+//     dependent loads: the node line, then one cpa word.
 //
 // Survivors keep the builder's level-major order (see reorderLevelMajor),
 // refs are int32 indices (or encoded leaves), and the arena holds no Go
 // pointers — the garbage collector never traverses it, and any number of
 // serving shards share one immutable arena with no synchronization.
 //
-// The builder graph t.nodes, BuildStats, the serialized image and the
-// access programs Lookup/Program record from it stay the paper's full
-// ⌈104/w⌉-level layout; npsim replays that, not this.
+// The builder graph t.nodes, BuildStats, the serialized image (HabsV
+// included) and the access programs Lookup/Program record from it stay the
+// paper's full ⌈104/w⌉-level layout; npsim replays that, not this.
 type arena struct {
 	nodes []arenaNode
-	cpa   []ref // concatenated CPA sub-arrays of every node
+	cpa   []ref // one ref per run, node after node
 	root  ref   // t.root resolved through single-child chains
 }
 
-// arenaNode is one surviving internal node.
+// arenaLineBytes is the size of one arenaNode: one host cache line.
+const arenaLineBytes = 64
+
+// arenaNode is one surviving internal node. A stride of at most 8 gives at
+// most 256 cells, so four run words always suffice.
 type arenaNode struct {
-	// word holds the HABS bit string in its low 32 bits (v <= 5) and the
-	// node's first index into cpa in its high 32.
-	word uint64
-	// pos is the key-bit position the node cuts at: level * w.
-	pos uint8
+	runs [4]uint64 // bit c%64 of runs[c/64] is set iff cell c starts a run
+	base uint32    // the node's first index into cpa
+	pre  [4]uint8  // pre[k]: set bits in runs[:k] (at most 192)
+	pos  uint8     // the key-bit position the node cuts at: level * w
+	_    [arenaLineBytes - 41]byte
 }
 
-// buildArena flattens t.nodes into the arena: it drops single-child nodes,
-// renumbers the survivors in t.nodes order, and stores each survivor's
-// resolved cells under the same sub-array deduplication as
-// bitstring.CompressHABS (1 HABS word + one 2^u-ref sub-array per set bit).
-func (t *Tree) buildArena() error {
-	w, v := t.cfg.StrideW, t.cfg.HabsV
-	sub := 1 << (w - v)
-	cells := 1 << w
+// cpaIndex returns the cpa index a packet reads at node nd (kw as for chunk):
+// cell c's run is the number of run starts at or below c. When c%64 is 63
+// the shift 2<<63 wraps to 0, and 0-1 is the all-ones mask that case needs.
+func (st stepper) cpaIndex(nd *arenaNode, kw uint64) uint32 {
+	c := st.chunk(nd.pos, kw)
+	wi := c >> 6 & 3
+	rank := uint32(nd.pre[wi]) + uint32(bits.OnesCount64(nd.runs[wi]&(uint64(2)<<(c&63)-1)))
+	return nd.base + rank - 1
+}
 
+// ArenaBytes returns the native arena's size: a line per node, 4 B per run.
+func (t *Tree) ArenaBytes() int { return len(t.ar.nodes)*arenaLineBytes + len(t.ar.cpa)*4 }
+
+// buildArena flattens t.nodes into the arena: it drops single-child nodes,
+// renumbers the survivors in t.nodes order, and stores one resolved ref per
+// run of each survivor's cells.
+func (t *Tree) buildArena() error {
 	// newID[id] is the survivor's arena index, or -1 for an elided node.
 	newID := make([]ref, len(t.nodes))
 	survivors := 0
@@ -73,14 +91,7 @@ func (t *Tree) buildArena() error {
 		return r
 	}
 
-	// MemoryWordsAggregated - nodes is the CPA size before elision (computed
-	// by collectStats with the dedup rule below), an upper bound after it.
-	t.ar = arena{
-		nodes: make([]arenaNode, 0, survivors),
-		cpa:   make([]ref, 0, t.stats.MemoryWordsAggregated-len(t.nodes)),
-		root:  resolve(t.root),
-	}
-	row := make([]ref, cells)
+	t.ar = arena{nodes: make([]arenaNode, 0, survivors), root: resolve(t.root)}
 	for id, n := range t.nodes {
 		if newID[id] < 0 {
 			continue
@@ -89,20 +100,22 @@ func (t *Tree) buildArena() error {
 		if uint64(base) > uint64(^uint32(0)) {
 			return fmt.Errorf("expcuts: arena CPA exceeds 2^32 words (%d nodes)", len(t.nodes))
 		}
-		for i, p := range n.ptrs {
-			row[i] = resolve(p)
-		}
-		var habs uint64
-		for i := 0; i < cells; i += sub {
-			if i == 0 || !equalRefs(row[i-sub:i], row[i:i+sub]) {
-				habs |= 1 << uint(i/sub)
-				t.ar.cpa = append(t.ar.cpa, row[i:i+sub]...)
+		nd := arenaNode{base: uint32(base), pos: uint8(uint(n.level) * t.cfg.StrideW)}
+		var raw, last ref
+		for c, p := range n.ptrs {
+			if c == 0 || p != raw { // equal raw refs resolve equally
+				raw = p
+				if r := resolve(p); c == 0 || r != last {
+					nd.runs[c>>6] |= 1 << (c & 63)
+					t.ar.cpa = append(t.ar.cpa, r)
+					last = r
+				}
 			}
 		}
-		t.ar.nodes = append(t.ar.nodes, arenaNode{
-			word: uint64(base)<<32 | habs,
-			pos:  uint8(uint(n.level) * w),
-		})
+		for k := 1; k < len(nd.pre); k++ {
+			nd.pre[k] = nd.pre[k-1] + uint8(bits.OnesCount64(nd.runs[k-1]))
+		}
+		t.ar.nodes = append(t.ar.nodes, nd)
 	}
 	return nil
 }

@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math/bits"
 	"testing"
+	"unsafe"
 
 	"repro/internal/nptrace"
+	"repro/internal/pktgen"
+	"repro/internal/rulegen"
 	"repro/internal/rules"
 )
 
@@ -44,30 +47,54 @@ func (t *Tree) visitedLevels(h rules.Header) []int {
 // checkArena is the differential check of the native arena: for every
 // header the arena walk (Classify, ClassifyBatch, ClassifyBatchPipelined)
 // must equal the builder-graph walk and the serialized image's Lookup, and
-// the arena itself must hold no single-child node, only forward references
-// and, per header, exactly the graph path's cutting nodes.
+// the arena itself must hold only forward references, one CPA ref per
+// maximal run of cells — so no single-child node, no ref per cell and no
+// split run — and, per header, exactly the graph path's cutting nodes.
 func checkArena(t *Tree, hs []rules.Header) error {
+	if got := unsafe.Sizeof(arenaNode{}); got != arenaLineBytes {
+		return fmt.Errorf("arena node is %d bytes, want one %d-byte line", got, arenaLineBytes)
+	}
 	st := t.step()
-	for id, nd := range t.ar.nodes {
+	refs := 0 // run starts of the nodes checked so far
+	for id := range t.ar.nodes {
+		nd := &t.ar.nodes[id]
 		if int(nd.pos)%int(t.cfg.StrideW) != 0 || uint(nd.pos) >= rules.KeyBits {
 			return fmt.Errorf("arena node %d: key position %d", id, nd.pos)
 		}
-		first := t.ar.cpa[st.cpaIndex(nd.word, 0, 0)]
-		distinct := false
+		runs := 0
+		for k, word := range nd.runs {
+			if int(nd.pre[k]) != runs {
+				return fmt.Errorf("arena node %d: pre[%d] = %d, want %d", id, k, nd.pre[k], runs)
+			}
+			runs += bits.OnesCount64(word)
+		}
+		if cells := uint(st.mask) + 1; cells < 256 && nd.runs[0]>>cells|nd.runs[1]|nd.runs[2]|nd.runs[3] != 0 {
+			return fmt.Errorf("arena node %d: run bits %#x past its %d cells", id, nd.runs, cells)
+		}
+		if nd.runs[0]&1 == 0 || runs < 2 || int(nd.base) != refs {
+			return fmt.Errorf("arena node %d: runs %#x (%d), base %d after %d refs; want bit 0, >= 2 runs, contiguous CPA",
+				id, nd.runs, runs, nd.base, refs)
+		}
+		refs += runs
+		if refs > len(t.ar.cpa) {
+			return fmt.Errorf("arena node %d: %d runs overrun a %d-ref CPA", id, runs, len(t.ar.cpa))
+		}
+		for j := int(nd.base) + 1; j < refs; j++ {
+			if t.ar.cpa[j] == t.ar.cpa[j-1] {
+				return fmt.Errorf("arena node %d: CPA refs %d and %d are both %d, a run that is not maximal", id, j-1, j, t.ar.cpa[j])
+			}
+		}
+		probe := *nd
+		probe.pos = 0 // the chunk in the top w bits of the key word
 		for c := uint64(0); c <= uint64(st.mask); c++ {
-			// pos 0 with the chunk in the top w bits of the key word.
-			child := t.ar.cpa[st.cpaIndex(nd.word, 0, c<<st.top)]
-			distinct = distinct || child != first
+			child := t.ar.cpa[st.cpaIndex(&probe, c<<st.top)]
 			if child >= 0 && (int(child) >= len(t.ar.nodes) || t.ar.nodes[child].pos <= nd.pos) {
 				return fmt.Errorf("arena node %d (pos %d): cell %d -> %d is not a deeper node", id, nd.pos, c, child)
 			}
 		}
-		if !distinct {
-			return fmt.Errorf("arena node %d is single-child and was not elided", id)
-		}
-		if sets := bits.OnesCount64(nd.word & (1<<32 - 1)); sets == 0 || nd.word&1 == 0 {
-			return fmt.Errorf("arena node %d: HABS %#x", id, uint32(nd.word))
-		}
+	}
+	if refs != len(t.ar.cpa) {
+		return fmt.Errorf("arena CPA holds %d refs for %d run starts", len(t.ar.cpa), refs)
 	}
 
 	mem := nptrace.NullMem{R: t.image}
@@ -94,8 +121,8 @@ func checkArena(t *Tree, hs []rules.Header) error {
 			if r < 0 || uint(t.ar.nodes[r].pos) != uint(l)*t.cfg.StrideW {
 				return fmt.Errorf("arena path of %v leaves the graph's cutting levels %v", h, levels)
 			}
-			nd := t.ar.nodes[r]
-			r = t.ar.cpa[st.cpaIndex(nd.word, nd.pos, kw[nd.pos>>6])]
+			nd := &t.ar.nodes[r]
+			r = t.ar.cpa[st.cpaIndex(nd, kw[nd.pos>>6])]
 		}
 		if r >= 0 {
 			return fmt.Errorf("arena path of %v is longer than the graph's cutting levels %v", h, levels)
@@ -215,6 +242,48 @@ func TestArenaDegenerateShapes(t *testing.T) {
 		if err := checkArena(tree, cornerHeaders); err != nil {
 			t.Fatalf("w=%d tcp-only: %v", w, err)
 		}
+	}
+}
+
+// BenchmarkArenaWalk measures the three native walks over CR04 on its own:
+// 2^18 pktgen flows (seed 1, match fraction 0.9) cycled in batches of 64.
+// An op is one batch, so ns/pkt is the walk's cost per packet.
+func BenchmarkArenaWalk(b *testing.B) {
+	rs, err := rulegen.Standard("CR04")
+	if err != nil {
+		b.Fatal(err)
+	}
+	tree, err := New(rs, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := pktgen.Generate(rs, pktgen.Config{Count: 1 << 18, Seed: 1, MatchFraction: 0.9})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const batch = 64
+	hs := tr.Headers
+	out := make([]int, batch)
+	for _, bm := range []struct {
+		name string
+		walk func(hs []rules.Header)
+	}{
+		{"batch", func(hs []rules.Header) { tree.ClassifyBatch(hs, out) }},
+		{"pipelined/64", func(hs []rules.Header) { tree.ClassifyBatchPipelined(hs, out, 64, false) }},
+		{"single", func(hs []rules.Header) {
+			for i, h := range hs {
+				out[i] = tree.Classify(h)
+			}
+		}},
+	} {
+		b.Run(bm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				lo := i * batch % len(hs)
+				bm.walk(hs[lo : lo+batch])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/pkt")
+		})
 	}
 }
 

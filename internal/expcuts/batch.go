@@ -36,7 +36,7 @@ func (sc *batchScratch) release() {
 // contract; out must be at least as long as hs). It computes every packet's
 // 104-bit key up front, then walks the compressed arena level-synchronously:
 // all packets make their first node visit before any packet makes its
-// second, so a node word and CPA sub-arrays that several packets traverse
+// second, so a node line and CPA refs that several packets traverse
 // are hot in cache when the second packet arrives instead of evicted by an
 // unrelated full-depth walk. A round is one visit, not one tree level —
 // elided levels are skipped — but every visit consumes at least w key
@@ -81,8 +81,8 @@ func (t *Tree) ClassifyBatch(hs []rules.Header, out []int) {
 			if o < 0 {
 				continue
 			}
-			nd := nodes[o]
-			r := cpa[st.cpaIndex(nd.word, nd.pos, keys[i][nd.pos>>6&1])]
+			nd := &nodes[o]
+			r := cpa[st.cpaIndex(nd, keys[i][nd.pos>>6&1])]
 			out[i] = int(r)
 			if r < 0 {
 				active--

@@ -33,7 +33,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/bitstring"
@@ -49,7 +48,9 @@ type Config struct {
 	// The paper uses 8.
 	StrideW uint
 	// HabsV is v: the HABS has 2^v bits. Must satisfy v <= StrideW and
-	// v <= bitstring.MaxV. The paper uses 4 (a 16-bit HABS).
+	// v <= bitstring.MaxV. The paper uses 4 (a 16-bit HABS). It shapes the
+	// serialized image and the HABS ablation only; the native walk always
+	// uses full-resolution runs (see arena.go).
 	HabsV uint
 	// Sharing selects how aggressively sub-spaces with identical relative
 	// rule geometry share child nodes; see SharingMode.
@@ -495,33 +496,32 @@ func dimOfBit(pos uint) rules.Dim {
 }
 
 // Classify is the native (untraced) lookup, walking the compressed arena:
-// per visited node one packed-word load (HABS bits, CPA base, key position),
-// a shift-and-mask key chunk, a popcount rank, and one CPA pointer load.
+// per visited node one line load (run bits, CPA base, key position), a
+// shift-and-mask key chunk, a popcount rank, and one CPA pointer load.
 func (t *Tree) Classify(h rules.Header) int {
 	hi, lo := h.Key().Words()
 	st := t.step()
 	nodes, cpa := t.ar.nodes, t.ar.cpa
 	r := t.ar.root
 	for r >= 0 {
-		nd := nodes[r]
+		nd := &nodes[r]
 		kw := hi
 		if nd.pos >= 64 {
 			kw = lo
 		}
-		r = cpa[st.cpaIndex(nd.word, nd.pos, kw)]
+		r = cpa[st.cpaIndex(nd, kw)]
 	}
 	return decodeRef(r)
 }
 
 // stepper holds the per-tree constants of one arena visit.
 type stepper struct {
-	top, u     uint   // 64 - w; CPA sub-array width is 2^u
-	mask, lowU uint32 // 2^w - 1; 2^u - 1
+	top  uint   // 64 - w
+	mask uint32 // 2^w - 1
 }
 
 func (t *Tree) step() stepper {
-	w, u := t.cfg.StrideW, t.cfg.StrideW-t.cfg.HabsV
-	return stepper{top: 64 - w, u: u, mask: 1<<w - 1, lowU: 1<<u - 1}
+	return stepper{top: 64 - t.cfg.StrideW, mask: 1<<t.cfg.StrideW - 1}
 }
 
 // chunk extracts the w key bits at position pos from kw, the key word that
@@ -529,15 +529,6 @@ func (t *Tree) step() stepper {
 // straddles the two words: one shift and mask.
 func (st stepper) chunk(pos uint8, kw uint64) uint32 {
 	return uint32(kw>>((st.top-uint(pos))&63)) & st.mask
-}
-
-// cpaIndex returns the cpa index a packet reads at the node with packed
-// word and key position pos; kw is as for chunk. The rank mask reaches at
-// most bit 31, so the CPA base in word's high half never counts.
-func (st stepper) cpaIndex(word uint64, pos uint8, kw uint64) uint32 {
-	c := st.chunk(pos, kw)
-	rank := uint32(bits.OnesCount64(word&(uint64(2)<<(c>>st.u)-1))) - 1
-	return uint32(word>>32) + rank<<st.u + c&st.lowU
 }
 
 // Name identifies the algorithm in reports.

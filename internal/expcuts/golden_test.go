@@ -18,6 +18,9 @@ import (
 // builder that returns to expanding every cell of every node fails here
 // even though it builds the same tree. (Per-cell expansion took 439 553
 // calls and 234 999 signatures on CR01, 2 935 297 and 1 798 358 on CR04.)
+// Every set also pins its native arena, so the CPA cannot grow back from
+// one ref per run to one per cell or per 16-cell HABS sub-array (CR04's
+// arena held 405 088 refs that way, 34 793 as runs).
 func TestGoldenBuilds(t *testing.T) {
 	for _, g := range []struct {
 		set         string
@@ -26,16 +29,23 @@ func TestGoldenBuilds(t *testing.T) {
 		sha256      string
 		avgChildren float64
 		work        buildWork // zero: not pinned
+		// The native arena: surviving nodes and CPA refs, one per run.
+		arenaNodes, cpaRefs int
 	}{
-		{"FW01", 6224, 870272, "4d4f825da6794c3aad730c2d9d5f3a60d59cdf6e28290829d47985fa7ac7c572", 1.9286632390745502, buildWork{}},
-		{"FW02", 20500, 2635280, "e15345e86714c77be9cb726f4bb8c90a4c4dde03db199fa8df342c9c063b378b", 1.8437560975609757, buildWork{}},
-		{"FW03", 79894, 10249752, "05e6557063c87c016ff615c3609d90320441e60a961742a521fd31f6fc351c67", 1.8870253085338073, buildWork{}},
+		{"FW01", 6224, 870272, "4d4f825da6794c3aad730c2d9d5f3a60d59cdf6e28290829d47985fa7ac7c572", 1.9286632390745502, buildWork{},
+			3679, 13583},
+		{"FW02", 20500, 2635280, "e15345e86714c77be9cb726f4bb8c90a4c4dde03db199fa8df342c9c063b378b", 1.8437560975609757, buildWork{},
+			10802, 40645},
+		{"FW03", 79894, 10249752, "05e6557063c87c016ff615c3609d90320441e60a961742a521fd31f6fc351c67", 1.8870253085338073, buildWork{},
+			43793, 162773},
 		{"CR01", 1717, 293972, "4fd3a869821ebe6f88d530bfb392ad3f3c922a4f20593abfd9a04a3b01887df5", 2.156668608037274,
-			buildWork{calls: 8335, sigs: 4900, hits: 3183}},
-		{"CR02", 4073, 717348, "fb04d09fcf7e1ee65a2bd56ee03e254828fb19890da4ca41206270730e030477", 2.210164497913086, buildWork{}},
-		{"CR03", 11608, 1928736, "20cf9766e96f9c5c634633d56b7e0c3888824d90e27dfbb05ca831de06e30f8e", 2.1612680909717437, buildWork{}},
+			buildWork{calls: 8335, sigs: 4900, hits: 3183}, 1039, 4753},
+		{"CR02", 4073, 717348, "fb04d09fcf7e1ee65a2bd56ee03e254828fb19890da4ca41206270730e030477", 2.210164497913086, buildWork{},
+			2582, 11958},
+		{"CR03", 11608, 1928736, "20cf9766e96f9c5c634633d56b7e0c3888824d90e27dfbb05ca831de06e30f8e", 2.1612680909717437, buildWork{},
+			6854, 32011},
 		{"CR04", 11466, 1972712, "18b2665caa50eba0d8dd2670b216b303deb2f11a6dcddd6cc7684d75533a2688", 2.2949590092447236,
-			buildWork{calls: 60231, sigs: 37862, hits: 26396}},
+			buildWork{calls: 60231, sigs: 37862, hits: 26396}, 6677, 34793},
 	} {
 		rs, err := rulegen.Standard(g.set)
 		if err != nil {
@@ -61,6 +71,12 @@ func TestGoldenBuilds(t *testing.T) {
 		}
 		if g.work != (buildWork{}) && tree.work != g.work {
 			t.Errorf("%s: builder work %+v, want %+v", g.set, tree.work, g.work)
+		}
+		if n, refs := len(tree.ar.nodes), len(tree.ar.cpa); n != g.arenaNodes || refs != g.cpaRefs {
+			t.Errorf("%s: arena of %d nodes, %d CPA refs; want %d, %d", g.set, n, refs, g.arenaNodes, g.cpaRefs)
+		}
+		if got, want := tree.ArenaBytes(), g.arenaNodes*64+g.cpaRefs*4; got != want {
+			t.Errorf("%s: ArenaBytes %d, want %d", g.set, got, want)
 		}
 	}
 }

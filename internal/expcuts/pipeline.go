@@ -13,19 +13,19 @@ import (
 // memory access overlaps every other stage's. The level-synchronous
 // ClassifyBatch already gets part of that — all packets make a visit
 // together — but each packet's step is a serial chain of dependent loads
-// (CPA pointer → next node's packed word → next CPA pointer).
+// (CPA pointer → next node's line → next CPA pointer).
 //
 // ClassifyBatchPipelined restructures the walk into a two-stage split over
 // interleaved groups of the packets still walking:
 //
-//	stage A (lookup):   for each packet in the group, extract the node's
-//	                    key chunk (one shift and mask of the key word the
-//	                    carried position selects) and issue the group's
-//	                    independent CPA pointer loads, so `group` arena
+//	stage A (lookup):   for each packet in the group, issue the load of the
+//	                    CPA index it carries — one indexed load, and the
+//	                    group's loads are independent, so `group` arena
 //	                    fetches are in flight at once;
 //	stage B (advance):  consume the pointers and, for every packet that
-//	                    descended, immediately load the *next* node's
-//	                    packed word and key position into the carried
+//	                    descended, immediately load the *next* node's line
+//	                    and compute the CPA index the packet reads there
+//	                    (key chunk, popcount rank) into the carried
 //	                    per-packet state — while the following group is
 //	                    back in stage A, and without putting those loads on
 //	                    stage A's critical path. Packets that reached a
@@ -58,13 +58,12 @@ const (
 )
 
 // pipeScratch is the pooled per-call scratch of ClassifyBatchPipelined:
-// the key words, the carried per-packet node state (packed word + key
-// position, loaded in stage B of the previous visit), and the walk order
-// with the affine mode's counting-sort histogram.
+// the key words, the carried per-packet CPA index (computed in stage B of
+// the previous visit), and the walk order with the affine mode's
+// counting-sort histogram.
 type pipeScratch struct {
 	keys [][2]uint64
-	hw   []uint64
-	ps   []uint8
+	ix   []uint32
 	ord  []int32
 	cnt  []int32
 }
@@ -74,8 +73,7 @@ var pipePool = sync.Pool{New: func() any { return new(pipeScratch) }}
 func (sc *pipeScratch) ensure(n int) {
 	if cap(sc.keys) < n {
 		sc.keys = make([][2]uint64, n)
-		sc.hw = make([]uint64, n)
-		sc.ps = make([]uint8, n)
+		sc.ix = make([]uint32, n)
 		sc.ord = make([]int32, n)
 	}
 }
@@ -125,12 +123,11 @@ func (t *Tree) ClassifyBatchPipelined(hs []rules.Header, out []int, group int, a
 
 	st := t.step()
 	nodes, cpa := t.ar.nodes, t.ar.cpa
-	hw, ps := sc.hw[:n], sc.ps[:n]
+	ix := sc.ix[:n]
 
-	root := nodes[t.ar.root]
-	for i := range hw {
-		hw[i] = root.word
-		ps[i] = root.pos
+	root := &nodes[t.ar.root]
+	for i := range ix {
+		ix[i] = st.cpaIndex(root, keys[i][root.pos>>6&1])
 	}
 	// act lists the packets still walking, in walk order; each round
 	// compacts it in place, so a finished packet costs nothing afterwards.
@@ -158,16 +155,15 @@ func (t *Tree) ClassifyBatchPipelined(hs []rules.Header, out []int, group int, a
 			// Stage A: issue the group's CPA pointer loads. Each
 			// iteration is independent, so the fetches overlap.
 			for _, i := range grp {
-				p := ps[i]
-				out[i] = int(cpa[st.cpaIndex(hw[i], p, keys[i][p>>6&1])])
+				out[i] = int(cpa[ix[i]])
 			}
 			// Stage B: consume the pointers; survivors pull the next
-			// node's (level-contiguous) packed word and key position off
-			// stage A's critical path.
+			// node's (level-contiguous) line and compute their next CPA
+			// index off stage A's critical path.
 			for _, i := range grp {
 				if o := out[i]; o >= 0 {
-					nd := nodes[o]
-					hw[i], ps[i] = nd.word, nd.pos
+					nd := &nodes[o]
+					ix[i] = st.cpaIndex(nd, keys[i][nd.pos>>6&1])
 					visits[nd.pos&127]++
 					act[live] = i
 					live++

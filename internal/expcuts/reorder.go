@@ -3,8 +3,8 @@ package expcuts
 // reorderLevelMajor renumbers t.nodes into BFS level-major order: all level-0
 // nodes first, then level 1, and so on, preserving the original id order
 // within each level. After the reorder the arena built over t.nodes (whose
-// survivors keep this order) has every level's node words (and, because
-// buildArena appends CPA sub-arrays in node order, its cpa words) contiguous —
+// survivors keep this order) has every level's node lines (and, because
+// buildArena appends each node's run refs in node order, its cpa refs) contiguous —
 // the software analogue of the paper's per-level SRAM banks, and what makes the
 // pipelined walk's next-node lines predictable instead of scattered across the
 // build's recursion order.
