@@ -1,13 +1,10 @@
 package repro
 
 import (
-	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/experiments"
-	"repro/internal/obs"
 )
 
 // benchCtx keeps the per-iteration cost of the experiment benchmarks
@@ -242,94 +239,7 @@ func BenchmarkExpCutsBuild(b *testing.B) {
 	}
 }
 
-// --- Serving fast path (quick looks while working; bench/ is the benchmark of record) ---
-
-// serveBenchSet builds the 1k-rule ACL set the serving baseline tracks and
-// a trace over it.
-func serveBenchSet(b *testing.B) (*RuleSet, []Header) {
-	b.Helper()
-	rs, err := experiments.ServeRuleSet(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr, err := GenerateTrace(rs, 4096, 11, 0.9)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return rs, tr.Headers
-}
-
-// benchServeEngine drives the ordered engine over the ACL1K trace at the
-// given batch size and reports end-to-end throughput in Mpkt/s. A non-nil
-// metrics attaches the observability layer exactly as pcclass -metrics
-// wires it.
-func benchServeEngine(b *testing.B, batchSize int, metrics *engine.Metrics) {
-	rs, headers := serveBenchSet(b)
-	tree, err := NewExpCuts(rs, ExpCutsConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := engine.DefaultConfig()
-	cfg.BatchSize = batchSize
-	cfg.Metrics = metrics
-	benchServe(b, tree, cfg, headers)
-}
-
-// benchServe times whole RunEngine passes over headers and reports Mpps.
-func benchServe(b *testing.B, cl Lookuper, cfg engine.Config, headers []Header) {
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunEngine(cl, cfg, headers, func(EngineResult) {}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N*len(headers))/b.Elapsed().Seconds()/1e6, "Mpps")
-}
-
-// BenchmarkServePerPacket is the serving baseline's denominator: the
-// ordered engine dispatching one packet per job (BatchSize 1) on ExpCuts
-// over the 1k-rule ACL set.
-func BenchmarkServePerPacket(b *testing.B) {
-	benchServeEngine(b, 1, nil)
-}
-
-// BenchmarkServeBatched is the serving fast path: the same engine, same
-// ordering guarantee, dispatching the default 64-packet batches.
-func BenchmarkServeBatched(b *testing.B) {
-	benchServeEngine(b, engine.DefaultBatchSize, nil)
-}
-
-// BenchmarkServeFlowCacheZipf is BenchmarkServeBatched's tree and engine
-// over a Zipf(1.1) popularity order on 2^16 flows, without and with a
-// 4096-flow cache per shard: the pair that says whether the cache earns
-// its place in front of the walk.
-func BenchmarkServeFlowCacheZipf(b *testing.B) {
-	rs, err := experiments.ServeRuleSet(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tree, err := NewExpCuts(rs, ExpCutsConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	flows, err := GenerateTrace(rs, 1<<16, 11, 0.9)
-	if err != nil {
-		b.Fatal(err)
-	}
-	zipf := rand.NewZipf(rand.New(rand.NewSource(12)), 1.1, 1, uint64(len(flows.Headers)-1))
-	headers := make([]Header, 1<<18)
-	for i := range headers {
-		headers[i] = flows.Headers[zipf.Uint64()]
-	}
-	for _, cacheFlows := range []int{0, 4096} {
-		b.Run(fmt.Sprintf("cache=%d", cacheFlows), func(b *testing.B) {
-			cfg := engine.DefaultConfig()
-			cfg.FlowCacheFlows = cacheFlows
-			benchServe(b, tree, cfg, headers)
-		})
-	}
-}
+// --- Engine plumbing (a quick look while working; bench/ is the benchmark of record) ---
 
 // constClassifier answers rule 0 for everything: what is left when it
 // serves is everything but classification.
@@ -345,10 +255,11 @@ func (constClassifier) ClassifyBatch(hs []Header, out []int) {
 // BenchmarkServeEngineOverhead is the plumbing's own rate: dispatch,
 // queues, sequencer and emit around a classifier that costs nothing, at
 // the shape bench/ serves with (two shards, 64-packet batches, ordered)
-// over 2^18 packets a pass — the ceiling the ServeBatched and
-// ServeFlowCacheZipf rows sit under.
+// over 2^18 packets a pass; bench/ reports the same measurement per
+// packet as the ledger row engine.overhead_ns_per_pkt. The flows are
+// CR04's; constClassifier ignores the rules.
 func BenchmarkServeEngineOverhead(b *testing.B) {
-	rs, err := experiments.ServeRuleSet(1)
+	rs, err := StandardRuleSet("CR04")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -360,79 +271,15 @@ func BenchmarkServeEngineOverhead(b *testing.B) {
 	for len(headers) < cap(headers) {
 		headers = append(headers, flows.Headers...)
 	}
-	benchServe(b, constClassifier{}, engine.Config{Shards: 2, BatchSize: 64, PreserveOrder: true}, headers)
-}
-
-// BenchmarkServeBatchedMetrics is BenchmarkServeBatched with the
-// observability layer live: a registered Metrics and an armed event ring,
-// the configuration pcclass -metrics serves with. Comparing its Mpps
-// against BenchmarkServeBatched shows the instrumentation cost that
-// bench/ reports as obs.metrics_on_overhead_frac.
-func BenchmarkServeBatchedMetrics(b *testing.B) {
-	m := engine.NewMetrics(engine.DefaultMetricsShards)
-	m.SetEvents(obs.NewRing(obs.DefaultRingSize))
-	m.Register(obs.NewRegistry())
-	benchServeEngine(b, engine.DefaultBatchSize, m)
-}
-
-// BenchmarkServeClassifyBatch measures the raw level-synchronous batched
-// walk (no engine, no channels) — the allocation column is the regression
-// gate: steady state must be 0 allocs/op.
-func BenchmarkServeClassifyBatch(b *testing.B) {
-	rs, headers := serveBenchSet(b)
-	tree, err := NewExpCuts(rs, ExpCutsConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	batch := headers[:engine.DefaultBatchSize]
-	out := make([]int, len(batch))
-	tree.ClassifyBatch(batch, out) // warm the pooled scratch
-	b.ReportAllocs()
+	cfg := engine.Config{Shards: 2, BatchSize: 64, PreserveOrder: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree.ClassifyBatch(batch, out)
+		if _, err := RunEngine(constClassifier{}, cfg, headers, func(EngineResult) {}); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.StopTimer()
-	perOp := b.Elapsed().Seconds() / float64(b.N) / float64(len(batch))
-	b.ReportMetric(perOp*1e9, "ns/pkt")
-}
-
-// BenchmarkServePipelined is BenchmarkServeBatched with the engine
-// routing every batch through the software-pipelined stage walk at the
-// whole-batch group size.
-func BenchmarkServePipelined(b *testing.B) {
-	rs, headers := serveBenchSet(b)
-	tree, err := NewExpCuts(rs, ExpCutsConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := engine.DefaultConfig()
-	cfg.BatchSize = engine.DefaultBatchSize
-	cfg.PipelineGroup = engine.DefaultBatchSize
-	benchServe(b, tree, cfg, headers)
-}
-
-// BenchmarkServeClassifyBatchPipelined measures the raw software-
-// pipelined stage walk (no engine) next to BenchmarkServeClassifyBatch's
-// level-synchronous reading — the allocation column is the regression
-// gate: steady state must be 0 allocs/op.
-func BenchmarkServeClassifyBatchPipelined(b *testing.B) {
-	rs, headers := serveBenchSet(b)
-	tree, err := NewExpCuts(rs, ExpCutsConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	batch := headers[:engine.DefaultBatchSize]
-	out := make([]int, len(batch))
-	tree.ClassifyBatchPipelined(batch, out, len(batch), false) // warm the pooled scratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tree.ClassifyBatchPipelined(batch, out, len(batch), false)
-	}
-	b.StopTimer()
-	perOp := b.Elapsed().Seconds() / float64(b.N) / float64(len(batch))
-	b.ReportMetric(perOp*1e9, "ns/pkt")
+	b.ReportMetric(float64(b.N*len(headers))/b.Elapsed().Seconds()/1e6, "Mpps")
 }
 
 // BenchmarkNPSimulate measures the discrete-event simulator itself

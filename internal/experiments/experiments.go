@@ -1,11 +1,13 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§6) plus the ablations DESIGN.md calls out. Each driver
-// returns typed rows and a paper-style text rendering; cmd/pcbench and the
-// repository benchmarks call these drivers, and EXPERIMENTS.md records
-// their output against the paper's numbers.
+// evaluation (§6) plus the ablations DESIGN.md calls out, and the
+// scaling-by-rule-count table (rulescale.go). Each driver returns typed
+// rows and a paper-style text rendering; cmd/pcbench prints them, the root
+// package's figure benchmarks time them, and EXPERIMENTS.md records their
+// output against the paper's numbers. Serving throughput and latency are
+// measured by bench/ (BENCHMARK.json), not here.
 //
-// All drivers are deterministic: rule sets, traces and the NP simulation
-// are seeded.
+// The paper drivers are deterministic: rule sets, traces and the NP
+// simulation are seeded. RuleScale times real builds and engine runs.
 package experiments
 
 import (
@@ -31,13 +33,6 @@ type Context struct {
 	Seed int64
 	// MatchFraction is the rule-directed share of the traces.
 	MatchFraction float64
-	// PipelineGroup routes the serving experiments through the
-	// software-pipelined stage walk at this group size (0 = level-sync,
-	// engine.PipelineAuto = GOMAXPROCS-derived). The pipeline sweep
-	// ignores it — that experiment sets its own group per cell.
-	PipelineGroup int
-	// PipelineAffine adds the shard-affine counting-sorted walk order.
-	PipelineAffine bool
 }
 
 // DefaultContext matches the settings used for EXPERIMENTS.md.

@@ -318,116 +318,37 @@ func TestRenderersProduceTables(t *testing.T) {
 			t.Errorf("renderer %d output too small: %q", i, s)
 		}
 	}
-}
 
-func TestServeScalingShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timed serving runs")
-	}
-	rows, err := ServeScaling(light, 0, []int{1, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rows))
-	}
-	if rows[0].Shards != 1 || rows[0].Speedup < 0.99 || rows[0].Speedup > 1.01 {
-		t.Errorf("1-shard row must anchor the speedup column at 1.0: %+v", rows[0])
-	}
-	for _, r := range rows {
-		if r.MeasuredMpps <= 0 || r.CriticalPathMpps <= 0 || r.Gomaxprocs < 1 {
-			t.Errorf("shards=%d: degenerate row %+v", r.Shards, r)
-		}
-	}
-	// The flow-hash partition balances ACL traffic well enough that the
-	// critical-path projection grows with the shard count.
-	if rows[2].Speedup < 1.5 {
-		t.Errorf("4-shard critical-path speedup %.2fx, want meaningful scaling", rows[2].Speedup)
-	}
-	text := RenderScaling(rows, 0)
-	if !strings.Contains(text, "Critical-path") || !strings.Contains(text, "Shards") {
-		t.Errorf("rendered table missing columns:\n%s", text)
-	}
-}
-
-func TestPipelineShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timed serving runs")
-	}
-	rows, fill, err := Pipeline(light, 0, []int{8, 64}, []int{1, 2}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 6 { // (sync + 2 groups) x 2 shard counts
-		t.Fatalf("rows = %d, want 6", len(rows))
-	}
-	for i, r := range rows {
-		if r.MeasuredMpps <= 0 || r.CriticalPathMpps <= 0 {
-			t.Errorf("row %d degenerate: %+v", i, r)
-		}
-		if r.Group == 0 && (r.SpeedupVsSync < 0.99 || r.SpeedupVsSync > 1.01) {
-			t.Errorf("sync row %d must anchor speedup at 1.0: %+v", i, r)
-		}
-		if r.Group > 0 && r.SpeedupVsSync <= 0 {
-			t.Errorf("pipelined row %d missing speedup: %+v", i, r)
-		}
-		if r.Affine {
-			t.Errorf("row %d affine set with affine=false sweep: %+v", i, r)
-		}
-	}
-	if len(fill) == 0 {
-		t.Fatal("no stage-fill histogram from pipelined windows")
-	}
-	if fill[0] < 0.999 || fill[0] > 1.001 {
-		t.Errorf("fill[0] = %.3f, want 1.0", fill[0])
-	}
-	// A packet visits at most one node per level, but not every level:
-	// the compressed arena lets paths skip single-child nodes.
-	for l := 1; l < len(fill); l++ {
-		if fill[l] > 1+1e-9 {
-			t.Errorf("stage fill at level %d is %.3f of the packets walked, want <= 1", l, fill[l])
-		}
-	}
-	text := RenderPipeline(rows, fill, 0)
-	for _, want := range []string{"sync", "Vs sync", "Stage fill", "L0"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("rendered sweep missing %q:\n%s", want, text)
+	// A budget-tripped cell prints no memory or throughput, and says why.
+	trip := RenderRuleScale([]RuleScaleRow{{Algo: "expcuts", Rules: 100000, RuleSet: "ACL1_100K", BuildMs: 60000, BuildError: "budget exceeded"}})
+	for _, want := range []string{"—", "budget trip"} {
+		if !strings.Contains(trip, want) {
+			t.Errorf("budget-trip row missing %q:\n%s", want, trip)
 		}
 	}
 }
 
-func TestIOFrontendShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timed loopback serving runs")
-	}
-	rows, err := IOFrontend(light, nil)
+func TestRuleScaleShape(t *testing.T) {
+	rows, err := RuleScale(light, []int{1000}, []string{"expcuts", "linear"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 2 {
-		t.Fatalf("rows = %d, want 2 (unpaced capacity + half-capacity paced)", len(rows))
+		t.Fatalf("rows = %d, want 2", len(rows))
 	}
-	if rows[0].RatePPS != 0 {
-		t.Errorf("first row must be the unpaced capacity probe: %+v", rows[0])
-	}
-	if rows[1].RatePPS <= 0 {
-		t.Errorf("second row must be paced at half the measured capacity: %+v", rows[1])
-	}
-	for i, r := range rows {
-		if r.Sent <= 0 || r.AchievedPPS <= 0 {
-			t.Errorf("row %d degenerate: %+v", i, r)
+	for i, algo := range []string{"expcuts", "linear"} {
+		r := rows[i]
+		if r.Algo != algo || r.Rules == 0 {
+			t.Errorf("row %d = %+v, want %s on a non-empty set", i, r, algo)
 		}
-		if r.DecodeErrors != 0 {
-			t.Errorf("row %d: %d decode errors on well-formed traffic", i, r.DecodeErrors)
+		if buildOutcome(r) != "built" {
+			t.Errorf("%s: outcome %q (%s), want built", algo, buildOutcome(r), r.BuildError)
 		}
-		if r.Replies > 0 && (r.P50Us <= 0 || r.P99Us < r.P50Us || r.P999Us < r.P99Us) {
-			t.Errorf("row %d: latency quantiles not ordered: %+v", i, r)
+		if r.MemoryBytes <= 0 || r.CriticalPathMpps <= 0 {
+			t.Errorf("%s: degenerate row %+v", algo, r)
 		}
 	}
-	text := RenderIOFrontend(rows)
-	for _, want := range []string{"Rate pps", "p50", "p999", "Shed", "unpaced"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("rendered table missing %q:\n%s", want, text)
-		}
+	if _, err := RuleScale(light, []int{1000}, []string{"nosuchalgo"}); err == nil {
+		t.Error("unknown algorithm accepted")
 	}
 }
