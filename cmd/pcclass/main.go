@@ -58,22 +58,9 @@ import (
 )
 
 type classifier interface {
+	rules.Classifier
 	Name() string
-	Classify(h rules.Header) int
 	MemoryBytes() int
-}
-
-// batchClassifier is the optional batched contract (engine.BatchClassifier
-// shape); every repository classifier implements it.
-type batchClassifier interface {
-	ClassifyBatch(hs []rules.Header, out []int)
-}
-
-// pipelinedClassifier is the optional staged-walk contract
-// (engine.PipelinedClassifier shape); ExpCuts and the update manager
-// implement it.
-type pipelinedClassifier interface {
-	ClassifyBatchPipelined(hs []rules.Header, out []int, group int, affine bool)
 }
 
 func main() {
@@ -105,9 +92,6 @@ func main() {
 		ladderNames   = flag.String("ladder", "", "build through this degradation ladder (comma-separated rungs, best first) instead of -algo")
 
 		batch      = flag.Int("batch", 0, "batch size: engine dispatch granularity, ClassifyBatch chunking when sequential (0 = default/per-packet)")
-		pipelined  = flag.Bool("pipeline", false, "classify batches through the software-pipelined stage walk (engine paths and the sequential batched path)")
-		group      = flag.Int("group", engine.PipelineAuto, "stage group size for -pipeline (-1 = auto from GOMAXPROCS)")
-		affine     = flag.Bool("affine", false, "with -pipeline: shard-affine counting-sorted walk order")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the classify phase")
 		memProfile = flag.String("memprofile", "", "write a heap profile after classification")
 
@@ -246,10 +230,6 @@ func main() {
 			BatchSize:      *batch,
 			Metrics:        em,
 		}
-		if *pipelined {
-			ecfg.PipelineGroup = *group
-			ecfg.PipelineAffine = *affine
-		}
 		switch *overload {
 		case "block":
 			ecfg.Overload = engine.OverloadBlock
@@ -309,22 +289,7 @@ func main() {
 		if engineErr != nil && !errors.Is(engineErr, context.DeadlineExceeded) {
 			fatal(engineErr)
 		}
-	} else if pc, ok := cl.(pipelinedClassifier); ok && *pipelined && *batch > 1 {
-		// Sequential pipelined path: same chunking as the batched path,
-		// but each chunk walks the staged two-phase pipeline.
-		g := *group
-		if g == engine.PipelineAuto {
-			g = engine.AutoPipelineGroup()
-		}
-		matches := make([]int, *batch)
-		for i := 0; i < len(headers); i += *batch {
-			chunk := headers[i:min(i+*batch, len(headers))]
-			pc.ClassifyBatchPipelined(chunk, matches[:len(chunk)], g, *affine)
-			for k, h := range chunk {
-				tally(h, matches[k])
-			}
-		}
-	} else if bc, ok := cl.(batchClassifier); ok && *batch > 1 {
+	} else if bc, ok := cl.(rules.BatchClassifier); ok && *batch > 1 {
 		// Sequential batched path: classify fixed-size chunks through
 		// ClassifyBatch, reusing one match buffer.
 		matches := make([]int, *batch)
@@ -399,20 +364,6 @@ func buildStatsCollector(t *expcuts.Tree) obs.Collector {
 		gauge("pc_build_depth", "Explicit tree depth of the serving ExpCuts tree.", float64(st.Depth))
 		gauge("pc_build_memory_bytes", "Serialized SRAM footprint of the serving classifier.", float64(t.MemoryBytes()))
 		gauge("pc_build_worst_case_accesses", "Worst-case SRAM accesses per lookup.", float64(st.WorstCaseAccesses))
-		// Per-level stage fill of the software-pipelined walk: node visits
-		// at each original tree level (level 0: every packet walked, root
-		// elided or not). Level l over level 0 is the software reading of
-		// per-stage bank occupancy; all-zero when the pipelined walk has
-		// not served.
-		for lvl, entries := range t.StageFill() {
-			emit(obs.Sample{
-				Name:   "pc_pipeline_stage_entries_total",
-				Help:   "Node visits at each original tree level via the software-pipelined walk (level 0: packets walked).",
-				Type:   "counter",
-				Labels: []obs.Label{{Key: "level", Value: fmt.Sprintf("%d", lvl)}},
-				Value:  float64(entries),
-			})
-		}
 	}
 }
 

@@ -16,13 +16,12 @@ import (
 	"repro/internal/rules"
 )
 
-// batchClassifier is the serving fast path's contract
-// (engine.BatchClassifier, declared locally like the classifier interface
-// above): ClassifyBatch(hs, out) must equal out[i] = Classify(hs[i]).
+// batchClassifier is the serving fast path's contract, rules.BatchClassifier,
+// with a name for the subtests: ClassifyBatch(hs, out) must equal
+// out[i] = Classify(hs[i]).
 type batchClassifier interface {
+	rules.BatchClassifier
 	Name() string
-	Classify(h rules.Header) int
-	ClassifyBatch(hs []rules.Header, out []int)
 }
 
 // batchBuilders is one variant per algorithm — the surface "every

@@ -4,38 +4,22 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/expcuts"
 	"repro/internal/pktgen"
-	"repro/internal/rulegen"
 	"repro/internal/rules"
-	"repro/internal/update"
 )
 
-// pipelinedClassifier mirrors engine.PipelinedClassifier locally (like
-// batchClassifier above).
-type pipelinedClassifier interface {
-	Classify(h rules.Header) int
-	ClassifyBatchPipelined(hs []rules.Header, out []int, group int, affine bool)
-}
-
-// pipelineBuilders are the classifiers exposing the staged walk: ExpCuts
-// at both strides, and an update.Manager whose live generation is an
-// ExpCuts tree (the shape the engine actually serves).
+// pipelineBuilders are ExpCuts at both strides, the classifiers exposing
+// the staged walk behind the benchmark's expcuts.pipelined_ns_per_pkt row.
 var pipelineBuilders = []struct {
 	name  string
-	build func(rs *rules.RuleSet) (pipelinedClassifier, error)
+	build func(rs *rules.RuleSet) (*expcuts.Tree, error)
 }{
-	{"expcuts-w8", func(rs *rules.RuleSet) (pipelinedClassifier, error) {
+	{"expcuts-w8", func(rs *rules.RuleSet) (*expcuts.Tree, error) {
 		return expcuts.New(rs, expcuts.Config{})
 	}},
-	{"expcuts-w4", func(rs *rules.RuleSet) (pipelinedClassifier, error) {
+	{"expcuts-w4", func(rs *rules.RuleSet) (*expcuts.Tree, error) {
 		return expcuts.New(rs, expcuts.Config{StrideW: 4})
-	}},
-	{"manager-expcuts", func(rs *rules.RuleSet) (pipelinedClassifier, error) {
-		return update.NewManager(rs, func(rs *rules.RuleSet) (update.Classifier, error) {
-			return expcuts.New(rs, expcuts.Config{})
-		})
 	}},
 }
 
@@ -84,74 +68,6 @@ func TestPipelinedWalkMatchesOracle(t *testing.T) {
 					}
 				}
 			})
-		}
-	}
-}
-
-// TestPipelinedServingMatrix: the engine with PipelineGroup enabled must
-// serve identically to the oracle at shard counts 1, 3 and 8, with and
-// without a flow cache (whose miss sub-batches also ride the staged walk),
-// at explicit and auto group sizes.
-func TestPipelinedServingMatrix(t *testing.T) {
-	rs, err := rulegen.Generate(rulegen.Config{Kind: rulegen.Firewall, Size: 150, Seed: 2301})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := pktgen.Generate(rs, pktgen.Config{Count: 3000, Seed: 2302, MatchFraction: 0.85})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := make([]int, len(tr.Headers))
-	for i, h := range tr.Headers {
-		oracle[i] = rs.Match(h)
-	}
-	cl, err := expcuts.New(rs, expcuts.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 3, 8} {
-		for _, cfg := range []engine.Config{
-			{Shards: shards, PreserveOrder: true, PipelineGroup: 8},
-			{Shards: shards, PreserveOrder: true, PipelineGroup: engine.PipelineAuto, PipelineAffine: true},
-			{Shards: shards, PreserveOrder: true, PipelineGroup: 64, FlowCacheFlows: 128},
-		} {
-			cfg := cfg
-			name := fmt.Sprintf("shards=%d/group=%d/affine=%v/cache=%d",
-				shards, cfg.PipelineGroup, cfg.PipelineAffine, cfg.FlowCacheFlows)
-			t.Run(name, func(t *testing.T) {
-				got := serveMatches(t, cl, cfg, tr.Headers, false)
-				for i, m := range got {
-					if m != oracle[i] {
-						t.Fatalf("seq %d: match %d, oracle %d", i, m, oracle[i])
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestPipelinedServingNonPipelinedClassifier pins the no-op contract: a
-// classifier without a staged walk serves unchanged under PipelineGroup.
-func TestPipelinedServingNonPipelinedClassifier(t *testing.T) {
-	rs, err := rulegen.Generate(rulegen.Config{Kind: rulegen.CoreRouter, Size: 100, Seed: 2303})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := pktgen.Generate(rs, pktgen.Config{Count: 500, Seed: 2304, MatchFraction: 0.85})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range shardVariants {
-		cl, err := v.build(rs)
-		if err != nil {
-			t.Fatalf("%s: %v", v.name, err)
-		}
-		got := serveMatches(t, cl,
-			engine.Config{Shards: 2, PreserveOrder: true, PipelineGroup: 32}, tr.Headers, false)
-		for i, m := range got {
-			if want := rs.Match(tr.Headers[i]); m != want {
-				t.Fatalf("%s seq %d: match %d, oracle %d", v.name, i, m, want)
-			}
 		}
 	}
 }

@@ -116,37 +116,6 @@ func TestRMIForcedRemainderServing(t *testing.T) {
 	}
 }
 
-// TestRMIPipelinedServing routes the rmi rung through the engine with the
-// software-pipelined walk configured. The rung has no staged walk of its
-// own, so the engine must fall back to its plain batched path and the
-// output must stay oracle-exact — the ladder serves mixed rungs under one
-// engine config, and a rung without ClassifyBatchPipelined must not
-// change answers when pipelining is on.
-func TestRMIPipelinedServing(t *testing.T) {
-	rs, err := rulegen.Generate(rulegen.Config{Kind: rulegen.ACL, Size: 300, Seed: 2521})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := pktgen.Generate(rs, pktgen.Config{Count: 2000, Seed: 2522, MatchFraction: 0.85})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := rmi.New(rs, rmi.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, group := range []int{engine.PipelineAuto, 4} {
-		got := serveMatches(t, cl,
-			engine.Config{Shards: 2, BatchSize: 64, PipelineGroup: group, PreserveOrder: true},
-			tr.Headers, false)
-		for i, m := range got {
-			if want := rs.Match(tr.Headers[i]); m != want {
-				t.Fatalf("group=%d seq %d: match %d, oracle %d", group, i, m, want)
-			}
-		}
-	}
-}
-
 // TestRMITenantServing serves two tenants whose ladders lead with the
 // learned rung through the shared tenant engine: both must settle on
 // rmi at level 0 and answer oracle-exactly for their own rule sets.

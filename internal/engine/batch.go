@@ -120,13 +120,13 @@ func (p *batchPool) put(b *batch) {
 }
 
 // classifyBatch writes b.matches, returning how many packets failed with
-// contained panics. The BatchClassifier fast path classifies the whole
-// batch in one call and writes nothing else; if that call panics, the batch
-// is re-run packet by packet so the panic is attributed to exactly the
-// packet(s) that triggered it and every innocent packet still gets its
+// contained panics. The rules.BatchClassifier fast path classifies the
+// whole batch in one call and writes nothing else; if that call panics, the
+// batch is re-run packet by packet so the panic is attributed to exactly
+// the packet(s) that triggered it and every innocent packet still gets its
 // answer — panic isolation at batch granularity never costs more than the
 // per-packet path would have.
-func classifyBatch(cl Classifier, bc BatchClassifier, b *batch) (panicked int64) {
+func classifyBatch(cl Classifier, bc rules.BatchClassifier, b *batch) (panicked int64) {
 	b.errs = nil // a generation redo re-runs the batch
 	out := b.matches[:len(b.hs)]
 	if bc != nil && classifyBatchContained(bc, b.hs, out) {
@@ -150,7 +150,7 @@ func classifyBatch(cl Classifier, bc BatchClassifier, b *batch) (panicked int64)
 // reporting whether it completed. A false return means some packet in the
 // batch panicked the classifier; the caller falls back to the per-packet
 // path for attribution.
-func classifyBatchContained(bc BatchClassifier, hs []rules.Header, out []int) (ok bool) {
+func classifyBatchContained(bc rules.BatchClassifier, hs []rules.Header, out []int) (ok bool) {
 	defer func() {
 		if recover() != nil {
 			ok = false

@@ -11,10 +11,10 @@ import (
 	"repro/internal/rules"
 )
 
-// countingBatcher implements BatchClassifier and records how work arrived
-// (atomically: it is called from every shard).
+// countingBatcher implements rules.BatchClassifier and records how work
+// arrived (atomically: it is called from every shard).
 type countingBatcher struct {
-	inner      BatchClassifier
+	inner      rules.BatchClassifier
 	batchCalls atomic.Int64
 	scalar     atomic.Int64
 }
@@ -29,8 +29,8 @@ func (c *countingBatcher) ClassifyBatch(hs []rules.Header, out []int) {
 	c.inner.ClassifyBatch(hs, out)
 }
 
-// TestBatchFastPathUsed proves the engine actually drives BatchClassifier
-// implementations through ClassifyBatch — with correct answers and no
+// TestBatchFastPathUsed proves the engine actually drives
+// rules.BatchClassifier implementations through ClassifyBatch — with correct answers and no
 // scalar calls at all on a clean run.
 func TestBatchFastPathUsed(t *testing.T) {
 	rs, tree, headers := fixtures(t, 4000)
@@ -93,7 +93,7 @@ func TestBatchSizesAgree(t *testing.T) {
 // real classifier bug would, so the engine must re-run the batch
 // per-packet to attribute the panic.
 type batchPanicky struct {
-	inner BatchClassifier
+	inner rules.BatchClassifier
 }
 
 const poisonIP = 0xDEADBEEF

@@ -32,75 +32,17 @@ import (
 	"repro/internal/rules"
 )
 
-// Classifier is the lookup the engine parallelizes.
-type Classifier interface {
-	Classify(h rules.Header) int
-}
+// Classifier is the lookup the engine parallelizes (rules.Classifier). A
+// classifier that also implements rules.BatchClassifier is handed whole
+// batches, which amortizes per-packet dispatch cost; one without it is
+// served by a per-packet loop.
+type Classifier = rules.Classifier
 
-// BatchClassifier is optionally implemented by classifiers with a batched
-// fast path: ClassifyBatch classifies hs[i] into out[i] for every i, with
-// exactly the same answers Classify would give. out must be at least as
-// long as hs; implementations must not retain either slice. The engine
-// dispatches whole batches to it, which amortizes per-packet dispatch cost
-// and lets tree classifiers walk level-synchronously (every packet's
-// pointer chase at one level before any packet advances to the next — the
-// software analogue of the paper's explicit-depth guarantee). Classifiers
-// without it are served by a per-packet loop fallback.
-type BatchClassifier interface {
-	Classifier
-	ClassifyBatch(hs []rules.Header, out []int)
-}
-
-// PipelinedClassifier is optionally implemented by classifiers whose
-// batched walk can run software-pipelined level stages (expcuts.Tree,
-// and update.Manager when its live generation does): packets advance in
-// interleaved groups so one group's lookups overlap the next group's
-// next-level line fills. ClassifyBatchPipelined must give exactly the
-// answers ClassifyBatch would; group and affine follow the semantics of
-// Config.PipelineGroup and Config.PipelineAffine.
-type PipelinedClassifier interface {
-	BatchClassifier
-	ClassifyBatchPipelined(hs []rules.Header, out []int, group int, affine bool)
-}
-
-// pipelined adapts a PipelinedClassifier to the BatchClassifier shape the
-// serve loops consume, pinning the run's stage group size and affinity so
-// every batch — including flow-cache miss sub-batches — takes the staged
-// walk.
-type pipelined struct {
-	pc     PipelinedClassifier
-	group  int
-	affine bool
-}
-
-func (p pipelined) Classify(h rules.Header) int { return p.pc.Classify(h) }
-
-func (p pipelined) ClassifyBatch(hs []rules.Header, out []int) {
-	p.pc.ClassifyBatchPipelined(hs, out, p.group, p.affine)
-}
-
-// batcher resolves the effective batched path for a run: the pipelined
-// stage walk when the config asks for it and the classifier supports it,
-// otherwise the classifier's own ClassifyBatch (nil when it has none).
-func (c *Config) batcher(cl Classifier) BatchClassifier {
-	if c.PipelineGroup > 0 {
-		if pc, ok := cl.(PipelinedClassifier); ok {
-			return pipelined{pc: pc, group: c.PipelineGroup, affine: c.PipelineAffine}
-		}
-	}
-	bc, _ := cl.(BatchClassifier)
-	return bc
-}
-
-// PipelineAuto, as Config.PipelineGroup, selects a GOMAXPROCS-derived
-// stage group size at run start (see AutoPipelineGroup).
-const PipelineAuto = -1
-
-// AutoPipelineGroup is the stage group size PipelineAuto resolves to: a
-// full default batch per group on a single core (one wave of independent
-// arena loads per level), shrinking as cores multiply — more concurrent
-// shard walks already share the cache hierarchy, so each walk keeps its
-// in-flight state smaller.
+// AutoPipelineGroup is a GOMAXPROCS-derived stage group size for the
+// ExpCuts staged walk (internal/expcuts/pipeline.go): a full default batch
+// per group on a single core, shrinking as cores multiply. The engine does
+// not use it; it is kept only for the benchmark's
+// expcuts.pipelined_ns_per_pkt ledger row.
 func AutoPipelineGroup() int {
 	g := DefaultBatchSize / runtime.GOMAXPROCS(0)
 	if g < 8 {
@@ -158,8 +100,8 @@ type Config struct {
 	// operation — dispatch, shed, result delivery — moves a whole batch,
 	// so the per-packet synchronization cost is amortized by this factor.
 	// 0 means DefaultBatchSize; 1 reproduces the per-packet dispatch of
-	// the pre-batching engine (the baseline BenchmarkServe compares
-	// against). Shedding and cancellation-overtake happen at batch
+	// the pre-batching engine (the benchmark's engine.batch1_ns_per_pkt
+	// row). Shedding and cancellation-overtake happen at batch
 	// granularity; ordering, accounting and panic attribution stay exact
 	// per packet.
 	BatchSize int
@@ -190,21 +132,6 @@ type Config struct {
 	// endpoint wants. Nil disables instrumentation entirely at the cost
 	// of one pointer test per batch.
 	Metrics *Metrics
-	// PipelineGroup enables software-pipelined level-stage classification
-	// when the classifier implements PipelinedClassifier: every batch is
-	// walked in interleaved groups of this many packets (see
-	// expcuts.ClassifyBatchPipelined). 0 (the zero value) keeps the plain
-	// level-synchronous ClassifyBatch; PipelineAuto (-1) derives the group
-	// size from GOMAXPROCS at run start (AutoPipelineGroup); any other
-	// negative value is rejected. Classifiers without a pipelined walk
-	// serve exactly as before — the knob is a no-op for them.
-	PipelineGroup int
-	// PipelineAffine biases each pipelined group to one tree slice by
-	// sorting the batch's walk order by root key chunk before the staged
-	// walk (the multi-core analogue of per-microengine SRAM banking: a
-	// shard's working set concentrates on one contiguous region of every
-	// tree level). Requires PipelineGroup to be enabled.
-	PipelineAffine bool
 	// TenantPartitions bounds how many tenants may hold a resident flow
 	// cache partition per shard on the multi-tenant path (RunTenants):
 	// each resident tenant gets its own FlowCacheFlows-flow cache, and at
@@ -256,15 +183,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.FlowCacheFlows < 0 {
 		return fmt.Errorf("engine: flow cache flows must be >= 0, got %d", c.FlowCacheFlows)
-	}
-	if c.PipelineGroup == PipelineAuto {
-		c.PipelineGroup = AutoPipelineGroup()
-	}
-	if c.PipelineGroup < 0 {
-		return fmt.Errorf("engine: pipeline group %d must be >= 0 (or PipelineAuto)", c.PipelineGroup)
-	}
-	if c.PipelineAffine && c.PipelineGroup == 0 {
-		return fmt.Errorf("engine: PipelineAffine requires PipelineGroup to be enabled")
 	}
 	if c.TenantPartitions == 0 {
 		c.TenantPartitions = DefaultTenantPartitions

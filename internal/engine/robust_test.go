@@ -251,12 +251,12 @@ func TestSingleWorkerPanicIsDeterministic(t *testing.T) {
 	}
 }
 
-// poisonClassifier is a BatchClassifier that panics on one chosen header.
-// It identifies the batch object behind every call by the backing array of
-// the headers it is handed, which is how the test below knows objects were
-// reused without reaching into the pool.
+// poisonClassifier is a rules.BatchClassifier that panics on one chosen
+// header. It identifies the batch object behind every call by the backing
+// array of the headers it is handed, which is how the test below knows
+// objects were reused without reaching into the pool.
 type poisonClassifier struct {
-	inner  BatchClassifier
+	inner  rules.BatchClassifier
 	poison rules.Header
 
 	mu        sync.Mutex

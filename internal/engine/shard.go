@@ -70,22 +70,17 @@ func shardOf(tid uint32, h rules.Header, shards int) int {
 // own cache epoch and its own generation bracket.
 type lane struct {
 	cl    Classifier
-	bc    BatchClassifier
+	bc    rules.BatchClassifier // cl, if it has a batched path; else nil
 	cache *flowcache.Cache
 	gen   generationProvider // consulted only when cache != nil
 
 	lastGen uint64
 }
 
-// slow is what a flow cache in front of the lane falls back to on a miss:
-// the batched path when there is one, so with pipelining on cache-miss
-// sub-batches take the staged walk too. The raw classifier keeps serving
-// the per-packet and generation roles.
-func (l *lane) slow() Classifier {
-	if l.bc != nil {
-		return l.bc
-	}
-	return l.cl
+// newLane is the lane over cl, with its batched path found once.
+func newLane(cl Classifier) lane {
+	bc, _ := cl.(rules.BatchClassifier)
+	return lane{cl: cl, bc: bc}
 }
 
 // shard is one serving loop: a private job ring and the lane state it
@@ -225,7 +220,7 @@ func (l *lane) classify(b *batch, m *shardMetrics, events *obs.Ring) int64 {
 func makeShards(cl Classifier, resolver TenantResolver, cfg *Config) ([]*shard, error) {
 	shards := make([]*shard, cfg.Shards)
 	for i := range shards {
-		s := &shard{lane: lane{cl: cl, bc: cfg.batcher(cl)}, jobs: make(chan *batch, cfg.QueueDepth)}
+		s := &shard{lane: newLane(cl), jobs: make(chan *batch, cfg.QueueDepth)}
 		if cfg.Metrics != nil {
 			s.m = cfg.Metrics.shard(i)
 			s.events = cfg.Metrics.events
@@ -235,7 +230,7 @@ func makeShards(cl Classifier, resolver TenantResolver, cfg *Config) ([]*shard, 
 				return nil, err
 			}
 		} else if cfg.FlowCacheFlows > 0 {
-			c, err := newFlowCache(s.slow(), cfg.FlowCacheFlows)
+			c, err := newFlowCache(cl, cfg.FlowCacheFlows)
 			if err != nil {
 				return nil, fmt.Errorf("engine: shard %d flow cache: %w", i, err)
 			}

@@ -52,7 +52,7 @@ type TenantResult struct {
 
 // TenantLane is what the engine needs from one tenant's serving state:
 // classification against the tenant's live rule table and the tenant's
-// overload policy. Implementations that also implement BatchClassifier
+// overload policy. Implementations that also implement rules.BatchClassifier
 // get the batched fast path, and those implementing Generation() (the
 // update.Manager contract) get per-batch generation bracketing — both
 // detected dynamically, exactly like RunContext detects them on a bare
@@ -149,7 +149,6 @@ func (l *tenantLedger) counts(m map[uint32]*TenantBreakdown, tid uint32, si int)
 // resolver.
 type tenantLanes struct {
 	resolver TenantResolver
-	cfg      *Config
 	lanes    map[uint32]*lane
 	parts    *flowcache.Partitioned // nil when FlowCacheFlows == 0
 }
@@ -158,7 +157,7 @@ type tenantLanes struct {
 // from the resolver, and with FlowCacheFlows set each tenant gets its own
 // flow-cache partition, at most cfg.TenantPartitions resident at once.
 func (s *shard) serveTenants(resolver TenantResolver, cfg *Config, si int) error {
-	t := &tenantLanes{resolver: resolver, cfg: cfg, lanes: make(map[uint32]*lane)}
+	t := &tenantLanes{resolver: resolver, lanes: make(map[uint32]*lane)}
 	if cfg.FlowCacheFlows > 0 {
 		p, err := flowcache.NewPartitioned(cfg.FlowCacheFlows, cfg.TenantPartitions)
 		if err != nil {
@@ -202,12 +201,13 @@ func (t *tenantLanes) laneFor(tid uint32) (*lane, error) {
 		if !reflect.ValueOf(tl).Comparable() {
 			return nil, ErrLaneUncomparable
 		}
-		l = &lane{cl: tl, bc: t.cfg.batcher(tl)}
+		nl := newLane(tl)
+		l = &nl
 		l.gen, _ = tl.(generationProvider)
 		t.lanes[tid] = l
 	}
 	if t.parts != nil {
-		c, err := t.parts.Partition(tid, l.slow())
+		c, err := t.parts.Partition(tid, tl)
 		if err != nil {
 			// Unreachable: bounds are validated at construction. Serve
 			// cache-free rather than fail the batch.

@@ -16,8 +16,9 @@ import (
 )
 
 // stubLane is a TenantLane over any classifier. The embedded interface
-// keeps the method set minimal, so the engine's dynamic BatchClassifier
-// and generation detection see a bare per-packet classifier.
+// keeps the method set minimal, so the engine's dynamic
+// rules.BatchClassifier and generation detection see a bare per-packet
+// classifier.
 type stubLane struct {
 	Classifier
 	shed bool
@@ -28,7 +29,7 @@ func (s *stubLane) ShedOnOverload() bool { return s.shed }
 // batchLane is stubLane over a batched classifier, so the engine takes
 // the same batched path it takes for the bare classifier.
 type batchLane struct {
-	BatchClassifier
+	rules.BatchClassifier
 	shed bool
 }
 
@@ -37,7 +38,7 @@ func (b *batchLane) ShedOnOverload() bool { return b.shed }
 // asLane wraps cl as a TenantLane with the given overload policy, keeping
 // its batched path when it has one.
 func asLane(cl Classifier, shed bool) TenantLane {
-	if bc, ok := cl.(BatchClassifier); ok {
+	if bc, ok := cl.(rules.BatchClassifier); ok {
 		return &batchLane{BatchClassifier: bc, shed: shed}
 	}
 	return &stubLane{Classifier: cl, shed: shed}

@@ -32,7 +32,7 @@ func (sc *batchScratch) release() {
 	batchPool.Put(sc)
 }
 
-// ClassifyBatch classifies hs[i] into out[i] (the engine's BatchClassifier
+// ClassifyBatch classifies hs[i] into out[i] (the rules.BatchClassifier
 // contract; out must be at least as long as hs). It computes every packet's
 // 104-bit key up front, then walks the compressed arena level-synchronously:
 // all packets make their first node visit before any packet makes its

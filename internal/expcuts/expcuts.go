@@ -211,11 +211,8 @@ type Tree struct {
 	ar    arena     // compressed flat lookup structure; see arena.go
 	work  buildWork // what buildGraph did
 
-	// levelOff[l] is the first node id of level l after the level-major
-	// reorder (levelOff[depth] == len(nodes)); nil when the reorder was
-	// disabled. stageFill[l] counts the pipelined batch walk's node visits
-	// at original level l, and at l = 0 every packet walked (see StageFill).
-	levelOff  []int32
+	// stageFill[l] counts the pipelined batch walk's node visits at
+	// original level l, and at l = 0 every packet walked (see StageFill).
 	stageFill []atomic.Uint64
 
 	image     *memlayout.Image
@@ -573,7 +570,6 @@ func (t *Tree) collectStats() {
 	st.WorstCaseAccesses = 2 * st.Depth
 	uniqueTotal := 0
 	cells := 1 << t.cfg.StrideW
-	sub := 1 << (t.cfg.StrideW - t.cfg.HabsV)
 	// seen[r+off] == id+1 once node id counted child r; refs run from the
 	// last rule leaf, -(rules+1), up to the last node.
 	off := t.rs.Len() + 1
@@ -586,15 +582,8 @@ func (t *Tree) collectStats() {
 				uniqueTotal++
 			}
 		}
-		// Aggregated: 1 HABS word + one 2^u-pointer sub-array per set bit.
-		subArrays := 1
-		for i := sub; i < cells; i += sub {
-			if !equalRefs(n.ptrs[i-sub:i], n.ptrs[i:i+sub]) {
-				subArrays++
-			}
-		}
-		st.MemoryWordsAggregated += 1 + subArrays*sub
-		// Full: the raw 2^w pointer array.
+		// Full: the raw 2^w pointer array. The aggregated count is the
+		// serialized image's, set by serialize.
 		st.MemoryWordsFull += cells
 	}
 	if st.Nodes > 0 {

@@ -141,16 +141,10 @@ func TestReorderImageByteIdentical(t *testing.T) {
 // and the walks still agree with the pointer graph.
 func TestReorderLevelMajorContiguity(t *testing.T) {
 	tree, hs := batchFixture(t)
-	if tree.levelOff == nil {
-		t.Fatal("levelOff not recorded by the reorder")
-	}
-	if got, want := int(tree.levelOff[len(tree.levelOff)-1]), len(tree.nodes); got != want {
-		t.Fatalf("levelOff end %d, want node count %d", got, want)
-	}
 	for id, n := range tree.nodes {
-		if id < int(tree.levelOff[n.level]) || id >= int(tree.levelOff[n.level+1]) {
-			t.Fatalf("node %d (level %d) outside its level run [%d,%d)",
-				id, n.level, tree.levelOff[n.level], tree.levelOff[n.level+1])
+		if id > 0 && n.level < tree.nodes[id-1].level {
+			t.Fatalf("node %d (level %d) follows node %d (level %d): levels decrease",
+				id, n.level, id-1, tree.nodes[id-1].level)
 		}
 		for _, p := range n.ptrs {
 			if p >= 0 && tree.nodes[p].level != n.level+1 {

@@ -20,15 +20,14 @@ func (t *Tree) reorderLevelMajor() {
 		return
 	}
 	depth := t.Depth()
-	t.levelOff = make([]int32, depth+1)
+	// next[l] starts as the first id of level l and counts up through it.
+	next := make([]int32, depth+1)
 	for _, n := range t.nodes {
-		t.levelOff[n.level+1]++
+		next[n.level+1]++
 	}
 	for l := 0; l < depth; l++ {
-		t.levelOff[l+1] += t.levelOff[l]
+		next[l+1] += next[l]
 	}
-	next := make([]int32, depth)
-	copy(next, t.levelOff[:depth])
 	remap := make([]ref, len(t.nodes))
 	for id, n := range t.nodes {
 		remap[id] = next[n.level]

@@ -21,18 +21,12 @@ import (
 	"repro/internal/update"
 )
 
-// Classifier is the minimal lookup surface the injectors wrap; it matches
-// both engine.Classifier and update.Classifier.
-type Classifier interface {
-	Classify(h rules.Header) int
-}
-
 // PanickyClassifier panics on every Nth call (1-based: with EveryN=3,
 // calls 3, 6, 9... panic); other calls delegate to Inner. The counter is
 // atomic, so it injects deterministically *many* faults under concurrency
 // even though which packet draws one depends on scheduling.
 type PanickyClassifier struct {
-	Inner  Classifier
+	Inner  rules.Classifier
 	EveryN uint64
 	count  atomic.Uint64
 }
@@ -54,7 +48,7 @@ func (p *PanickyClassifier) Calls() uint64 { return p.count.Load() }
 // SlowClassifier sleeps Delay on every Nth call before delegating —
 // used to trip per-run deadlines and fill dispatch rings.
 type SlowClassifier struct {
-	Inner  Classifier
+	Inner  rules.Classifier
 	EveryN uint64
 	Delay  time.Duration
 	count  atomic.Uint64
@@ -72,7 +66,7 @@ func (s *SlowClassifier) Classify(h rules.Header) int {
 // It models a miscompiled generation that the update layer's shadow
 // conformance check must catch before the swap.
 type WrongClassifier struct {
-	Inner  Classifier
+	Inner  rules.Classifier
 	EveryN uint64
 	count  atomic.Uint64
 }

@@ -29,19 +29,6 @@ import (
 	"repro/internal/rules"
 )
 
-// Classifier is the slow path behind the cache.
-type Classifier interface {
-	Classify(h rules.Header) int
-}
-
-// BatchClassifier is the optional batched slow-path contract (mirrors
-// engine.BatchClassifier; declared here so flowcache never imports the
-// engine). With it, ClassifyBatch forwards a batch's misses as one sub-batch.
-type BatchClassifier interface {
-	Classifier
-	ClassifyBatch(hs []rules.Header, out []int)
-}
-
 const setWays = 8 // associativity: one tag byte per way
 
 // entry is one way of one set: packed 5-tuple, cache clock at its last
@@ -64,8 +51,8 @@ type key struct {
 
 // Cache is a bounded set-associative flow cache over a classifier.
 type Cache struct {
-	slow  Classifier
-	batch BatchClassifier // slow, if it supports batching; else nil
+	slow  rules.Classifier
+	batch rules.BatchClassifier // slow, if it supports batching; else nil
 
 	tags    []uint64 // one word per set: way w's tag is byte w, 0 = empty
 	entries []entry  // set s owns entries[s*setWays:], setWays of them or all
@@ -102,7 +89,9 @@ func (e *CapacityError) Error() string {
 // New wraps the classifier with a cache of the given capacity (flows).
 // Capacities outside [1, MaxCapacity] are rejected with a *CapacityError;
 // a capacity of 8 or more holds that many rounded down to a multiple of 8.
-func New(slow Classifier, capacity int) (*Cache, error) {
+// When slow is a rules.BatchClassifier, ClassifyBatch forwards a batch's
+// misses to it as one sub-batch.
+func New(slow rules.Classifier, capacity int) (*Cache, error) {
 	if capacity < 1 || int64(capacity) > int64(MaxCapacity) {
 		return nil, &CapacityError{Capacity: capacity}
 	}
@@ -112,7 +101,7 @@ func New(slow Classifier, capacity int) (*Cache, error) {
 		tags:    make([]uint64, sets),
 		entries: make([]entry, min(capacity, sets*setWays)),
 	}
-	c.batch, _ = slow.(BatchClassifier)
+	c.batch, _ = slow.(rules.BatchClassifier)
 	return c, nil
 }
 
@@ -170,8 +159,8 @@ func (c *Cache) Classify(h rules.Header) int {
 	return match
 }
 
-// ClassifyBatch classifies hs[i] into out[i] (the engine's
-// BatchClassifier contract; out must be at least as long as hs). Hits are
+// ClassifyBatch classifies hs[i] into out[i] (the
+// rules.BatchClassifier contract; out must be at least as long as hs). Hits are
 // served in a first pass; all misses are forwarded to the slow path as one
 // sub-batch, so a batched slow path amortizes its work across every cold
 // flow in the batch, and each miss keeps the key its probe resolved, so the

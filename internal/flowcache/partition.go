@@ -14,6 +14,8 @@
 // Partitioned is single-goroutine (one per shard).
 package flowcache
 
+import "repro/internal/rules"
+
 // part is one tenant's cache plus its recency stamp. lastUse is a logical
 // clock bumped on every Partition call, not wall time — cheap, and
 // monotonic regardless of timer resolution.
@@ -64,7 +66,7 @@ func NewPartitioned(perTenant, maxTenants int) (*Partitioned, error) {
 //
 // The steady state (tenant already resident) is one map lookup and a
 // stamp: 0 allocs, safe for the per-batch hot path.
-func (p *Partitioned) Partition(tenant uint32, slow Classifier) (*Cache, error) {
+func (p *Partitioned) Partition(tenant uint32, slow rules.Classifier) (*Cache, error) {
 	p.clock++
 	if pt, ok := p.parts[tenant]; ok {
 		pt.lastUse = p.clock

@@ -405,8 +405,8 @@ func (t *Tree) Classify(h rules.Header) int {
 	return -1
 }
 
-// ClassifyBatch classifies hs[i] into out[i] (the engine's
-// BatchClassifier contract; out must be at least as long as hs). HiCuts
+// ClassifyBatch classifies hs[i] into out[i] (the
+// rules.BatchClassifier contract; out must be at least as long as hs). HiCuts
 // trees have data-dependent depth, so packets cannot be advanced
 // level-synchronously the way fixed-stride ExpCuts batches are; the win
 // here is amortized dispatch — one call, zero allocations, answers

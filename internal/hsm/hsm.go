@@ -265,8 +265,8 @@ func (c *Classifier) Classify(h rules.Header) int {
 	return int(c.tabFinal.at(comb, cls[4])) - 1
 }
 
-// ClassifyBatch classifies hs[i] into out[i] (the engine's
-// BatchClassifier contract; out must be at least as long as hs). The
+// ClassifyBatch classifies hs[i] into out[i] (the
+// rules.BatchClassifier contract; out must be at least as long as hs). The
 // per-packet lookup keeps its class scratch on the stack, so the loop is
 // already allocation-free; the batch form amortizes dispatch and keeps
 // the segment arrays hot across consecutive packets.

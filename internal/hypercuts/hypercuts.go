@@ -458,8 +458,8 @@ func (t *Tree) Classify(h rules.Header) int {
 	return -1
 }
 
-// ClassifyBatch classifies hs[i] into out[i] (the engine's
-// BatchClassifier contract; out must be at least as long as hs). Like
+// ClassifyBatch classifies hs[i] into out[i] (the
+// rules.BatchClassifier contract; out must be at least as long as hs). Like
 // HiCuts, HyperCuts depth is data-dependent, so this is the amortized
 // per-packet loop: one call, zero allocations, answers identical to
 // Classify.

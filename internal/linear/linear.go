@@ -44,8 +44,8 @@ func (c *Classifier) Classify(h rules.Header) int {
 	return c.rs.Match(h)
 }
 
-// ClassifyBatch classifies hs[i] into out[i] (the engine's
-// BatchClassifier contract; out must be at least as long as hs). Linear
+// ClassifyBatch classifies hs[i] into out[i] (the
+// rules.BatchClassifier contract; out must be at least as long as hs). Linear
 // search is already allocation-free; the batch form only amortizes
 // dispatch.
 func (c *Classifier) ClassifyBatch(hs []rules.Header, out []int) {

@@ -321,8 +321,8 @@ func (c *Classifier) Classify(h rules.Header) int {
 	return int(c.tFinal.at(sd, pp)) - 1
 }
 
-// ClassifyBatch classifies hs[i] into out[i] (the engine's
-// BatchClassifier contract; out must be at least as long as hs). RFC's
+// ClassifyBatch classifies hs[i] into out[i] (the
+// rules.BatchClassifier contract; out must be at least as long as hs). RFC's
 // lookup is a fixed 13-read sequence with stack-only scratch, so the loop
 // is already allocation-free; the batch form amortizes dispatch and keeps
 // the phase-0 chunk tables hot across consecutive packets.

@@ -18,10 +18,10 @@
 // yields at most one, and the result is the minimum original rule index —
 // conformance tests hold it equal to the linear oracle on every family.
 //
-// The package implements the engine's Classifier, BatchClassifier and
-// Describer contracts, so it slots into update.NewManagerLadder as a rung
-// and inherits shadow-validated swaps, breakers, sharding, pipelined batch
-// pooling and tenant dispatch unchanged.
+// The package implements rules.BatchClassifier and the engine's Describer
+// contract, so it slots into update.NewManagerLadder as a rung and
+// inherits shadow-validated swaps, breakers, sharding, batch pooling and
+// tenant dispatch unchanged.
 package rmi
 
 import (
@@ -73,10 +73,9 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// classifier is the contract the remainder must satisfy; declared locally
-// so rmi does not import update (update imports rmi for its ladder).
+// classifier is what the remainder must be: a lookup and its footprint.
 type classifier interface {
-	Classify(h rules.Header) int
+	rules.Classifier
 	MemoryBytes() int
 }
 

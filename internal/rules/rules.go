@@ -507,6 +507,26 @@ func (s *RuleSet) Match(h Header) int {
 	return -1
 }
 
+// Classifier is the lookup contract every classifier in the repository
+// implements, declared once here so the serving layers (engine, update,
+// flowcache) and the tools agree on it: Classify returns the index of the
+// first rule matching h, exactly as RuleSet.Match would, or -1.
+type Classifier interface {
+	Classify(h Header) int
+}
+
+// BatchClassifier adds the batched fast path: ClassifyBatch classifies
+// hs[i] into out[i] for every i, with exactly the answers Classify would
+// give. out must be at least as long as hs; only out[:len(hs)] is written
+// and neither slice is retained. Serving layers detect it dynamically, so
+// tree classifiers can walk a batch level-synchronously (every packet's
+// pointer chase at one level before any packet advances to the next) and a
+// classifier without it is served by a per-packet loop.
+type BatchClassifier interface {
+	Classifier
+	ClassifyBatch(hs []Header, out []int)
+}
+
 // Validate checks structural invariants: prefix lengths within 0..32,
 // non-inverted port ranges, and a non-empty set.
 func (s *RuleSet) Validate() error {

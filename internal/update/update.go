@@ -33,32 +33,14 @@ import (
 	"repro/internal/tss"
 )
 
-// Classifier is the read-side contract of a managed generation.
+// Classifier is the read-side contract of a managed generation: the
+// lookup plus its footprint. A generation whose classifier also
+// implements rules.BatchClassifier serves whole batches under a single
+// atomic generation load; the manager's own ClassifyBatch falls back to a
+// per-packet loop otherwise.
 type Classifier interface {
-	Classify(h rules.Header) int
+	rules.Classifier
 	MemoryBytes() int
-}
-
-// BatchClassifier is the optional batched read-side contract. Managed
-// generations whose classifier implements it serve whole batches under a
-// single atomic generation load; the manager's own ClassifyBatch falls
-// back to a per-packet loop otherwise. Declared locally (mirroring
-// engine.BatchClassifier) so the update package keeps zero dependency on
-// the engine.
-type BatchClassifier interface {
-	Classifier
-	ClassifyBatch(hs []rules.Header, out []int)
-}
-
-// PipelinedClassifier is the optional software-pipelined batched contract
-// (mirroring engine.PipelinedClassifier, declared locally for the same
-// zero-dependency reason). Generations whose classifier implements it —
-// expcuts trees on the default ladder rung — serve staged walks; the
-// manager's own ClassifyBatchPipelined degrades to the plain batch path
-// on rungs that don't.
-type PipelinedClassifier interface {
-	BatchClassifier
-	ClassifyBatchPipelined(hs []rules.Header, out []int, group int, affine bool)
 }
 
 // Builder constructs a classifier generation from a rule set (e.g. wrap
@@ -463,7 +445,7 @@ func (m *Manager) Classify(h rules.Header) int {
 func (m *Manager) ClassifyBatch(hs []rules.Header, out []int) {
 	g := m.live.Load()
 	out = out[:len(hs)]
-	if bc, ok := g.cl.(BatchClassifier); ok {
+	if bc, ok := g.cl.(rules.BatchClassifier); ok {
 		bc.ClassifyBatch(hs, out)
 	} else {
 		for i, h := range hs {
@@ -474,30 +456,6 @@ func (m *Manager) ClassifyBatch(hs []rules.Header, out []int) {
 		// One generation load covers tree and delta alike: the pair was
 		// published together, so the whole batch resolves against one
 		// coherent (tree, delta) snapshot.
-		g.delta.ResolveBatch(hs, out)
-	}
-}
-
-// ClassifyBatchPipelined is ClassifyBatch over the software-pipelined
-// stage walk: the same single generation load brackets the whole batch,
-// the staged walk runs when the live rung supports it, and the delta
-// overlay resolves against the identical (tree, delta) snapshot. Rungs
-// without a pipelined walk (hicuts, hsm, linear fallbacks) serve through
-// their plain batch path — the knob never changes answers, only the walk
-// schedule.
-func (m *Manager) ClassifyBatchPipelined(hs []rules.Header, out []int, group int, affine bool) {
-	g := m.live.Load()
-	out = out[:len(hs)]
-	if pc, ok := g.cl.(PipelinedClassifier); ok {
-		pc.ClassifyBatchPipelined(hs, out, group, affine)
-	} else if bc, ok := g.cl.(BatchClassifier); ok {
-		bc.ClassifyBatch(hs, out)
-	} else {
-		for i, h := range hs {
-			out[i] = g.cl.Classify(h)
-		}
-	}
-	if g.delta != nil {
 		g.delta.ResolveBatch(hs, out)
 	}
 }
