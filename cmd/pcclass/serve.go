@@ -144,6 +144,7 @@ func serveMain(args []string) {
 	fmt.Printf("received      %d datagrams (%d decode errors)\n", rep.Received, rep.DecodeErrors)
 	fmt.Printf("  classified %d  shed %d  canceled %d  panics %d  replies %d\n",
 		rep.Classified, rep.Shed, rep.Canceled, rep.Panics, rep.Replies)
+	fmt.Printf("  replies in GSO sends %d (GSO off: %v)\n", rep.GSOReplies, rep.GSOOff)
 	fmt.Println("accounting    exact (received = decode-errors + classified + shed + canceled + panics)")
 }
 

@@ -302,7 +302,7 @@ func RunContext(ctx context.Context, cl Classifier, cfg Config, headers []rules.
 		view := headers[off:min(off+cfg.BatchSize, len(headers))]
 		off += len(view)
 		return view, nil, off < len(headers)
-	}, emit)
+	}, emit, nil)
 	// The contiguous tail the dispatcher never pulled is canceled without
 	// being emitted; everything it did pull went through the sequencer.
 	tail := len(headers) - pulled

@@ -250,11 +250,13 @@ func makeShards(cl Classifier, resolver TenantResolver, cfg *Config) ([]*shard, 
 // tenant (tids nil: all tenant 0); both slices are valid until the next
 // call, and more=false ends the input. A run shorter than a batch is a
 // batch boundary and flushes every half-built batch (see Source). led, set
-// on the tenant path only, receives the per-tenant accounting. runShards
-// returns once every pulled packet has been emitted, with how many were
-// pulled and the emit stage's error, if any.
+// on the tenant path only, receives the per-tenant accounting. flush, if
+// set, runs on the emit goroutine whenever an arrival's emission leaves
+// no result waiting (see Source). runShards returns once every pulled
+// packet has been emitted, with how many were pulled and the emit stage's
+// error, if any.
 func runShards(ctx context.Context, cl Classifier, cfg *Config, shards []*shard, led *tenantLedger,
-	next func() (hs []rules.Header, tids []uint32, more bool), emit func(Result)) (Stats, int, error) {
+	next func() (hs []rules.Header, tids []uint32, more bool), emit func(Result), flush func()) (Stats, int, error) {
 	nShards := len(shards)
 	// Sized like a job ring: a lane that finishes a batch should find room
 	// for it rather than wait on the sequencer.
@@ -410,10 +412,15 @@ func runShards(ctx context.Context, cl Classifier, cfg *Config, shards []*shard,
 	for b := range results {
 		if led == nil {
 			seq.accept(b)
-			continue
+		} else {
+			sc := led.counts(led.outcomes, b.tenant, b.si) // accept may recycle b
+			sc.add(seq.accept(b))
 		}
-		sc := led.counts(led.outcomes, b.tenant, b.si) // accept may recycle b
-		sc.add(seq.accept(b))
+		// The last arrival always finds the channel empty, so flush also
+		// runs after the last result.
+		if flush != nil && len(results) == 0 {
+			flush()
+		}
 	}
 	if describes {
 		// Re-sampled after the last result drained so a mid-run hot-swap

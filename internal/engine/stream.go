@@ -27,6 +27,12 @@ import (
 // (sockets) should return short on an idle interval rather than block
 // until full, or tail packets sit in half-built batches and their
 // latency grows unbounded; replay sources can always fill fully.
+//
+// A Source that also has a Flush() method buffers work of its own on the
+// emit side — a socket front end batching its replies. RunStream calls
+// Flush on the emit goroutine, never during an emit call: after each
+// arrived batch whose emission leaves no other batch waiting. The last
+// batch is always one, so nothing stays buffered when the run ends.
 type Source interface {
 	Next(hs []rules.Header) (n int, ok bool)
 }
@@ -70,10 +76,14 @@ func RunStream(ctx context.Context, cl Classifier, cfg Config, src Source, emit 
 	if err != nil {
 		return Stats{}, err
 	}
+	var flush func()
+	if f, ok := src.(interface{ Flush() }); ok {
+		flush = f.Flush
+	}
 	scratch := make([]rules.Header, cfg.BatchSize)
 	st, pulled, emitErr := runShards(ctx, cl, &cfg, shards, nil, func() ([]rules.Header, []uint32, bool) {
 		n, ok := src.Next(scratch)
 		return scratch[:n], nil, ok
-	}, emit)
+	}, emit, flush)
 	return st, runErr(ctx, &st, emitErr, pulled)
 }

@@ -286,7 +286,7 @@ func RunTenants(ctx context.Context, resolver TenantResolver, cfg Config, pkts [
 		}
 		off += len(view)
 		return hs[:len(view)], tids[:len(view)], off < len(pkts)
-	}, userEmit)
+	}, userEmit, nil)
 	ts.Stats = st
 
 	// The contiguous tail the dispatcher never pulled was offered to this

@@ -4,9 +4,10 @@
 // microengine split (and NuevoMatch's classifier-server / load-generator
 // pair). The server assembles datagrams into segment buffers, decodes
 // them through internal/wire, streams the headers into the sharded
-// engine via engine.RunStream, and echoes one verdict per request; the
-// load generator paces rule-directed traffic at a target rate and folds
-// every reply into a round-trip latency histogram.
+// engine via engine.RunStream, and echoes one verdict per request, each
+// run of replies to one client in one send; the load generator paces
+// rule-directed traffic at a target rate and folds every reply into a
+// round-trip latency histogram.
 package iofront
 
 import (
@@ -17,6 +18,7 @@ import (
 	"net/netip"
 	"os"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
@@ -61,6 +63,14 @@ type ServeReport struct {
 	// Replies counts reply datagrams written (0 with Echo off except
 	// decode-error replies).
 	Replies int
+	// GSOReplies counts the replies among them that left as segments of
+	// one UDP GSO send, a run of two or more to one client in one flush.
+	// Traffic from many clients gives short runs, and GSO saves nothing.
+	GSOReplies int
+	// GSOOff reports that the kernel refused a GSO send for a reason not
+	// tied to the destination, so replies went out one datagram each from
+	// then on.
+	GSOOff bool
 
 	// Stats is the underlying engine accounting.
 	Stats engine.Stats
@@ -91,18 +101,74 @@ type replyMeta struct {
 	addr  netip.AddrPort
 }
 
+// maxRun bounds the reply arena, and with it a GSO send's segments.
+const maxRun = 64
+
+// replyWriter writes runs of replies to one conn; writeRun is per OS
+// (sock_linux.go, sock_other.go). It is safe for concurrent use.
+type replyWriter struct {
+	conn       *net.UDPConn
+	noGSO      atomic.Bool  // set once GSO is found at fault for a refused send
+	gsoReplies atomic.Int64 // reply datagrams sent as segments of a GSO send
+}
+
+// writeEach writes a run of replies one datagram each and reports how
+// many went out.
+func (w *replyWriter) writeEach(b []byte, addr netip.AddrPort) int {
+	sent := 0
+	for ; len(b) >= pcapio.ReplyLen; b = b[pcapio.ReplyLen:] {
+		if _, err := w.conn.WriteToUDPAddrPort(b[:pcapio.ReplyLen], addr); err == nil {
+			sent++
+		}
+	}
+	return sent
+}
+
+// replyArena holds replies until a flush writes them out, one writeRun
+// per run of equal destination. It belongs to one goroutine.
+type replyArena struct {
+	w     *replyWriter
+	buf   [maxRun * pcapio.ReplyLen]byte
+	addrs [maxRun]netip.AddrPort
+	n     int
+	sent  int // reply datagrams written
+}
+
+// add queues one reply, flushing first if the arena is full.
+func (a *replyArena) add(token uint64, verdict int32, addr netip.AddrPort) {
+	if a.n == maxRun {
+		a.flush()
+	}
+	pcapio.PutReply(a.buf[a.n*pcapio.ReplyLen:], token, verdict)
+	a.addrs[a.n] = addr
+	a.n++
+}
+
+// flush writes every queued reply and empties the arena.
+func (a *replyArena) flush() {
+	for lo, hi := 0, 0; lo < a.n; lo = hi {
+		for hi = lo + 1; hi < a.n && a.addrs[hi] == a.addrs[lo]; hi++ {
+		}
+		a.sent += a.w.writeRun(a.buf[lo*pcapio.ReplyLen:hi*pcapio.ReplyLen], a.addrs[lo])
+	}
+	a.n = 0
+}
+
 // udpSource adapts a UDP socket to engine.Source: each pull assembles
 // datagrams into a segment arena under a read deadline, decodes them,
-// answers malformed ones immediately, and queues reply metadata for the
-// rest. A deadline expiry returns a short fill, which tells the engine
-// to flush half-built shard batches (see engine.Source).
+// answers malformed ones before it returns, and queues reply metadata
+// for the rest. A deadline expiry returns a short fill, which tells the
+// engine to flush half-built shard batches (see engine.Source).
+// Verdict replies collect in an arena of their own on the emit goroutine
+// until the engine calls Flush.
 type udpSource struct {
 	conn  *net.UDPConn
 	flush time.Duration
 	meta  chan replyMeta
-	reply func(token uint64, verdict int32, addr netip.AddrPort)
 
-	seg pcapio.Segment
+	seg     pcapio.Segment
+	errs    replyArena // decode-error replies, source goroutine
+	replies replyArena // verdict replies, emit goroutine
 
 	received     int
 	decodeErrors int
@@ -139,13 +205,13 @@ func (s *udpSource) Next(hs []rules.Header) (int, bool) {
 		token, frame, err := pcapio.ParseRequest(s.seg.Packet(s.seg.Count() - 1))
 		if err != nil {
 			s.decodeErrors++
-			s.reply(0, pcapio.VerdictDecodeError, addr)
+			s.errs.add(0, pcapio.VerdictDecodeError, addr)
 			continue
 		}
 		h, err := wire.ParseFrame(frame)
 		if err != nil {
 			s.decodeErrors++
-			s.reply(token, pcapio.VerdictDecodeError, addr)
+			s.errs.add(token, pcapio.VerdictDecodeError, addr)
 			continue
 		}
 		hs[n] = h
@@ -153,8 +219,30 @@ func (s *udpSource) Next(hs []rules.Header) (int, bool) {
 		s.offered++
 		s.meta <- replyMeta{token: token, addr: addr}
 	}
+	s.errs.flush()
 	return n, !s.closed
 }
+
+// newUDPSource is the source over conn, its metadata queue sized for
+// inFlight headers.
+func newUDPSource(conn *net.UDPConn, flush time.Duration, inFlight int) *udpSource {
+	// Decode-error replies are written on the dispatcher goroutine and
+	// verdict replies on the emitter goroutine, so each side owns an arena;
+	// the writer between them is concurrency-safe.
+	w := &replyWriter{conn: conn}
+	return &udpSource{
+		conn:    conn,
+		flush:   flush,
+		meta:    make(chan replyMeta, inFlight),
+		errs:    replyArena{w: w},
+		replies: replyArena{w: w},
+	}
+}
+
+// Flush writes the buffered verdict replies. The engine calls it on the
+// emit goroutine whenever the emit stage runs dry, and after the last
+// result.
+func (s *udpSource) Flush() { s.replies.flush() }
 
 // Serve classifies datagrams arriving on conn until ctx is canceled
 // (cancellation is the normal shutdown path and is not reported as an
@@ -186,23 +274,7 @@ func Serve(ctx context.Context, conn *net.UDPConn, cl engine.Classifier, cfg Ser
 	}
 	inFlight := shards * (queueDepth + 4) * batch
 
-	// Decode-error replies are written on the dispatcher goroutine and
-	// verdict replies on the emitter goroutine; WriteToUDPAddrPort is
-	// concurrency-safe but the scratch reply buffers are not, so each
-	// side owns one.
-	var srcReplyBuf, emitReplyBuf [pcapio.ReplyLen]byte
-	srcReplies, emitReplies := 0, 0
-	src := &udpSource{
-		conn:  conn,
-		flush: cfg.FlushInterval,
-		meta:  make(chan replyMeta, inFlight),
-		reply: func(token uint64, verdict int32, addr netip.AddrPort) {
-			if _, err := conn.WriteToUDPAddrPort(pcapio.PutReply(srcReplyBuf[:], token, verdict), addr); err == nil {
-				srcReplies++
-			}
-		},
-	}
-
+	src := newUDPSource(conn, cfg.FlushInterval, inFlight)
 	st, err := engine.RunStream(ctx, cl, ecfg, src, func(r engine.Result) {
 		m := <-src.meta
 		if !cfg.Echo {
@@ -215,9 +287,7 @@ func Serve(ctx context.Context, conn *net.UDPConn, cl engine.Classifier, cfg Ser
 		// Shed, canceled or panicked packets all present to the client as
 		// VerdictShed — "not classified, resend if you care" — rather than
 		// leaking server internals.
-		if _, err := conn.WriteToUDPAddrPort(pcapio.PutReply(emitReplyBuf[:], m.token, verdict), m.addr); err == nil {
-			emitReplies++
-		}
+		src.replies.add(m.token, verdict, m.addr)
 	})
 	if err != nil && ctx.Err() != nil && errors.Is(err, ctx.Err()) {
 		err = nil // cancellation is how a serve run ends
@@ -231,7 +301,9 @@ func Serve(ctx context.Context, conn *net.UDPConn, cl engine.Classifier, cfg Ser
 		Shed:         st.Shed,
 		Canceled:     st.Canceled,
 		Panics:       st.Panics,
-		Replies:      srcReplies + emitReplies,
+		Replies:      src.errs.sent + src.replies.sent,
+		GSOReplies:   int(src.replies.w.gsoReplies.Load()),
+		GSOOff:       src.replies.w.noGSO.Load(),
 		Stats:        st,
 	}
 	if err == nil {
