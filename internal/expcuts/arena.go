@@ -66,8 +66,8 @@ func (st stepper) cpaIndex(nd *arenaNode, kw uint64) uint32 {
 func (t *Tree) ArenaBytes() int { return len(t.ar.nodes)*arenaLineBytes + len(t.ar.cpa)*4 }
 
 // buildArena flattens t.nodes into the arena: it drops single-child nodes,
-// renumbers the survivors in t.nodes order, and stores one resolved ref per
-// run of each survivor's cells.
+// renumbers the survivors in t.nodes order, and copies each survivor's runs
+// as one run bit and one resolved ref per run.
 func (t *Tree) buildArena() error {
 	// newID[id] is the survivor's arena index, or -1 for an elided node.
 	newID := make([]ref, len(t.nodes))
@@ -83,7 +83,7 @@ func (t *Tree) buildArena() error {
 	// level) and returns it in arena numbering.
 	resolve := func(r ref) ref {
 		for r >= 0 && newID[r] < 0 {
-			r = t.nodes[r].ptrs[0]
+			r = t.nodes[r].runs[0].ref
 		}
 		if r >= 0 {
 			r = newID[r]
@@ -101,16 +101,15 @@ func (t *Tree) buildArena() error {
 			return fmt.Errorf("expcuts: arena CPA exceeds 2^32 words (%d nodes)", len(t.nodes))
 		}
 		nd := arenaNode{base: uint32(base), pos: uint8(uint(n.level) * t.cfg.StrideW)}
-		var raw, last ref
-		for c, p := range n.ptrs {
-			if c == 0 || p != raw { // equal raw refs resolve equally
-				raw = p
-				if r := resolve(p); c == 0 || r != last {
-					nd.runs[c>>6] |= 1 << (c & 63)
-					t.ar.cpa = append(t.ar.cpa, r)
-					last = r
-				}
+		// Adjacent runs hold different refs, but two of them can resolve
+		// to the same one; those merge into one arena run.
+		start := int32(0)
+		for _, rn := range n.runs {
+			if r := resolve(rn.ref); start == 0 || r != t.ar.cpa[len(t.ar.cpa)-1] {
+				nd.runs[start>>6] |= 1 << (start & 63)
+				t.ar.cpa = append(t.ar.cpa, r)
 			}
+			start = rn.end
 		}
 		for k := 1; k < len(nd.pre); k++ {
 			nd.pre[k] = nd.pre[k-1] + uint8(bits.OnesCount64(nd.runs[k-1]))

@@ -21,10 +21,21 @@ func (t *Tree) classifyGraph(h rules.Header) int {
 	r := t.root
 	pos := uint(0)
 	for r >= 0 {
-		r = t.nodes[r].ptrs[k.Bits(pos, w)]
+		r = t.nodes[r].child(k.Bits(pos, w))
 		pos += w
 	}
 	return decodeRef(r)
+}
+
+// child returns the reference cell c of n holds: the ref of the first run
+// that ends past c.
+func (n *node) child(c uint32) ref {
+	for _, rn := range n.runs {
+		if c < uint32(rn.end) {
+			return rn.ref
+		}
+	}
+	panic(fmt.Sprintf("expcuts: cell %d past the node's last run", c))
 }
 
 // visitedLevels walks the builder graph for h and returns the levels of the
@@ -39,7 +50,7 @@ func (t *Tree) visitedLevels(h rules.Header) []int {
 		if !n.singleChild() {
 			levels = append(levels, n.level)
 		}
-		r = n.ptrs[k.Bits(uint(n.level)*w, w)]
+		r = n.child(k.Bits(uint(n.level)*w, w))
 	}
 	return levels
 }
@@ -136,7 +147,7 @@ func checkArena(t *Tree, hs []rules.Header) error {
 var CheckArena = checkArena
 
 // graphTree finishes a hand-built graph the way New finishes a built one.
-func graphTree(t *testing.T, rs *rules.RuleSet, root ref, nodes ...*node) *Tree {
+func graphTree(t *testing.T, rs *rules.RuleSet, root ref, nodes ...node) *Tree {
 	t.Helper()
 	cfg := Config{}
 	if err := cfg.fillDefaults(); err != nil {
@@ -149,12 +160,8 @@ func graphTree(t *testing.T, rs *rules.RuleSet, root ref, nodes ...*node) *Tree 
 	return tree
 }
 
-func uniformNode(level int, child ref) *node {
-	n := &node{level: level, ptrs: make([]ref, 256)}
-	for i := range n.ptrs {
-		n.ptrs[i] = child
-	}
-	return n
+func uniformNode(level int, child ref) node {
+	return node{level: level, runs: []run{{end: 256, ref: child}}}
 }
 
 var cornerHeaders = []rules.Header{

@@ -26,7 +26,10 @@
 // their left neighbour, so the builder groups the 2^w cells into classes
 // of equivalent cells and builds one child per class (≈ 5 per node on
 // CR04 instead of 256). The tree is the one a per-cell expansion builds,
-// node for node.
+// node for node. A built node keeps only its runs of equal children — the
+// run starts plus one reference per run that the CPA stores (≈ 3.5 per
+// node on CR04) — so no 2^w-wide pointer array exists per node; a row is
+// expanded into one reused scratch row only where the image needs it.
 package expcuts
 
 import (
@@ -168,18 +171,24 @@ func refLeaf(ruleIdx int) ref { return ref(-(ruleIdx + 2)) }
 
 func refRule(r ref) int { return int(-r - 2) }
 
-// node is one internal tree node: 2^w child references. The node's level
-// (bit position / w) is implied by where it sits in the level index.
+// node is one internal tree node: its 2^w cells as maximal runs of equal
+// child references, in cell order. Adjacent runs hold different refs and
+// the last run ends at 2^w. The level is the node's key-bit position / w.
 type node struct {
 	level int
-	ptrs  []ref
+	runs  []run
+}
+
+// run is cells first..end-1 of a node holding ref, where first is the
+// previous run's end (0 for the first run).
+type run struct {
+	end int32
+	ref ref
 }
 
 // singleChild reports whether all 2^w cells hold the same reference, i.e.
 // the node's key bits distinguish nothing.
-func (n *node) singleChild() bool {
-	return equalRefs(n.ptrs[1:], n.ptrs[:len(n.ptrs)-1])
-}
+func (n *node) singleChild() bool { return len(n.runs) == 1 }
 
 // BuildStats reports the tree-shape numbers behind Figure 6 and §6.3.
 type BuildStats struct {
@@ -205,7 +214,7 @@ type BuildStats struct {
 type Tree struct {
 	cfg   Config
 	rs    *rules.RuleSet
-	nodes []*node
+	nodes []node
 	root  ref
 	stats BuildStats
 	ar    arena     // compressed flat lookup structure; see arena.go
@@ -215,9 +224,8 @@ type Tree struct {
 	// original level l, and at l = 0 every packet walked (see StageFill).
 	stageFill []atomic.Uint64
 
-	image     *memlayout.Image
-	rootPtr   uint32
-	nodeAddrs []uint32 // per node: pointer word (channel+offset encoded)
+	image   *memlayout.Image
+	rootPtr uint32
 }
 
 // builder carries the construction state of one build. Nodes are appended
@@ -226,7 +234,7 @@ type builder struct {
 	t     *Tree
 	gov   *buildgov.Governor
 	mode  SharingMode
-	nodes []*node
+	nodes []node
 	work  buildWork
 
 	// Scratch reused by every node expansion; build finishes with it before
@@ -407,7 +415,7 @@ func (b *builder) build(pos uint, box rules.Box, ruleIdx []int32, memo map[strin
 		}
 	}
 
-	n := &node{level: int(pos / w), ptrs: make([]ref, cells)}
+	n := node{level: int(pos / w), runs: make([]run, 0, len(classes))}
 	first := 0
 	for _, cl := range classes {
 		cellBox := box
@@ -419,8 +427,11 @@ func (b *builder) build(pos uint, box rules.Box, ruleIdx []int32, memo map[strin
 		if err != nil {
 			return 0, err
 		}
-		for c := first; c < cl.end; c++ {
-			n.ptrs[c] = child
+		// A class whose child equals the previous class's extends its run.
+		if k := len(n.runs) - 1; k >= 0 && n.runs[k].ref == child {
+			n.runs[k].end = int32(cl.end)
+		} else {
+			n.runs = append(n.runs, run{end: int32(cl.end), ref: child})
 		}
 		first = cl.end
 	}
@@ -428,10 +439,10 @@ func (b *builder) build(pos uint, box rules.Box, ruleIdx []int32, memo map[strin
 		return 0, fmt.Errorf("expcuts: node budget %d exhausted (rule set %q, w=%d, sharing %v)",
 			t.cfg.MaxNodes, t.rs.Name, w, b.mode)
 	}
-	// Charge the node (pointer array + header + amortized expansion
-	// scratch — see the constants below) and, below, its memo entry (key
-	// bytes + map slot) against the governor.
-	if err := b.gov.Nodes(1, int64(cells)*8+nodeOverheadBytes); err != nil {
+	// Charge the node (its runs + header + amortized expansion scratch —
+	// see the constants below) and, below, its memo entry (key bytes + map
+	// slot) against the governor.
+	if err := b.gov.Nodes(1, int64(len(n.runs))*8+nodeOverheadBytes); err != nil {
 		return 0, err
 	}
 	id := ref(len(b.nodes))
@@ -446,16 +457,16 @@ func (b *builder) build(pos uint, box rules.Box, ruleIdx []int32, memo map[strin
 }
 
 // Estimated per-entry heap costs used by the governor's byte accounting.
-// A node charges cells*8 + nodeOverheadBytes: the live ptrs array is
-// cells*4, and the rest stands for what expanding the node allocates
-// besides it — the per-class rule lists, the class table, the node header
-// and, under ShareSiblings, the child memo. The constants were calibrated
-// against measured peak HeapAlloc on ACL-family builds at 10k/100k rules
-// when rules were still distributed per cell (a cells*4+48 charge had run
-// ~4× under the peak, so trips fired *after* the blowup). Distributing per
-// class allocates less, but the constants are kept so a budget trips at the
-// node count it always did; the estimate stays within the band buildgov's
-// TestEstimateAccuracyAtScale enforces.
+// A node charges len(runs)*8 + nodeOverheadBytes: its runs, and for the
+// rest what building the node allocates besides them — its header in the
+// node slice (with that slice's growth), the class table and per-class rule
+// lists it leaves as garbage, and under ShareSiblings the child memo. The
+// constant was refit to runs against measured peak HeapAlloc (GC percent
+// 20) on deadline-bounded ACL-family builds: solving for it gave 206–224 B
+// per node at 10k rules and 305–369 B at 100k, and 256 sits between, so
+// the estimate runs within 7 % of the measured peak at both sizes. A memo
+// entry charges its key bytes plus memoOverheadBytes for the map slot.
+// buildgov's TestEstimateAccuracyAtScale holds the estimate to its band.
 const (
 	nodeOverheadBytes = 256
 	memoOverheadBytes = 64
@@ -576,8 +587,8 @@ func (t *Tree) collectStats() {
 	seen := make([]int32, off+len(t.nodes))
 	for id, n := range t.nodes {
 		st.NodesPerLevel[n.level]++
-		for _, p := range n.ptrs {
-			if i := int(p) + off; seen[i] != int32(id+1) {
+		for _, r := range n.runs {
+			if i := int(r.ref) + off; seen[i] != int32(id+1) {
 				seen[i] = int32(id + 1)
 				uniqueTotal++
 			}
@@ -589,13 +600,4 @@ func (t *Tree) collectStats() {
 	if st.Nodes > 0 {
 		st.AvgUniqueChildren = float64(uniqueTotal) / float64(st.Nodes)
 	}
-}
-
-func equalRefs(a, b []ref) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -4,11 +4,13 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/buildgov"
 	"repro/internal/rulegen"
+	"repro/internal/rules"
 )
 
 // TestGoldenBuilds pins the tree each of the paper's seven rule sets
@@ -108,6 +110,83 @@ func TestBuildChargesAreExact(t *testing.T) {
 		if st.MemoEntries != memoNodes || tree.work.sigs-tree.work.hits != memoNodes {
 			t.Errorf("%v: %d memo entries charged, %d signature misses, want %d",
 				sharing, st.MemoEntries, tree.work.sigs-tree.work.hits, memoNodes)
+		}
+	}
+}
+
+// checkRuns checks the builder graph's run invariant: every node's run ends
+// strictly increase up to 2^w, adjacent runs hold different refs (the runs
+// are maximal), and every node ref points one level down.
+func checkRuns(tree *Tree) error {
+	cells := int32(1) << tree.cfg.StrideW
+	for id, n := range tree.nodes {
+		if len(n.runs) == 0 || n.runs[len(n.runs)-1].end != cells {
+			return fmt.Errorf("node %d: runs %v do not end at cell %d", id, n.runs, cells)
+		}
+		for k, rn := range n.runs {
+			if k == 0 && rn.end <= 0 || k > 0 && rn.end <= n.runs[k-1].end {
+				return fmt.Errorf("node %d: run %d ends at %d, not after the previous run (runs %v)", id, k, rn.end, n.runs)
+			}
+			if k > 0 && rn.ref == n.runs[k-1].ref {
+				return fmt.Errorf("node %d: runs %d and %d both hold %d, a run that is not maximal", id, k-1, k, rn.ref)
+			}
+			if rn.ref >= 0 && (int(rn.ref) >= len(tree.nodes) || tree.nodes[rn.ref].level != n.level+1) {
+				return fmt.Errorf("node %d (level %d): run %d holds %d, not a node one level down", id, n.level, k, rn.ref)
+			}
+		}
+	}
+	return nil
+}
+
+// TestGraphRuns checks the run invariant on every node of the seven paper
+// builds, of small builds at every stride and sharing mode (ShareNone
+// builds every cell as its own class, so its runs are all merges), and of
+// the hand-built graphs.
+func TestGraphRuns(t *testing.T) {
+	for _, set := range []string{"FW01", "FW02", "FW03", "CR01", "CR02", "CR03", "CR04"} {
+		rs, err := rulegen.Standard(set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := New(rs, Config{})
+		if err != nil {
+			t.Fatalf("%s: %v", set, err)
+		}
+		if err := checkRuns(tree); err != nil {
+			t.Errorf("%s: %v", set, err)
+		}
+	}
+
+	points := make([]rules.Rule, 4)
+	for i := range points {
+		points[i] = rules.Rule{
+			SrcIP:   rules.Prefix{Addr: 0x0A000000 + uint32(i)*0x01010101, Len: 32},
+			DstIP:   rules.Prefix{Addr: 0xC0A80000 + uint32(i)*257, Len: 32},
+			SrcPort: rules.PortRange{Lo: uint16(1000 + i), Hi: uint16(1000 + i)},
+			DstPort: rules.PortRange{Lo: 80, Hi: 80},
+			Proto:   rules.ProtoMatch{Value: rules.ProtoTCP},
+		}
+	}
+	pointSet := rules.NewRuleSet("points", points)
+	for _, w := range []uint{1, 2, 4, 8} {
+		for _, sharing := range []SharingMode{ShareGlobal, ShareSiblings, ShareNone} {
+			tree, err := New(pointSet, Config{StrideW: w, Sharing: sharing})
+			if err != nil {
+				t.Fatalf("points w=%d %v: %v", w, sharing, err)
+			}
+			if err := checkRuns(tree); err != nil {
+				t.Errorf("points w=%d %v: %v", w, sharing, err)
+			}
+		}
+	}
+
+	wild := rules.NewRuleSet("wild", []rules.Rule{
+		{SrcPort: rules.FullPortRange, DstPort: rules.FullPortRange, Proto: rules.AnyProto},
+	})
+	for _, leaf := range []ref{refLeaf(0), refNoMatch} {
+		tree := graphTree(t, wild, 0, uniformNode(0, 1), uniformNode(1, 2), uniformNode(2, leaf))
+		if err := checkRuns(tree); err != nil {
+			t.Errorf("hand-built chain to %d: %v", leaf, err)
 		}
 	}
 }

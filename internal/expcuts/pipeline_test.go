@@ -146,8 +146,8 @@ func TestReorderLevelMajorContiguity(t *testing.T) {
 			t.Fatalf("node %d (level %d) follows node %d (level %d): levels decrease",
 				id, n.level, id-1, tree.nodes[id-1].level)
 		}
-		for _, p := range n.ptrs {
-			if p >= 0 && tree.nodes[p].level != n.level+1 {
+		for _, rn := range n.runs {
+			if p := rn.ref; p >= 0 && tree.nodes[p].level != n.level+1 {
 				t.Fatalf("node %d (level %d) points to node %d (level %d)",
 					id, n.level, p, tree.nodes[p].level)
 			}

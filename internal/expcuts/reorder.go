@@ -33,12 +33,12 @@ func (t *Tree) reorderLevelMajor() {
 		remap[id] = next[n.level]
 		next[n.level]++
 	}
-	reordered := make([]*node, len(t.nodes))
+	reordered := make([]node, len(t.nodes))
 	for id, n := range t.nodes {
 		reordered[remap[id]] = n
-		for i, p := range n.ptrs {
-			if p >= 0 {
-				n.ptrs[i] = remap[p]
+		for i, r := range n.runs {
+			if r.ref >= 0 {
+				n.runs[i].ref = remap[r.ref]
 			}
 		}
 	}

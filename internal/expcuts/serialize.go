@@ -22,56 +22,70 @@ import (
 // CPA pointer. Leaves are encoded in pointer words (memlayout.LeafPtr), so
 // they cost nothing: the final CPA read *is* the classification result.
 //
-// serialize places levels onto SRAM channels per the headroom allocation
-// (§5.3, Table 4), deepest level first so child pointers exist when their
-// parents are written.
+// serialize lays the tree out through place, each node as its HABS word and
+// CPA.
 func (t *Tree) serialize() error {
-	alloc, err := memlayout.AllocateLevels(
-		memlayout.UniformDemand(t.stats.Depth), t.cfg.Headroom, t.cfg.Channels)
+	image, root, err := t.place(func(row []uint32) ([]uint32, error) {
+		habs, err := bitstring.CompressHABS(row, t.cfg.StrideW, t.cfg.HabsV)
+		if err != nil {
+			return nil, err
+		}
+		return append([]uint32{habs.Bits}, habs.CPA...), nil
+	})
 	if err != nil {
 		return err
 	}
-	t.image = memlayout.NewImage()
-	t.nodeAddrs = make([]uint32, len(t.nodes))
-
-	byLevel := make([][]ref, t.stats.Depth)
-	for id, n := range t.nodes {
-		byLevel[n.level] = append(byLevel[n.level], ref(id))
-	}
-	w, v := t.cfg.StrideW, t.cfg.HabsV
-	ptrBuf := make([]uint32, 1<<w)
-	for level := t.stats.Depth - 1; level >= 0; level-- {
-		ch := alloc[level]
-		for _, id := range byLevel[level] {
-			n := t.nodes[id]
-			for i, r := range n.ptrs {
-				ptrBuf[i] = t.refToPtr(r)
-			}
-			habs, err := bitstring.CompressHABS(ptrBuf, w, v)
-			if err != nil {
-				return fmt.Errorf("expcuts: compressing node %d: %w", id, err)
-			}
-			words := append([]uint32{habs.Bits}, habs.CPA...)
-			off := t.image.Alloc(ch, words)
-			t.nodeAddrs[id] = memlayout.NodePtr(ch, off)
-		}
-	}
-	t.rootPtr = t.refToPtr(t.root)
-	t.stats.MemoryWordsAggregated = t.image.TotalWords()
+	t.image, t.rootPtr = image, root
+	t.stats.MemoryWordsAggregated = image.TotalWords()
 	return nil
 }
 
-// refToPtr converts an in-memory child reference to its pointer word. Node
-// references require the node to have been placed already (levels are
-// serialized bottom-up).
-func (t *Tree) refToPtr(r ref) uint32 {
-	if r == refNoMatch {
-		return memlayout.LeafPtr(-1)
+// place lays the graph out in a new image and returns it with the root's
+// pointer word. Levels go onto SRAM channels per the headroom allocation
+// (§5.3, Table 4), deepest level first so child pointers exist when their
+// parents are written, and within a level in id order. Each node's runs are
+// expanded into one reused row of 2^w pointer words, which encode turns
+// into the words stored for the node.
+func (t *Tree) place(encode func(row []uint32) ([]uint32, error)) (*memlayout.Image, uint32, error) {
+	depth := t.Depth()
+	alloc, err := memlayout.AllocateLevels(memlayout.UniformDemand(depth), t.cfg.Headroom, t.cfg.Channels)
+	if err != nil {
+		return nil, 0, err
 	}
-	if r < 0 {
-		return memlayout.LeafPtr(refRule(r))
+	image := memlayout.NewImage()
+	addrs := make([]uint32, len(t.nodes))
+	// ptr converts a reference to its pointer word. A node must already be
+	// placed, which deepest-first order guarantees.
+	ptr := func(r ref) uint32 {
+		if r < 0 {
+			return memlayout.LeafPtr(decodeRef(r))
+		}
+		return addrs[r]
 	}
-	return t.nodeAddrs[r]
+	byLevel := make([][]ref, depth)
+	for id, n := range t.nodes {
+		byLevel[n.level] = append(byLevel[n.level], ref(id))
+	}
+	row := make([]uint32, 1<<t.cfg.StrideW)
+	for level := depth - 1; level >= 0; level-- {
+		ch := alloc[level]
+		for _, id := range byLevel[level] {
+			first := 0
+			for _, rn := range t.nodes[id].runs {
+				p := ptr(rn.ref)
+				for c := first; c < int(rn.end); c++ {
+					row[c] = p
+				}
+				first = int(rn.end)
+			}
+			words, err := encode(row)
+			if err != nil {
+				return nil, 0, fmt.Errorf("expcuts: encoding node %d: %w", id, err)
+			}
+			addrs[id] = memlayout.NodePtr(ch, image.Alloc(ch, words))
+		}
+	}
+	return image, ptr(t.root), nil
 }
 
 // Lookup runs the serialized lookup against mem: per level, one HABS-word
@@ -141,40 +155,11 @@ type FullTree struct {
 
 // Full serializes the un-aggregated variant of the tree.
 func (t *Tree) Full() (*FullTree, error) {
-	alloc, err := memlayout.AllocateLevels(
-		memlayout.UniformDemand(t.stats.Depth), t.cfg.Headroom, t.cfg.Channels)
+	image, root, err := t.place(func(row []uint32) ([]uint32, error) { return row, nil })
 	if err != nil {
 		return nil, err
 	}
-	f := &FullTree{t: t, image: memlayout.NewImage()}
-	addrs := make([]uint32, len(t.nodes))
-	byLevel := make([][]ref, t.stats.Depth)
-	for id, n := range t.nodes {
-		byLevel[n.level] = append(byLevel[n.level], ref(id))
-	}
-	refToPtr := func(r ref) uint32 {
-		if r == refNoMatch {
-			return memlayout.LeafPtr(-1)
-		}
-		if r < 0 {
-			return memlayout.LeafPtr(refRule(r))
-		}
-		return addrs[r]
-	}
-	ptrBuf := make([]uint32, 1<<t.cfg.StrideW)
-	for level := t.stats.Depth - 1; level >= 0; level-- {
-		ch := alloc[level]
-		for _, id := range byLevel[level] {
-			n := t.nodes[id]
-			for i, r := range n.ptrs {
-				ptrBuf[i] = refToPtr(r)
-			}
-			off := f.image.Alloc(ch, ptrBuf)
-			addrs[id] = memlayout.NodePtr(ch, off)
-		}
-	}
-	f.rootPtr = refToPtr(t.root)
-	return f, nil
+	return &FullTree{t: t, image: image, rootPtr: root}, nil
 }
 
 // MemoryBytes returns the un-aggregated footprint.
