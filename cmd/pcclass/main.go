@@ -43,14 +43,9 @@ import (
 	"repro/internal/buildgov"
 	"repro/internal/engine"
 	"repro/internal/expcuts"
-	"repro/internal/hicuts"
-	"repro/internal/hsm"
-	"repro/internal/hypercuts"
 	"repro/internal/linear"
 	"repro/internal/obs"
 	"repro/internal/pktgen"
-	"repro/internal/rfc"
-	"repro/internal/rmi"
 	"repro/internal/rulegen"
 	"repro/internal/rules"
 	"repro/internal/tenant"
@@ -431,25 +426,17 @@ func loadTrace(rs *rules.RuleSet, file string, gen int, seed int64) ([]rules.Hea
 	return out, nil
 }
 
+// build builds one algorithm by name through the ladder's name table.
 func build(algo string, rs *rules.RuleSet, budget *buildgov.Budget) (classifier, error) {
-	ctx := context.Background()
-	switch algo {
-	case "expcuts":
-		return expcuts.NewCtx(ctx, rs, expcuts.Config{}, budget)
-	case "hicuts":
-		return hicuts.NewCtx(ctx, rs, hicuts.Config{}, budget)
-	case "hypercuts":
-		return hypercuts.NewCtx(ctx, rs, hypercuts.Config{}, budget)
-	case "hsm":
-		return hsm.NewCtx(ctx, rs, hsm.Config{}, budget)
-	case "rfc":
-		return rfc.NewCtx(ctx, rs, rfc.Config{}, budget)
-	case "rmi":
-		return rmi.NewCtx(ctx, rs, rmi.Config{}, budget)
-	case "linear":
-		return linear.New(rs), nil
+	rungs, err := update.LadderFromNames([]string{algo}, budget)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("unknown algorithm %q (expcuts, hicuts, hypercuts, hsm, rfc, rmi, linear)", algo)
+	cl, err := rungs[0].Build(context.Background(), rs)
+	if err != nil {
+		return nil, err
+	}
+	return cl.(classifier), nil
 }
 
 // laddered adapts an update.Manager to the local classifier interface
@@ -473,7 +460,7 @@ func buildLadder(names []string, rs *rules.RuleSet, budget *buildgov.Budget, rin
 	if err != nil {
 		return nil, err
 	}
-	m, err := update.NewManagerLadder(rs, rungs, update.Config{MaxBuildAttempts: 1, Events: ring})
+	m, err := update.NewManagerLadder(rs, rungs, update.Config{Events: ring})
 	if err != nil {
 		return nil, err
 	}

@@ -47,9 +47,8 @@ import (
 )
 
 // ErrBudgetExceeded is the sentinel every budget violation wraps. Callers
-// distinguish deterministic budget trips (not worth retrying — the same
-// build would trip the same limit) from transient build failures with
-// errors.Is(err, ErrBudgetExceeded).
+// tell budget trips (deterministic: the same build would trip the same
+// limit) from other build failures with errors.Is(err, ErrBudgetExceeded).
 var ErrBudgetExceeded = errors.New("buildgov: build budget exceeded")
 
 // Budget bounds one classifier build. The zero value of any field means

@@ -150,7 +150,6 @@ func TestChurnSoakWithFailuresAcrossShards(t *testing.T) {
 		},
 		update.Config{
 			ValidateSamples:  -1,
-			MaxBuildAttempts: 1,
 			BreakerThreshold: 2,
 			BreakerCooldown:  time.Millisecond,
 			CompactThreshold: -1,

@@ -132,14 +132,6 @@ type Config struct {
 	// endpoint wants. Nil disables instrumentation entirely at the cost
 	// of one pointer test per batch.
 	Metrics *Metrics
-	// TenantPartitions bounds how many tenants may hold a resident flow
-	// cache partition per shard on the multi-tenant path (RunTenants):
-	// each resident tenant gets its own FlowCacheFlows-flow cache, and at
-	// the bound the least recently served tenant's partition is reclaimed
-	// (a tenant-evicted event, cold misses for the victim, never a
-	// correctness change). 0 means DefaultTenantPartitions. Ignored by
-	// RunContext and RunStream.
-	TenantPartitions int
 }
 
 // DefaultBatchSize is the packets-per-dispatch default. 64 packets is
@@ -183,12 +175,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.FlowCacheFlows < 0 {
 		return fmt.Errorf("engine: flow cache flows must be >= 0, got %d", c.FlowCacheFlows)
-	}
-	if c.TenantPartitions == 0 {
-		c.TenantPartitions = DefaultTenantPartitions
-	}
-	if c.TenantPartitions < 1 {
-		return fmt.Errorf("engine: tenant partitions must be >= 1, got %d", c.TenantPartitions)
 	}
 	return nil
 }

@@ -29,9 +29,12 @@ import (
 	"repro/internal/rules"
 )
 
-// DefaultTenantPartitions is Config.TenantPartitions when unset: how many
-// tenants per shard keep a resident flow-cache partition before the
-// least recently served one is reclaimed.
+// DefaultTenantPartitions bounds how many tenants per shard keep a
+// resident flow-cache partition on the multi-tenant path (RunTenants):
+// each resident tenant gets its own FlowCacheFlows-flow cache, and at the
+// bound the least recently served tenant's partition is reclaimed (a
+// tenant-evicted event, cold misses for the victim, never a correctness
+// change).
 const DefaultTenantPartitions = 64
 
 // TenantPacket is one packet of the multi-tenant input stream: the
@@ -155,11 +158,11 @@ type tenantLanes struct {
 
 // serveTenants makes s a multi-tenant shard: lanes are built on demand
 // from the resolver, and with FlowCacheFlows set each tenant gets its own
-// flow-cache partition, at most cfg.TenantPartitions resident at once.
+// flow-cache partition, at most DefaultTenantPartitions resident at once.
 func (s *shard) serveTenants(resolver TenantResolver, cfg *Config, si int) error {
 	t := &tenantLanes{resolver: resolver, lanes: make(map[uint32]*lane)}
 	if cfg.FlowCacheFlows > 0 {
-		p, err := flowcache.NewPartitioned(cfg.FlowCacheFlows, cfg.TenantPartitions)
+		p, err := flowcache.NewPartitioned(cfg.FlowCacheFlows, DefaultTenantPartitions)
 		if err != nil {
 			return fmt.Errorf("engine: shard %d tenant partitions: %w", si, err)
 		}
@@ -252,7 +255,7 @@ func (t *tenantLanes) drop(tid uint32) {
 //     those of tenants with uncomparable lanes with ErrLaneUncomparable
 //     (both accounted as shed, never silently dropped);
 //   - cfg.FlowCacheFlows sizes each tenant's per-shard cache partition
-//     and cfg.TenantPartitions bounds resident partitions per shard.
+//     and DefaultTenantPartitions bounds resident partitions per shard.
 //
 // emit may be nil. The returned TenantStats satisfies, for every tenant
 // and every shard, Offered == Classified + Shed + Canceled + Panicked.

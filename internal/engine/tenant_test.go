@@ -301,7 +301,7 @@ func TestRunTenantsPanicAttribution(t *testing.T) {
 func TestRunTenantsPartitionEviction(t *testing.T) {
 	_, _, headers := fixtures(t, 8000)
 	res := mapResolver{}
-	tenants := make([]uint32, 6)
+	tenants := make([]uint32, DefaultTenantPartitions+1)
 	for i := range tenants {
 		tid := uint32(i + 1)
 		tenants[i] = tid
@@ -311,13 +311,13 @@ func TestRunTenantsPartitionEviction(t *testing.T) {
 	ring := obs.NewRing(256)
 	m.SetEvents(ring)
 	pkts := tenantStream(headers, tenants)
-	// Six tenants rotating through two partitions never stay resident long
-	// enough to hit; a two-tenant tail over a few flows does.
+	// One tenant more than there are partitions, rotating, never stays
+	// resident long enough to hit; a two-tenant tail over a few flows does.
 	for rep := 0; rep < 50; rep++ {
 		pkts = append(pkts, tenantStream(headers[:32], tenants[:2])...)
 	}
 	ts, err := RunTenants(context.Background(), res,
-		Config{Shards: 2, PreserveOrder: true, FlowCacheFlows: 64, TenantPartitions: 2, Metrics: m},
+		Config{Shards: 2, PreserveOrder: true, FlowCacheFlows: 64, Metrics: m},
 		pkts,
 		func(r TenantResult) {
 			if r.Err != nil {
@@ -339,7 +339,8 @@ func TestRunTenantsPartitionEviction(t *testing.T) {
 		}
 	}
 	if evicted == 0 {
-		t.Error("6 tenants over 2 partitions per shard recorded no tenant-evicted events")
+		t.Errorf("%d tenants over %d partitions per shard recorded no tenant-evicted events",
+			len(tenants), DefaultTenantPartitions)
 	}
 	// Every classified packet went through some tenant's partition, so the
 	// exported cache counters must account for all of them — including
@@ -456,10 +457,10 @@ func TestTenantLaneRebind(t *testing.T) {
 }
 
 // newTenantShard builds the one shard of a multi-tenant run over res, with
-// 128-flow cache partitions, four resident at most.
+// 128-flow cache partitions.
 func newTenantShard(t *testing.T, res TenantResolver) *shard {
 	t.Helper()
-	cfg := Config{Shards: 1, FlowCacheFlows: 128, TenantPartitions: 4}
+	cfg := Config{Shards: 1, FlowCacheFlows: 128}
 	if err := cfg.fillDefaults(); err != nil {
 		t.Fatal(err)
 	}

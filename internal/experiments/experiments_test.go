@@ -328,15 +328,18 @@ func TestRenderersProduceTables(t *testing.T) {
 	}
 }
 
+// Every name update.LadderFromNames knows is a rulescale algorithm;
+// hicuts, the default ladder's second rung, used to be refused.
 func TestRuleScaleShape(t *testing.T) {
-	rows, err := RuleScale(light, []int{1000}, []string{"expcuts", "linear"})
+	algos := []string{"expcuts", "hicuts", "linear"}
+	rows, err := RuleScale(light, []int{1000}, algos)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(rows))
+	if len(rows) != len(algos) {
+		t.Fatalf("rows = %d, want %d", len(rows), len(algos))
 	}
-	for i, algo := range []string{"expcuts", "linear"} {
+	for i, algo := range algos {
 		r := rows[i]
 		if r.Algo != algo || r.Rules == 0 {
 			t.Errorf("row %d = %+v, want %s on a non-empty set", i, r, algo)

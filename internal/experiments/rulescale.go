@@ -8,12 +8,9 @@ import (
 
 	"repro/internal/buildgov"
 	"repro/internal/engine"
-	"repro/internal/expcuts"
-	"repro/internal/hsm"
-	"repro/internal/linear"
-	"repro/internal/rmi"
 	"repro/internal/rulegen"
 	"repro/internal/rules"
+	"repro/internal/update"
 )
 
 // RuleScaleRow is one (algorithm, rule count) cell of the scaling-by-rule-
@@ -107,21 +104,12 @@ func ruleScaleCell(algo string, rs *rules.RuleSet, setName string, hs []rules.He
 	row := RuleScaleRow{Algo: algo, Rules: len(rs.Rules), RuleSet: setName}
 	budget := buildgov.ScaledBudget(len(rs.Rules))
 
-	var cl engine.Classifier
-	var err error
-	start := time.Now()
-	switch algo {
-	case "expcuts":
-		cl, err = expcuts.NewCtx(context.Background(), rs, expcuts.Config{}, budget)
-	case "hsm":
-		cl, err = hsm.NewCtx(context.Background(), rs, hsm.Config{}, budget)
-	case "linear":
-		cl = linear.New(rs)
-	case "rmi":
-		cl, err = rmi.NewCtx(context.Background(), rs, rmi.Config{}, budget)
-	default:
-		return row, fmt.Errorf("rulescale: unknown algorithm %q (expcuts, hsm, linear, rmi)", algo)
+	rungs, err := update.LadderFromNames([]string{algo}, budget)
+	if err != nil {
+		return row, fmt.Errorf("rulescale: %w", err)
 	}
+	start := time.Now()
+	cl, err := rungs[0].Build(context.Background(), rs)
 	row.BuildMs = float64(time.Since(start).Microseconds()) / 1000
 	if err != nil {
 		if !errors.Is(err, buildgov.ErrBudgetExceeded) {
@@ -130,9 +118,7 @@ func ruleScaleCell(algo string, rs *rules.RuleSet, setName string, hs []rules.He
 		row.BuildError = err.Error()
 		return row, nil
 	}
-	if mb, ok := cl.(interface{ MemoryBytes() int }); ok {
-		row.MemoryBytes = mb.MemoryBytes()
-	}
+	row.MemoryBytes = cl.MemoryBytes()
 
 	cfg := engine.DefaultConfig()
 	cfg.Shards = 1

@@ -120,30 +120,43 @@ func TestEveryFailureModeDegradesGracefully(t *testing.T) {
 	})
 
 	t.Run("builder-failure", func(t *testing.T) {
-		fb := &FlakyBuilder{
-			Inner:    func(r *rules.RuleSet) (update.Classifier, error) { return expcuts.New(r, expcuts.Config{}) },
-			Failures: 1,
-		}
-		// One scripted failure inside a 2-attempt budget: the initial
-		// build retries and succeeds.
-		m, err := update.NewManagerConfig(rs, fb.Build, update.Config{
-			MaxBuildAttempts: 2,
-			BackoffBase:      time.Microsecond,
-		})
+		good := func(r *rules.RuleSet) (update.Classifier, error) { return expcuts.New(r, expcuts.Config{}) }
+		fb := &FlakyBuilder{Inner: good, Failures: 1}
+		build := good
+		m, err := update.NewManager(rs, func(r *rules.RuleSet) (update.Classifier, error) { return build(r) })
 		if err != nil {
-			t.Fatalf("manager failed despite retry budget: %v", err)
+			t.Fatal(err)
 		}
-		if got := fb.Attempts(); got != 2 {
-			t.Errorf("builder attempts = %d, want 2", got)
-		}
-		if h := m.Health(); h.BuildRetries != 1 {
-			t.Errorf("BuildRetries = %d, want 1", h.BuildRetries)
-		}
-		// A permanently failing builder exhausts its budget and refuses
-		// to construct at all.
-		broken, err2 := update.NewManagerConfig(rs, FailingBuilder, update.Config{
-			MaxBuildAttempts: 2, BackoffBase: time.Microsecond,
+		// One scripted failure: the rebuild it lands in fails its Apply
+		// after one attempt, and the live generation keeps serving.
+		build = fb.Build
+		genBefore := m.Generation()
+		op := update.InsertAt(0, rules.Rule{
+			SrcPort: rules.FullPortRange, DstPort: rules.FullPortRange, Proto: rules.AnyProto,
 		})
+		if err := m.Apply([]update.Op{op}); !errors.Is(err, ErrInjectedBuild) {
+			t.Fatalf("err = %v, want ErrInjectedBuild in the chain", err)
+		}
+		if got := fb.Attempts(); got != 1 {
+			t.Errorf("builder attempts = %d, want 1 (builds are not retried)", got)
+		}
+		if m.Generation() != genBefore {
+			t.Error("generation advanced past a failed build")
+		}
+		for _, h := range headers[:200] {
+			if got, want := m.Classify(h), rs.Match(h); got != want {
+				t.Fatalf("live generation misclassified %v after a failed rebuild: %d, want %d", h, got, want)
+			}
+		}
+		// The next build is good and swaps in.
+		if err := m.Apply([]update.Op{op}); err != nil {
+			t.Fatalf("apply after the scripted failure: %v", err)
+		}
+		if m.Generation() != genBefore+1 {
+			t.Errorf("generation %d, want %d", m.Generation(), genBefore+1)
+		}
+		// A permanently failing builder refuses to construct at all.
+		broken, err2 := update.NewManager(rs, FailingBuilder)
 		if err2 == nil || broken != nil {
 			t.Error("manager built with a builder that can never succeed")
 		}

@@ -80,7 +80,7 @@ type interval struct {
 // minSize (small sets are not worth a model; the remainder classifier
 // absorbs them). Entirely deterministic: ties break on interval bounds
 // then original rule index.
-func extractISets(rs []rules.Rule, maxISets, minSize int, gov *buildgov.Governor) ([]iset, []int32, error) {
+func extractISets(rs []rules.Rule, minSize int, gov *buildgov.Governor) ([]iset, []int32, error) {
 	remaining := make([]int32, len(rs))
 	for i := range remaining {
 		remaining[i] = int32(i)

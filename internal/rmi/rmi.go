@@ -39,37 +39,25 @@ import (
 
 // Config parameterizes an index build. The zero value is ready for use.
 type Config struct {
-	// MaxISets bounds how many independent sets are extracted. Each adds
-	// a per-packet model probe, so more sets only pay off while they keep
-	// absorbing a meaningful rule fraction. Default 4.
-	MaxISets int
 	// MinISetSize stops extraction once the best remaining candidate set
 	// is smaller than this: tiny sets are cheaper to classify inside the
 	// remainder than with their own model probe. Default 32. Setting it
 	// above the rule count forces the pure-remainder fallback path.
 	MinISetSize int
-	// SubmodelRules is the target number of keys per stage-1 submodel.
-	// Default 64.
-	SubmodelRules int
-	// RemainderAlgos is the build chain for the remainder classifier,
-	// tried in order with the shared budget; a budget trip falls through
-	// to the next entry, exactly like ladder rungs. Supported names:
-	// expcuts, hsm, linear. Default [expcuts, hsm, linear].
-	RemainderAlgos []string
 }
 
+const (
+	// maxISets bounds how many independent sets are extracted. Each adds
+	// a per-packet model probe, so more sets only pay off while they keep
+	// absorbing a meaningful rule fraction.
+	maxISets = 4
+	// submodelRules is the target number of keys per stage-1 submodel.
+	submodelRules = 64
+)
+
 func (c *Config) fillDefaults() {
-	if c.MaxISets == 0 {
-		c.MaxISets = 4
-	}
 	if c.MinISetSize == 0 {
 		c.MinISetSize = 32
-	}
-	if c.SubmodelRules == 0 {
-		c.SubmodelRules = 64
-	}
-	if len(c.RemainderAlgos) == 0 {
-		c.RemainderAlgos = []string{"expcuts", "hsm", "linear"}
 	}
 }
 
@@ -132,7 +120,7 @@ func NewCtx(ctx context.Context, rs *rules.RuleSet, cfg Config, budget *buildgov
 		return nil, err
 	}
 
-	sets, remIdx, err := extractISets(rs.Rules, cfg.MaxISets, cfg.MinISetSize, gov)
+	sets, remIdx, err := extractISets(rs.Rules, cfg.MinISetSize, gov)
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +131,7 @@ func NewCtx(ctx context.Context, rs *rules.RuleSet, cfg Config, budget *buildgov
 			return nil, err
 		}
 		dimMax := uint32(uint64(1)<<rules.DimBits[s.dim] - 1)
-		s.model = fitModel(s.lo, (len(s.lo)-1)/cfg.SubmodelRules+1, dimMax)
+		s.model = fitModel(s.lo, (len(s.lo)-1)/submodelRules+1, dimMax)
 		if err := gov.Bytes(int64(s.model.bytes())); err != nil {
 			return nil, err
 		}
@@ -168,7 +156,7 @@ func NewCtx(ctx context.Context, rs *rules.RuleSet, cfg Config, budget *buildgov
 			x.remPos[i] = ri // remIdx is in original order → increasing
 		}
 		rrs := rules.NewRuleSet(rs.Name+"+rem", remRules)
-		rem, algo, err := buildRemainder(ctx, rrs, cfg.RemainderAlgos, budget)
+		rem, algo, err := buildRemainder(ctx, rrs, budget)
 		if err != nil {
 			return nil, err
 		}
@@ -179,33 +167,24 @@ func NewCtx(ctx context.Context, rs *rules.RuleSet, cfg Config, budget *buildgov
 	return x, nil
 }
 
-// buildRemainder tries the chain in order. A build error that is not a
-// context cancellation falls through to the next algorithm; linear cannot
-// fail.
-func buildRemainder(ctx context.Context, rrs *rules.RuleSet, algos []string, budget *buildgov.Budget) (classifier, string, error) {
-	var lastErr error
-	for _, name := range algos {
-		var c classifier
-		var err error
-		switch name {
-		case "expcuts":
-			c, err = expcuts.NewCtx(ctx, rrs, expcuts.Config{}, budget)
-		case "hsm":
-			c, err = hsm.NewCtx(ctx, rrs, hsm.Config{}, budget)
-		case "linear":
-			c, err = linear.New(rrs), nil
-		default:
-			return nil, "", fmt.Errorf("rmi: unknown remainder algorithm %q (expcuts, hsm, linear)", name)
-		}
-		if err == nil {
-			return c, name, nil
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			break
+// buildRemainder tries expcuts, then hsm, then linear, with the shared
+// budget: a build error that is not a context cancellation falls through
+// to the next, exactly like ladder rungs; linear cannot fail.
+func buildRemainder(ctx context.Context, rrs *rules.RuleSet, budget *buildgov.Budget) (classifier, string, error) {
+	var c classifier
+	var err error
+	if c, err = expcuts.NewCtx(ctx, rrs, expcuts.Config{}, budget); err == nil {
+		return c, "expcuts", nil
+	}
+	if ctx.Err() == nil {
+		if c, err = hsm.NewCtx(ctx, rrs, hsm.Config{}, budget); err == nil {
+			return c, "hsm", nil
 		}
 	}
-	return nil, "", fmt.Errorf("rmi: remainder build failed: %w", lastErr)
+	if ctx.Err() != nil {
+		return nil, "", fmt.Errorf("rmi: remainder build failed: %w", err)
+	}
+	return linear.New(rrs), "linear", nil
 }
 
 // Name identifies the algorithm.

@@ -26,11 +26,10 @@ const (
 // StarvedError reports a build that waited on the global admission
 // budget until its context expired. It unwraps to
 // buildgov.ErrBudgetExceeded on purpose: the ladder treats admission
-// starvation exactly like a tripped per-build budget — the attempt is
-// not retried (retrying against an exhausted global budget is how
-// rebuild storms feed themselves), the rung's breaker records the
-// failure, and the ladder falls through toward its final rung, which is
-// admission-exempt so the tenant always lands somewhere servable.
+// starvation exactly like a tripped per-build budget — it counts as a
+// budget trip, the rung's breaker records the failure, and the ladder
+// falls through toward its final rung, which is admission-exempt so the
+// tenant always lands somewhere servable.
 type StarvedError struct {
 	// Tenant is the starved tenant.
 	Tenant ID

@@ -19,8 +19,7 @@ type Config struct {
 	// Name is a human label for reports ("" is fine).
 	Name string
 	// Ladder names the tenant's degradation ladder rungs, best first
-	// (update.LadderFromNames). Empty means the default
-	// expcuts→hicuts→hsm→linear.
+	// (update.LadderFromNames). Empty means update.DefaultLadder.
 	Ladder []string
 	// Budget governs each of the tenant's builds (nil: bounded only by
 	// Update.BuildTimeout). This is the per-tenant half of build
@@ -28,19 +27,15 @@ type Config struct {
 	// own ladder down and serves linear, while every other tenant's
 	// expcuts keeps building under its own untouched budget.
 	Budget *buildgov.Budget
-	// Update configures the tenant's update.Manager (validation, retry,
-	// breaker and compaction knobs). Update.Events defaults to the
-	// registry's ring.
+	// Update configures the tenant's update.Manager (validation, build
+	// deadline, breaker and compaction knobs). Update.Events defaults to
+	// the registry's ring.
 	Update update.Config
 	// ShedOnOverload picks the tenant's engine overload policy: shed
 	// (drop with ErrShed results when the tenant's queue slots are full)
 	// or block the dispatcher. Hostile or best-effort tenants should
 	// shed; blocking is head-of-line blocking for everyone behind them.
 	ShedOnOverload bool
-	// BuildHeapBytes is the tenant's per-build charge against the global
-	// admission heap budget. 0 derives it from Budget.MaxHeapBytes,
-	// falling back to DefaultBuildHeapReserve.
-	BuildHeapBytes int64
 }
 
 // Runtime is one tenant's serving state: its update.Manager (embedded —
@@ -83,10 +78,6 @@ func (r *Runtime) Counts() engine.TenantCounts {
 
 // Options configures a Registry.
 type Options struct {
-	// MaxConcurrentBuilds / MaxBuildHeapBytes bound the global admission
-	// budget (<= 0: DefaultMaxConcurrentBuilds / DefaultMaxBuildHeapBytes).
-	MaxConcurrentBuilds int
-	MaxBuildHeapBytes   int64
 	// Events is the flight recorder for tenant lifecycle and admission
 	// events (tenant-evicted, budget-starved); also the default
 	// update.Config.Events for tenants that do not bring their own.
@@ -108,14 +99,11 @@ type Registry struct {
 	refused obs.Counter // packets offered for unknown tenants
 }
 
-// NewRegistry returns an empty registry with its admission governor.
+// NewRegistry returns an empty registry with its admission governor,
+// bounded by DefaultMaxConcurrentBuilds and DefaultMaxBuildHeapBytes.
 func NewRegistry(opts Options) *Registry {
-	heap := opts.MaxBuildHeapBytes
-	if heap <= 0 {
-		heap = DefaultMaxBuildHeapBytes
-	}
 	r := &Registry{
-		adm:    NewAdmission(opts.MaxConcurrentBuilds, heap, opts.Events),
+		adm:    NewAdmission(DefaultMaxConcurrentBuilds, DefaultMaxBuildHeapBytes, opts.Events),
 		events: opts.Events,
 	}
 	empty := make(map[uint32]*Runtime)
@@ -135,21 +123,18 @@ func (r *Registry) Add(id ID, rs *rules.RuleSet, cfg Config) (*Runtime, error) {
 	if rt := r.Get(id); rt != nil {
 		return nil, fmt.Errorf("tenant: %v already registered", id)
 	}
-	charge := cfg.BuildHeapBytes
-	if charge <= 0 {
-		if cfg.Budget != nil && cfg.Budget.MaxHeapBytes > 0 {
-			charge = cfg.Budget.MaxHeapBytes
-		} else {
-			charge = DefaultBuildHeapReserve
+	// Each build is charged against the global heap budget at what the
+	// tenant's own budget allows it.
+	charge := DefaultBuildHeapReserve
+	if cfg.Budget != nil && cfg.Budget.MaxHeapBytes > 0 {
+		charge = cfg.Budget.MaxHeapBytes
+	}
+	rungs := update.DefaultLadder(cfg.Budget)
+	if len(cfg.Ladder) > 0 {
+		var err error
+		if rungs, err = update.LadderFromNames(cfg.Ladder, cfg.Budget); err != nil {
+			return nil, fmt.Errorf("tenant: %v ladder: %w", id, err)
 		}
-	}
-	names := cfg.Ladder
-	if len(names) == 0 {
-		names = []string{"expcuts", "hicuts", "hsm", "linear"}
-	}
-	rungs, err := update.LadderFromNames(names, cfg.Budget)
-	if err != nil {
-		return nil, fmt.Errorf("tenant: %v ladder: %w", id, err)
 	}
 	// Gate every rung but the last behind global admission. The final
 	// rung is exempt for the same reason the ladder always attempts it:

@@ -178,11 +178,11 @@ func (m *Manager) compactOnce() error {
 
 // Submit queues a full rule-set replacement through a one-deep
 // latest-wins slot. Unlike Apply, Submit never blocks behind an in-flight
-// rebuild (including its retry backoff): the newest submission simply
-// replaces any still-waiting one — superseded rule sets were never going
-// to serve anyway — and a single drainer goroutine applies the latest
-// once the current rebuild finishes. Rebuild failures land in
-// Health.LastError exactly like a failed Apply.
+// rebuild: the newest submission simply replaces any still-waiting one —
+// superseded rule sets were never going to serve anyway — and a single
+// drainer goroutine applies the latest once the current rebuild
+// finishes. Rebuild failures land in Health.LastError exactly like a
+// failed Apply.
 func (m *Manager) Submit(rs []rules.Rule) {
 	m.pendMu.Lock()
 	if m.pending != nil {

@@ -1,6 +1,7 @@
 package update
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sync"
@@ -169,16 +170,16 @@ func TestCompactFoldsDelta(t *testing.T) {
 
 // gatedBuilder blocks inside the build until released, signalling entry.
 type gatedBuilder struct {
-	inner   Builder
+	inner   BuilderCtx
 	entered chan struct{}
 	release chan struct{}
 	once    sync.Once
 }
 
-func (g *gatedBuilder) build(rs *rules.RuleSet) (Classifier, error) {
+func (g *gatedBuilder) build(ctx context.Context, rs *rules.RuleSet) (Classifier, error) {
 	g.once.Do(func() { close(g.entered) })
 	<-g.release
-	return g.inner(rs)
+	return g.inner(ctx, rs)
 }
 
 func TestCompactionReplaysMidBuildEdits(t *testing.T) {
@@ -187,9 +188,9 @@ func TestCompactionReplaysMidBuildEdits(t *testing.T) {
 	if err := m.ApplyDelta([]Op{InsertAt(0, denyHost(0x15000001))}); err != nil {
 		t.Fatal(err)
 	}
-	good := m.build
+	good := m.ladder[0].Build
 	gb := &gatedBuilder{inner: good, entered: make(chan struct{}), release: make(chan struct{})}
-	m.build = gb.build
+	m.ladder[0].Build = gb.build
 	errCh := make(chan error, 1)
 	go func() { errCh <- m.Compact() }()
 	<-gb.entered
@@ -203,7 +204,7 @@ func TestCompactionReplaysMidBuildEdits(t *testing.T) {
 	if err := <-errCh; err != nil {
 		t.Fatalf("compaction with mid-build edits: %v", err)
 	}
-	m.build = good
+	m.ladder[0].Build = good
 	h := m.Health()
 	if h.Compactions != 1 || h.CompactionAborts != 0 {
 		t.Errorf("health: %+v", h)
@@ -248,10 +249,10 @@ func TestRollbackDuringCompactionAborts(t *testing.T) {
 	if err := m.ApplyDelta([]Op{InsertAt(0, first)}); err != nil {
 		t.Fatal(err)
 	}
-	good := m.build
+	good := m.ladder[0].Build
 	gc := &gatedClassifier{entered: make(chan struct{}), release: make(chan struct{})}
-	m.build = func(rs *rules.RuleSet) (Classifier, error) {
-		cl, err := good(rs)
+	m.ladder[0].Build = func(ctx context.Context, rs *rules.RuleSet) (Classifier, error) {
+		cl, err := good(ctx, rs)
 		if err != nil {
 			return nil, err
 		}
@@ -275,7 +276,7 @@ func TestRollbackDuringCompactionAborts(t *testing.T) {
 	if err := <-errCh; !errors.Is(err, ErrCompactionAborted) {
 		t.Fatalf("compaction err = %v, want ErrCompactionAborted", err)
 	}
-	m.build = good
+	m.ladder[0].Build = good
 
 	h := m.Health()
 	if h.CompactionAborts != 1 || h.Compactions != 0 || h.Compacting {
@@ -342,15 +343,15 @@ func TestAutoCompactionTriggers(t *testing.T) {
 
 func TestSubmitCoalescesLatestWins(t *testing.T) {
 	m, rs := newManager(t)
-	good := m.build
+	good := m.ladder[0].Build
 	var builds atomic.Int32
 	started := make(chan struct{}, 8)
 	gate := make(chan struct{})
-	m.build = func(r *rules.RuleSet) (Classifier, error) {
+	m.ladder[0].Build = func(ctx context.Context, r *rules.RuleSet) (Classifier, error) {
 		builds.Add(1)
 		started <- struct{}{}
 		<-gate
-		return good(r)
+		return good(ctx, r)
 	}
 	// Three distinct rule sets, distinguishable by length.
 	setA := append([]rules.Rule(nil), rs.Rules...)
@@ -378,7 +379,7 @@ func TestSubmitCoalescesLatestWins(t *testing.T) {
 	if h := m.Health(); h.SubmitsCoalesced != 1 {
 		t.Errorf("SubmitsCoalesced = %d, want 1", h.SubmitsCoalesced)
 	}
-	m.build = good
+	m.ladder[0].Build = good
 	checkAgainstSnapshot(t, m, headers(t, rs, 400))
 }
 

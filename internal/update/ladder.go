@@ -39,7 +39,8 @@ func DefaultLadder(budget *buildgov.Budget) []Rung {
 
 // LadderFromNames builds a ladder from algorithm names (expcuts, hicuts,
 // hypercuts, hsm, rfc, rmi, linear), all governed by the same budget. It
-// is what the CLIs' -ladder flags parse into.
+// is the one name → builder table: the CLIs' -ladder and -algo flags, the
+// tenant registry and the rulescale experiment all resolve names here.
 func LadderFromNames(names []string, budget *buildgov.Budget) ([]Rung, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("update: empty ladder")
@@ -93,7 +94,7 @@ func rungFor(name string, budget *buildgov.Budget) (Rung, error) {
 			return linear.New(rs), nil
 		}
 	default:
-		return Rung{}, fmt.Errorf("update: unknown ladder rung %q (expcuts, hicuts, hypercuts, hsm, rfc, rmi, linear)", name)
+		return Rung{}, fmt.Errorf("update: unknown algorithm %q (expcuts, hicuts, hypercuts, hsm, rfc, rmi, linear)", name)
 	}
 	return Rung{Name: name, Build: build}, nil
 }

@@ -65,9 +65,8 @@ func (f *fakeClock) advance(d time.Duration) { f.t = f.t.Add(d) }
 // fake clock is installed and stamp breakers with time.Now().
 func newFakeClock() *fakeClock              { return &fakeClock{t: time.Now()} }
 func installClock(m *Manager, c *fakeClock) { m.now = c.now }
-func quiet(m *Manager)                      { m.sleep = func(time.Duration) {} }
 func cfgFast(threshold int, cool time.Duration) Config {
-	return Config{MaxBuildAttempts: 1, BreakerThreshold: threshold, BreakerCooldown: cool}
+	return Config{BreakerThreshold: threshold, BreakerCooldown: cool}
 }
 
 // A rung that keeps failing opens its breaker after BreakerThreshold
@@ -81,7 +80,6 @@ func TestBreakerOpensAndSkipsRung(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quiet(m)
 	clock := newFakeClock()
 	installClock(m, clock)
 
@@ -123,7 +121,6 @@ func TestBreakerHalfOpenProbeRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quiet(m)
 	clock := newFakeClock()
 	installClock(m, clock)
 
@@ -170,11 +167,10 @@ func TestBudgetTripIsNotRetried(t *testing.T) {
 	}}
 	m, err := NewManagerLadder(ladderTestRules(),
 		[]Rung{tripping, oracleRung("fallback")},
-		Config{MaxBuildAttempts: 5})
+		Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	quiet(m)
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("budget-tripped rung attempted %d times, want exactly 1", got)
 	}
@@ -185,8 +181,35 @@ func TestBudgetTripIsNotRetried(t *testing.T) {
 	if h.ActiveAlgorithm != "fallback" {
 		t.Fatalf("active algorithm %q, want fallback", h.ActiveAlgorithm)
 	}
-	if h.BuildRetries != 0 {
-		t.Fatalf("BuildRetries = %d, want 0 (no backoff for deterministic failures)", h.BuildRetries)
+}
+
+// A plain build error is as final as a budget trip: the rung is built
+// once per rebuild, and the same rebuild publishes the next rung.
+func TestPlainBuildErrorFallsThroughOnce(t *testing.T) {
+	var flaky countingFailRung
+	m, err := NewManagerLadder(ladderTestRules(),
+		[]Rung{flaky.rung("flaky"), oracleRung("fallback")},
+		Config{BreakerThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rebuild := int64(1); rebuild <= 2; rebuild++ {
+		if got := flaky.calls.Load(); got != rebuild {
+			t.Fatalf("after %d rebuild(s) the failing rung was built %d times, want %d", rebuild, got, rebuild)
+		}
+		h := m.Health()
+		if h.Generation != uint64(rebuild) || h.ActiveAlgorithm != "fallback" || h.DegradationLevel != 1 {
+			t.Fatalf("rebuild %d published %q/%d at generation %d, want fallback/1 at %d",
+				rebuild, h.ActiveAlgorithm, h.DegradationLevel, h.Generation, rebuild)
+		}
+		if h.FailedBuilds != uint64(rebuild) {
+			t.Fatalf("FailedBuilds = %d after %d rebuild(s)", h.FailedBuilds, rebuild)
+		}
+		if rebuild == 1 {
+			if err := m.Apply(someOp()); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 
@@ -198,7 +221,6 @@ func TestFinalRungAlwaysAttempted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quiet(m)
 	clock := newFakeClock()
 	installClock(m, clock)
 	m.mu.Lock()
@@ -222,7 +244,6 @@ func TestDescribeAlgorithmTracksGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quiet(m)
 	if algo, lvl := m.DescribeAlgorithm(); algo != "best" || lvl != 0 {
 		t.Fatalf("describe = %q/%d, want best/0", algo, lvl)
 	}

@@ -40,7 +40,7 @@ func TestDefaultLadderLandsOnLinearAndMatchesOracle(t *testing.T) {
 	}
 	start := time.Now()
 	m, err := update.NewManagerLadder(storm, update.DefaultLadder(budget),
-		update.Config{MaxBuildAttempts: 1})
+		update.Config{})
 	if err != nil {
 		t.Fatalf("ladder failed to produce a generation: %v", err)
 	}
@@ -84,7 +84,7 @@ func TestEngineStatsCarryDegradationState(t *testing.T) {
 	storm := faultinject.WildcardStorm("storm", 120, 11)
 	budget := &buildgov.Budget{Timeout: 50 * time.Millisecond, MaxNodes: 200, MaxMemoEntries: 200, MaxHeapBytes: 2 << 20}
 	m, err := update.NewManagerLadder(storm, update.DefaultLadder(budget),
-		update.Config{MaxBuildAttempts: 1})
+		update.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestEngineStatsCarryDegradationState(t *testing.T) {
 }
 
 // A builder that has stopped making progress cannot wedge the manager:
-// the per-attempt BuildTimeout cancels it and the ladder falls through.
+// the per-build BuildTimeout cancels it and the ladder falls through.
 func TestStalledBuilderIsUnblockedByBuildTimeout(t *testing.T) {
 	base := runtime.NumGoroutine()
 	rs := faultinject.OverlapGrid("grid", 4)
@@ -115,8 +115,7 @@ func TestStalledBuilderIsUnblockedByBuildTimeout(t *testing.T) {
 
 	start := time.Now()
 	m, err := update.NewManagerLadder(rs, ladder, update.Config{
-		BuildTimeout:     100 * time.Millisecond,
-		MaxBuildAttempts: 1,
+		BuildTimeout: 100 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("stalled rung wedged the manager: %v", err)
@@ -148,7 +147,7 @@ func TestHungryBuilderTripsByteBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	ladder := append([]update.Rung{{Name: "hungry", Build: hungry.Build}}, linearRung...)
-	m, err := update.NewManagerLadder(rs, ladder, update.Config{MaxBuildAttempts: 3})
+	m, err := update.NewManagerLadder(rs, ladder, update.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,7 @@ func (m *Manager) Collect(emit func(obs.Sample)) {
 	gauge("pc_update_rules", "Live generation rule count.", float64(h.Rules))
 	gauge("pc_update_memory_bytes", "Live classifier memory footprint.", float64(h.MemoryBytes))
 	gauge("pc_update_degradation_level", "Live ladder rung (0 = preferred builder).", float64(h.DegradationLevel))
-	counter("pc_update_build_retries_total", "Builder attempts beyond the first.", h.BuildRetries)
-	counter("pc_update_failed_builds_total", "Rebuilds whose builder never succeeded.", h.FailedBuilds)
+	counter("pc_update_failed_builds_total", "Rung builds that returned an error.", h.FailedBuilds)
 	counter("pc_update_failed_validations_total", "Candidates rejected by shadow validation.", h.FailedValidations)
 	counter("pc_update_rollbacks_total", "Successful rollbacks.", h.Rollbacks)
 	counter("pc_update_budget_trips_total", "Builds aborted by a buildgov budget.", h.BudgetTrips)

@@ -45,7 +45,7 @@ func TestManagerEventsSwapRollbackRungChange(t *testing.T) {
 			return linear.New(rs), nil
 		}},
 	}
-	mgr, err := NewManagerLadder(rs, ladder, Config{ValidateSamples: -1, MaxBuildAttempts: 1, Events: ring})
+	mgr, err := NewManagerLadder(rs, ladder, Config{ValidateSamples: -1, Events: ring})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestManagerEventsBreakerTransitions(t *testing.T) {
 	}
 	now := time.Unix(1000, 0)
 	mgr, err := NewManagerLadder(rs, ladder, Config{
-		ValidateSamples: -1, MaxBuildAttempts: 1,
+		ValidateSamples:  -1,
 		BreakerThreshold: 2, BreakerCooldown: 10 * time.Second,
 		Events: ring,
 	})
@@ -108,7 +108,6 @@ func TestManagerEventsBreakerTransitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr.now = func() time.Time { return now }
-	mgr.sleep = func(time.Duration) {}
 
 	apply := func() error { return mgr.Apply([]Op{InsertAt(rs.Len(), rs.Rules[0])}) }
 	failing = true

@@ -1,11 +1,11 @@
 package update
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/expcuts"
 	"repro/internal/rulegen"
@@ -19,69 +19,44 @@ func insertOp() Op {
 	})
 }
 
-func TestBuildRetriesWithCappedBackoff(t *testing.T) {
-	m, _ := newManager(t)
-	good := m.build
-	m.cfg.MaxBuildAttempts = 5
-	m.cfg.BackoffBase = 10 * time.Millisecond
-	m.cfg.BackoffMax = 20 * time.Millisecond
-	var slept []time.Duration
-	m.sleep = func(d time.Duration) { slept = append(slept, d) }
-	// Fail four times, succeed on the fifth and final attempt.
-	fails := 0
-	m.build = func(r *rules.RuleSet) (Classifier, error) {
-		fails++
-		if fails < 5 {
-			return nil, errors.New("injected build failure")
-		}
-		return good(r)
-	}
-	if err := m.Apply([]Op{insertOp()}); err != nil {
-		t.Fatalf("apply within retry budget failed: %v", err)
-	}
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 20 * time.Millisecond, 20 * time.Millisecond}
-	if len(slept) != len(want) {
-		t.Fatalf("slept %v, want %v", slept, want)
-	}
-	for i := range want {
-		if slept[i] != want[i] {
-			t.Errorf("backoff %d = %v, want %v (exponential, capped)", i, slept[i], want[i])
-		}
-	}
-	if h := m.Health(); h.BuildRetries != 4 {
-		t.Errorf("BuildRetries = %d, want 4", h.BuildRetries)
-	}
-}
-
+// A flaky builder fails the rebuild it fails in: that Apply returns an
+// error and the live generation keeps serving; the next good build swaps
+// in. Nothing is retried inside a rebuild.
 func TestFlakyBuilderEventuallySwaps(t *testing.T) {
-	m, _ := newManager(t)
-	m.sleep = func(time.Duration) {}
-	// Swap in a builder failing twice per rebuild: within the 3-attempt
-	// budget, so Apply must succeed.
-	fails := 0
-	m.build = func(r *rules.RuleSet) (Classifier, error) {
-		fails++
-		if fails%3 != 0 {
+	m, rs := newManager(t)
+	calls := 0
+	m.ladder[0].Build = func(_ context.Context, r *rules.RuleSet) (Classifier, error) {
+		calls++
+		if calls == 1 {
 			return nil, errors.New("injected build failure")
 		}
 		return expcuts.New(r, expcuts.Config{})
 	}
 	genBefore := m.Generation()
+	if err := m.Apply([]Op{insertOp()}); err == nil {
+		t.Fatal("apply over a failing build succeeded")
+	}
+	if calls != 1 {
+		t.Fatalf("failing rebuild built %d times, want 1", calls)
+	}
+	if m.Generation() != genBefore {
+		t.Fatalf("generation moved to %d on a failed rebuild", m.Generation())
+	}
+	checkAgainstSnapshot(t, m, headers(t, rs, 200))
 	if err := m.Apply([]Op{insertOp()}); err != nil {
-		t.Fatalf("apply within retry budget failed: %v", err)
+		t.Fatalf("apply over a good build failed: %v", err)
 	}
 	if m.Generation() != genBefore+1 {
 		t.Errorf("generation %d, want %d", m.Generation(), genBefore+1)
 	}
-	if h := m.Health(); h.BuildRetries != 2 || h.LastError != "" {
-		t.Errorf("health after retried success: %+v", h)
+	if h := m.Health(); h.FailedBuilds != 1 || h.LastError != "" {
+		t.Errorf("health after the good build: %+v", h)
 	}
 }
 
 func TestBuilderExhaustionLeavesLiveGeneration(t *testing.T) {
 	m, rsOrig := newManager(t)
-	m.sleep = func(time.Duration) {}
-	m.build = func(*rules.RuleSet) (Classifier, error) {
+	m.ladder[0].Build = func(context.Context, *rules.RuleSet) (Classifier, error) {
 		return nil, errors.New("injected build failure")
 	}
 	snapBefore, genBefore := m.Snapshot()
@@ -97,7 +72,7 @@ func TestBuilderExhaustionLeavesLiveGeneration(t *testing.T) {
 		t.Error("rule list changed after exhausted rebuild")
 	}
 	h := m.Health()
-	if h.FailedBuilds != 1 || h.BuildRetries != uint64(DefaultMaxBuildAttempts-1) {
+	if h.FailedBuilds != 1 {
 		t.Errorf("health: %+v", h)
 	}
 	if h.LastError == "" {
@@ -126,7 +101,7 @@ func (w *wrongEveryN) MemoryBytes() int { return w.inner.MemoryBytes() }
 
 func TestValidationRejectsMiscompiledCandidate(t *testing.T) {
 	m, _ := newManager(t)
-	m.build = func(r *rules.RuleSet) (Classifier, error) {
+	m.ladder[0].Build = func(_ context.Context, r *rules.RuleSet) (Classifier, error) {
 		cl, err := expcuts.New(r, expcuts.Config{})
 		if err != nil {
 			return nil, err
@@ -154,7 +129,7 @@ func (panicky) MemoryBytes() int          { return 4 }
 
 func TestValidationContainsPanickyCandidate(t *testing.T) {
 	m, rsOrig := newManager(t)
-	m.build = func(*rules.RuleSet) (Classifier, error) { return panicky{}, nil }
+	m.ladder[0].Build = func(context.Context, *rules.RuleSet) (Classifier, error) { return panicky{}, nil }
 	if err := m.Apply([]Op{insertOp()}); err == nil {
 		t.Fatal("panicking candidate must be rejected, not installed")
 	}
@@ -236,20 +211,20 @@ func TestRollbackWithoutHistoryFails(t *testing.T) {
 }
 
 // TestConcurrentReadersDuringFlakyRebuilds hammers Classify from reader
-// goroutines while the writer drives repeated failing-then-succeeding
+// goroutines while the writer drives alternating failing and succeeding
 // rebuilds and a rollback. Run with -race; readers must always observe a
-// coherent generation.
+// coherent generation, a failed rebuild must leave the live generation
+// serving, and the next good build must swap in.
 func TestConcurrentReadersDuringFlakyRebuilds(t *testing.T) {
 	m, rs := newManager(t)
-	m.sleep = func(time.Duration) {}
-	good := m.build
-	fails := 0
-	m.build = func(r *rules.RuleSet) (Classifier, error) {
-		fails++
-		if fails%3 != 0 { // two failures before every success
+	good := m.ladder[0].Build
+	builds := 0
+	m.ladder[0].Build = func(ctx context.Context, r *rules.RuleSet) (Classifier, error) {
+		builds++
+		if builds%2 == 1 { // every other rebuild fails
 			return nil, errors.New("injected build failure")
 		}
-		return good(r)
+		return good(ctx, r)
 	}
 	hs := headers(t, rs, 1000)
 	stop := make(chan struct{})
@@ -280,11 +255,16 @@ func TestConcurrentReadersDuringFlakyRebuilds(t *testing.T) {
 			}
 		}()
 	}
-	for i := 0; i < 5; i++ {
-		if err := m.Apply([]Op{insertOp()}); err != nil {
-			t.Errorf("apply %d: %v", i, err)
+	for i := 0; i < 10; i++ {
+		genBefore := m.Generation()
+		err := m.Apply([]Op{insertOp()})
+		switch {
+		case i%2 == 0 && (err == nil || m.Generation() != genBefore):
+			t.Errorf("apply %d over a failing build: err %v, generation %d -> %d", i, err, genBefore, m.Generation())
+		case i%2 == 1 && (err != nil || m.Generation() != genBefore+1):
+			t.Errorf("apply %d over a good build: err %v, generation %d -> %d", i, err, genBefore, m.Generation())
 		}
-		if i == 2 {
+		if i == 5 {
 			if err := m.Rollback(); err != nil {
 				t.Errorf("rollback: %v", err)
 			}
@@ -293,8 +273,8 @@ func TestConcurrentReadersDuringFlakyRebuilds(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	h := m.Health()
-	if h.BuildRetries == 0 {
-		t.Errorf("flaky builder never retried: %+v", h)
+	if h.FailedBuilds != 5 {
+		t.Errorf("FailedBuilds = %d, want 5 (one per failing rebuild): %+v", h.FailedBuilds, h)
 	}
 	if h.Rollbacks != 1 {
 		t.Errorf("Rollbacks = %d, want 1", h.Rollbacks)

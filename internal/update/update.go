@@ -10,12 +10,14 @@
 // The swap is guarded, not blind. Before a candidate generation goes
 // live it passes a shadow conformance check: the candidate classifies a
 // deterministic sample of headers and every answer is compared against
-// priority linear search over the authoritative rule list. A builder
-// that fails is retried with capped exponential backoff; a candidate
-// that builds but misclassifies is rejected and the live generation is
-// untouched. The previous generation is retained so a bad generation
-// detected after the swap can be rolled back instantly, without a
-// rebuild. Health exposes the counters behind all of this.
+// priority linear search over the authoritative rule list. Every builder
+// is a deterministic function of its rule set, so each ladder rung is
+// built once per rebuild: a rung that fails to build, or builds a
+// candidate that misclassifies, falls through to the next rung, and a
+// rebuild whose every rung fails leaves the live generation untouched.
+// The previous generation is retained so a bad generation detected
+// after the swap can be rolled back instantly, without a rebuild. Health
+// exposes the counters behind all of this.
 package update
 
 import (
@@ -48,7 +50,7 @@ type Classifier interface {
 type Builder func(rs *rules.RuleSet) (Classifier, error)
 
 // BuilderCtx is a context-aware Builder: the manager passes a context
-// carrying the per-attempt build deadline (Config.BuildTimeout), and
+// carrying the per-build deadline (Config.BuildTimeout), and
 // governed builders (expcuts.NewCtx and friends) abort cooperatively
 // when it expires. Ladder rungs use this form.
 type BuilderCtx func(ctx context.Context, rs *rules.RuleSet) (Classifier, error)
@@ -93,19 +95,9 @@ type Config struct {
 	// conformance check classifies before a swap; 0 means
 	// DefaultValidateSamples, negative disables validation.
 	ValidateSamples int
-	// ValidateSeed seeds the deterministic sample trace (0 means 1).
-	ValidateSeed int64
-	// MaxBuildAttempts bounds builder retries per rebuild; 0 means
-	// DefaultMaxBuildAttempts.
-	MaxBuildAttempts int
-	// BackoffBase is the sleep before the second build attempt; it
-	// doubles per retry up to BackoffMax. 0 means DefaultBackoffBase.
-	BackoffBase time.Duration
-	// BackoffMax caps the backoff; 0 means DefaultBackoffMax.
-	BackoffMax time.Duration
-	// BuildTimeout bounds each build attempt: the builder's context
+	// BuildTimeout bounds each rung's build: the builder's context
 	// carries this deadline, and governed builders abort cooperatively
-	// when it expires. 0 means no per-attempt deadline.
+	// when it expires. 0 means no per-build deadline.
 	BuildTimeout time.Duration
 	// BreakerThreshold is how many consecutive failures (budget trips,
 	// build errors or validation rejections) open a rung's circuit
@@ -131,9 +123,6 @@ type Config struct {
 // Guard-rail defaults.
 const (
 	DefaultValidateSamples  = 256
-	DefaultMaxBuildAttempts = 3
-	DefaultBackoffBase      = 5 * time.Millisecond
-	DefaultBackoffMax       = 250 * time.Millisecond
 	DefaultBreakerThreshold = 3
 	DefaultBreakerCooldown  = 30 * time.Second
 	DefaultCompactThreshold = 256
@@ -142,18 +131,6 @@ const (
 func (c *Config) fillDefaults() {
 	if c.ValidateSamples == 0 {
 		c.ValidateSamples = DefaultValidateSamples
-	}
-	if c.ValidateSeed == 0 {
-		c.ValidateSeed = 1
-	}
-	if c.MaxBuildAttempts <= 0 {
-		c.MaxBuildAttempts = DefaultMaxBuildAttempts
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = DefaultBackoffBase
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = DefaultBackoffMax
 	}
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = DefaultBreakerThreshold
@@ -177,10 +154,7 @@ type Health struct {
 	MemoryBytes int
 	// CanRollback reports whether a previous generation is retained.
 	CanRollback bool
-	// BuildRetries counts builder attempts beyond the first, across all
-	// rebuilds.
-	BuildRetries uint64
-	// FailedBuilds counts rebuilds whose builder never succeeded.
+	// FailedBuilds counts rung builds that returned an error.
 	FailedBuilds uint64
 	// FailedValidations counts candidates rejected by the shadow
 	// conformance check.
@@ -192,13 +166,14 @@ type Health struct {
 	ActiveAlgorithm string
 	// DegradationLevel is the live generation's ladder rung index: 0 is
 	// the preferred builder, higher values mean the manager has fallen
-	// further down the ladder. Always 0 for single-builder managers.
+	// further down the ladder. Always 0 for a NewManager manager.
 	DegradationLevel int
-	// BudgetTrips counts build attempts aborted by a buildgov budget
+	// BudgetTrips counts builds aborted by a buildgov budget
 	// (wall-clock, node, heap or memo limit).
 	BudgetTrips uint64
 	// Breakers reports each ladder rung's circuit breaker, in rung
-	// order. Empty for single-builder managers.
+	// order. A NewManager manager has one rung, named after its
+	// classifier.
 	Breakers []BreakerStatus
 	// LastError describes the most recent failed Apply/Rollback, empty
 	// when the last operation succeeded.
@@ -289,11 +264,9 @@ func (b *breaker) state(now time.Time, threshold int) string {
 // Manager owns the authoritative rule list and the live classifier
 // generation. Classify is wait-free with respect to updates.
 type Manager struct {
-	build  Builder // legacy single-builder path; nil when ladder is set
-	ladder []Rung  // degradation ladder, best rung first; nil for legacy
+	ladder []Rung // degradation ladder, best rung first
 	cfg    Config
-	sleep  func(time.Duration) // time.Sleep, overridable in tests
-	now    func() time.Time    // time.Now, overridable in tests
+	now    func() time.Time // time.Now, overridable in tests
 
 	mu    sync.Mutex // serializes updates, not lookups
 	name  string
@@ -330,7 +303,6 @@ type Manager struct {
 	pending  []rules.Rule
 	draining bool
 
-	buildRetries      atomic.Uint64
 	failedBuilds      atomic.Uint64
 	failedValidations atomic.Uint64
 	rollbacks         atomic.Uint64
@@ -370,20 +342,16 @@ func NewManager(rs *rules.RuleSet, build Builder) (*Manager, error) {
 }
 
 // NewManagerConfig is NewManager with explicit guard-rail configuration.
+// The builder is a one-rung ladder, named after the classifier its first
+// build returns.
 func NewManagerConfig(rs *rules.RuleSet, build Builder, cfg Config) (*Manager, error) {
-	cfg.fillDefaults()
-	m := &Manager{
-		build: build,
-		cfg:   cfg,
-		sleep: time.Sleep,
-		now:   time.Now,
-		name:  rs.Name,
-		rules: append([]rules.Rule(nil), rs.Rules...),
-	}
-	m.breakers = make([]breaker, 1)
-	if err := m.rebuildLocked(); err != nil {
+	m, err := newManagerLadder(rs, []Rung{{Build: func(_ context.Context, rs *rules.RuleSet) (Classifier, error) {
+		return build(rs)
+	}}}, cfg)
+	if err != nil {
 		return nil, err
 	}
+	m.ladder[0].Name = m.live.Load().algo
 	return m, nil
 }
 
@@ -406,16 +374,19 @@ func NewManagerLadder(rs *rules.RuleSet, ladder []Rung, cfg Config) (*Manager, e
 			ladder[i].Name = fmt.Sprintf("rung%d", i)
 		}
 	}
+	return newManagerLadder(rs, ladder, cfg)
+}
+
+func newManagerLadder(rs *rules.RuleSet, ladder []Rung, cfg Config) (*Manager, error) {
 	cfg.fillDefaults()
 	m := &Manager{
-		ladder: ladder,
-		cfg:    cfg,
-		sleep:  time.Sleep,
-		now:    time.Now,
-		name:   rs.Name,
-		rules:  append([]rules.Rule(nil), rs.Rules...),
+		ladder:   ladder,
+		cfg:      cfg,
+		now:      time.Now,
+		name:     rs.Name,
+		rules:    append([]rules.Rule(nil), rs.Rules...),
+		breakers: make([]breaker, len(ladder)),
 	}
-	m.breakers = make([]breaker, len(ladder))
 	if err := m.rebuildLocked(); err != nil {
 		return nil, err
 	}
@@ -495,27 +466,23 @@ func (m *Manager) Health() Health {
 	compacting := m.compacting
 	deltaSince := m.deltaSince
 	m.mu.Unlock()
-	var breakers []BreakerStatus
-	if len(m.ladder) > 0 {
-		now := m.now()
-		breakers = make([]BreakerStatus, len(m.ladder))
-		m.bmu.Lock()
-		for i := range m.ladder {
-			breakers[i] = BreakerStatus{
-				Rung:                m.ladder[i].Name,
-				State:               m.breakers[i].state(now, m.cfg.BreakerThreshold),
-				ConsecutiveFailures: m.breakers[i].fails,
-			}
+	now := m.now()
+	breakers := make([]BreakerStatus, len(m.ladder))
+	m.bmu.Lock()
+	for i := range m.ladder {
+		breakers[i] = BreakerStatus{
+			Rung:                m.ladder[i].Name,
+			State:               m.breakers[i].state(now, m.cfg.BreakerThreshold),
+			ConsecutiveFailures: m.breakers[i].fails,
 		}
-		m.bmu.Unlock()
 	}
+	m.bmu.Unlock()
 	g := m.live.Load()
 	h := Health{
 		Generation:        g.gen,
 		Rules:             len(g.rules),
 		MemoryBytes:       g.cl.MemoryBytes(),
 		CanRollback:       canRollback,
-		BuildRetries:      m.buildRetries.Load(),
 		FailedBuilds:      m.failedBuilds.Load(),
 		FailedValidations: m.failedValidations.Load(),
 		Rollbacks:         m.rollbacks.Load(),
@@ -670,9 +637,10 @@ func (m *Manager) publishLocked(cl Classifier, snapshot []rules.Rule, algo strin
 
 // buildLadder walks the degradation ladder best-first and returns the
 // first classifier that builds within budget and validates, with its
-// algorithm name and rung index. Rungs whose breaker is open are skipped
-// (the final rung is always attempted if nothing else was, so a fully
-// tripped ladder still reaches its total fallback); a rung that fails
+// algorithm name and rung index. Each rung is built at most once. Rungs
+// whose breaker is open are skipped (the final rung is always attempted
+// if nothing else was, so a fully tripped ladder still reaches its total
+// fallback); a rung that fails
 // records on its breaker, a rung that serves closes it. Breaker access
 // goes through bmu, not mu, so this walk runs identically under
 // rebuildLocked (mu held) and under the background compactor (mu
@@ -680,15 +648,6 @@ func (m *Manager) publishLocked(cl Classifier, snapshot []rules.Rule, algo strin
 // per breaker touch.
 func (m *Manager) buildLadder(rs *rules.RuleSet) (Classifier, string, int, error) {
 	ladder := m.ladder
-	if ladder == nil {
-		// Legacy single-builder path, wrapped lazily so tests swapping
-		// m.build keep working. The empty name makes the success path
-		// derive the algorithm from the classifier itself.
-		build := m.build
-		ladder = []Rung{{Build: func(_ context.Context, rs *rules.RuleSet) (Classifier, error) {
-			return build(rs)
-		}}}
-	}
 	now := m.now()
 	// failRung records a rung failure on its breaker and emits a
 	// flight-recorder event exactly when the failure transitioned the
@@ -723,7 +682,7 @@ func (m *Manager) buildLadder(rs *rules.RuleSet) (Classifier, string, int, error
 			m.cfg.Events.Recordf(obs.EventBreakerHalfOpen,
 				"rung %s breaker half-open, probing one build", rungName(ladder, i))
 		}
-		cl, err := m.buildRungWithRetry(ladder[i], rs)
+		cl, err := m.buildRung(ladder[i], rs)
 		if err != nil {
 			m.failedBuilds.Add(1)
 			if errors.Is(err, buildgov.ErrBudgetExceeded) {
@@ -748,7 +707,7 @@ func (m *Manager) buildLadder(rs *rules.RuleSet) (Classifier, string, int, error
 				"rung %s breaker closed after successful build", rungName(ladder, i))
 		}
 		algo := ladder[i].Name
-		if algo == "" {
+		if algo == "" { // NewManagerConfig's rung before its first build
 			if n, ok := cl.(interface{ Name() string }); ok {
 				algo = n.Name()
 			} else {
@@ -767,48 +726,21 @@ func rungName(ladder []Rung, i int) string {
 	return fmt.Sprintf("rung%d", i)
 }
 
-// buildRungWithRetry drives one rung's builder through up to
-// MaxBuildAttempts tries with capped exponential backoff. Budget trips
-// are not retried: a governed build that exceeded its budget is
-// deterministic, so the retry would pay the whole budget again just to
-// fail identically — the ladder falls through instead.
-func (m *Manager) buildRungWithRetry(rung Rung, rs *rules.RuleSet) (Classifier, error) {
-	backoff := m.cfg.BackoffBase
-	var lastErr error
-	for attempt := 1; attempt <= m.cfg.MaxBuildAttempts; attempt++ {
-		if attempt > 1 {
-			m.buildRetries.Add(1)
-			m.sleep(backoff)
-			backoff *= 2
-			if backoff > m.cfg.BackoffMax {
-				backoff = m.cfg.BackoffMax
-			}
-		}
-		cl, err := m.buildOnce(rung, rs)
-		if err == nil {
-			if cl == nil {
-				return nil, fmt.Errorf("update: builder returned a nil classifier")
-			}
-			return cl, nil
-		}
-		lastErr = err
-		if errors.Is(err, buildgov.ErrBudgetExceeded) {
-			return nil, fmt.Errorf("update: build aborted by budget on attempt %d: %w", attempt, err)
-		}
-	}
-	return nil, fmt.Errorf("update: builder failed %d times, last: %w", m.cfg.MaxBuildAttempts, lastErr)
-}
-
-// buildOnce runs a single build attempt under the configured per-attempt
-// deadline.
-func (m *Manager) buildOnce(rung Rung, rs *rules.RuleSet) (Classifier, error) {
+// buildRung runs a rung's builder once, under the configured per-build
+// deadline. Builders are deterministic functions of their rule set, so a
+// retry would fail the same way: a failed build falls through the ladder.
+func (m *Manager) buildRung(rung Rung, rs *rules.RuleSet) (Classifier, error) {
 	ctx := context.Background()
 	if m.cfg.BuildTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, m.cfg.BuildTimeout)
 		defer cancel()
 	}
-	return rung.Build(ctx, rs)
+	cl, err := rung.Build(ctx, rs)
+	if err == nil && cl == nil {
+		err = errors.New("update: builder returned a nil classifier")
+	}
+	return cl, err
 }
 
 // validate shadow-checks the candidate against priority linear search over
@@ -819,7 +751,7 @@ func (m *Manager) validate(cl Classifier, rs *rules.RuleSet) error {
 	}
 	tr, err := pktgen.Generate(rs, pktgen.Config{
 		Count:         m.cfg.ValidateSamples,
-		Seed:          m.cfg.ValidateSeed,
+		Seed:          1,
 		MatchFraction: 0.9,
 	})
 	if err != nil {

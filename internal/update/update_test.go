@@ -295,3 +295,23 @@ func TestManagerBatchSeesOneGeneration(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// A NewManager manager is a one-rung ladder named after its classifier:
+// it reports the classifier's name as the serving algorithm and as its
+// one breaker's rung.
+func TestNewManagerNamesItsRungAfterTheClassifier(t *testing.T) {
+	m, _ := newManager(t)
+	if algo, lvl := m.DescribeAlgorithm(); algo != "ExpCuts" || lvl != 0 {
+		t.Fatalf("DescribeAlgorithm = %q/%d, want ExpCuts/0", algo, lvl)
+	}
+	if err := m.Apply([]Op{insertOp()}); err != nil {
+		t.Fatal(err)
+	}
+	h := m.Health()
+	if h.ActiveAlgorithm != "ExpCuts" || h.DegradationLevel != 0 {
+		t.Fatalf("health = %q/%d, want ExpCuts/0", h.ActiveAlgorithm, h.DegradationLevel)
+	}
+	if len(h.Breakers) != 1 || h.Breakers[0].Rung != "ExpCuts" {
+		t.Fatalf("breakers = %+v, want one rung named ExpCuts", h.Breakers)
+	}
+}
