@@ -46,7 +46,6 @@ func serveMain(args []string) {
 
 		listen   = fs.String("listen", "", "serve the UDP request/reply protocol on this address")
 		duration = fs.Duration("duration", 0, "with -listen: serve this long, then report (0 = until SIGINT/SIGTERM)")
-		flush    = fs.Duration("flush", 0, "with -listen: batch flush interval for idle traffic (default 500µs)")
 		quiet    = fs.Bool("quiet", false, "with -listen: classify but do not echo verdicts")
 
 		shards    = fs.Int("shards", 0, "flow-affinity serving shards (0 = GOMAXPROCS)")
@@ -133,11 +132,7 @@ func serveMain(args []string) {
 		ctx, cancel = context.WithTimeout(ctx, *duration)
 		defer cancel()
 	}
-	rep, err := iofront.ListenAndServe(ctx, *listen, cl, iofront.ServerConfig{
-		Engine:        ecfg,
-		FlushInterval: *flush,
-		Echo:          !*quiet,
-	}, os.Stdout)
+	rep, err := iofront.ListenAndServe(ctx, *listen, cl, iofront.ServerConfig{Engine: ecfg, Echo: !*quiet}, os.Stdout)
 	if err != nil {
 		fatal(err)
 	}

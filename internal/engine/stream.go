@@ -28,6 +28,11 @@ import (
 // until full, or tail packets sit in half-built batches and their
 // latency grows unbounded; replay sources can always fill fully.
 //
+// Until a short pull, the engine holds pulled headers in half-built
+// batches. So a Next may wait on its own emit-side progress (results of
+// headers it returned before) only after it has returned a short fill:
+// after a full one, the result it waits for may never be classified.
+//
 // A Source that also has a Flush() method buffers work of its own on the
 // emit side — a socket front end batching its replies. RunStream calls
 // Flush on the emit goroutine, never during an emit call: after each

@@ -14,16 +14,15 @@ import (
 )
 
 // sourcePair is a udpSource on a fresh loopback socket whose pulls wait
-// at most a second for traffic and whose metadata queue holds four pulls
-// of batch headers.
-func sourcePair(t *testing.T, laddr *net.UDPAddr, batch int) (*udpSource, *net.UDPAddr) {
+// at most a second for traffic and whose reply ring is Serve's.
+func sourcePair(t *testing.T, laddr *net.UDPAddr) (*udpSource, *net.UDPAddr) {
 	t.Helper()
 	conn, err := net.ListenUDP("udp", laddr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	return newUDPSource(conn, time.Second, 4*batch), conn.LocalAddr().(*net.UDPAddr)
+	return newUDPSource(conn, time.Second, replyRingBits), conn.LocalAddr().(*net.UDPAddr)
 }
 
 // dial opens a client socket connected to addr.
@@ -41,12 +40,12 @@ func request(token uint64, h rules.Header) []byte {
 	return pcapio.AppendRequest(nil, token, wire.BuildFrame(h))
 }
 
-// answer pops the reply metadata of n offered headers, queues each its
-// oracle verdict, and flushes: the emit side of one pull.
+// answer replies to the last len(hs) offered headers with their oracle
+// verdicts and flushes: the emit side of one pull.
 func answer(s *udpSource, rs *rules.RuleSet, hs []rules.Header) {
-	for _, h := range hs {
-		m := <-s.meta
-		s.replies.add(m.token, int32(rs.Match(h)), m.addr)
+	first := s.offered - len(hs)
+	for i, h := range hs {
+		s.reply(engine.Result{Seq: uint64(first + i), Match: rs.Match(h)}, true)
 	}
 	s.Flush()
 }
@@ -83,7 +82,7 @@ func readReplies(t *testing.T, c *net.UDPConn, n int) map[uint64]int32 {
 // destinations: each client must get exactly its own replies.
 func TestPullInterleavesTwoClients(t *testing.T) {
 	rs, _, headers := loadFixtures(t, 40)
-	s, addr := sourcePair(t, &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)}, len(headers))
+	s, addr := sourcePair(t, &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	a, b := dial(t, addr), dial(t, addr)
 	// Client a sends tokens 0..k, client b tokens 1000+..., in a pattern
 	// that gives runs of one, two and three to each destination.
@@ -118,57 +117,58 @@ func TestPullInterleavesTwoClients(t *testing.T) {
 	}
 }
 
-// The same over Serve: two clients at once, oracle-exact, and the server
-// writes one reply datagram per request received. The clients are paced
-// so that a slow (-race) server still hears from both: an unpaced burst
-// overflows its socket buffer.
+// The same over Serve, ordered and not: two clients at once,
+// oracle-exact, and the server writes one reply datagram per request
+// received. Client i sends the packets whose oracle verdict has parity i,
+// so a reply routed to the wrong client carries a wrong verdict. The
+// clients are paced so that a slow (-race) server still hears from both:
+// an unpaced burst overflows its socket buffer.
 func TestLoopbackTwoClients(t *testing.T) {
 	rs, tree, headers := loadFixtures(t, 3000)
-	addr, stop := startServer(t, tree, ServerConfig{Engine: engine.Config{Shards: 2}, Echo: true})
-	halves := [2][]rules.Header{headers[:1500], headers[1500:]}
-	var reps [2]LoadReport
-	var errs [2]error
-	var wg sync.WaitGroup
-	for i := range halves {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			reps[i], errs[i] = RunLoad(context.Background(), LoadConfig{Addr: addr, Headers: halves[i], Rate: 20000})
-		}()
+	var halves [2][]rules.Header
+	for _, h := range headers {
+		parity := rs.Match(onWire(h)) & 1
+		halves[parity] = append(halves[parity], h)
 	}
-	wg.Wait()
-	srep := stop()
-	answered := 0
-	for i, rep := range reps {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
+	eachOrder(t, func(t *testing.T, ordered bool) {
+		addr, stop := startServer(t, tree, ServerConfig{Engine: engine.Config{Shards: 2, PreserveOrder: ordered}, Echo: true})
+		var reps [2]LoadReport
+		var errs [2]error
+		var wg sync.WaitGroup
+		for i := range halves {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				reps[i], errs[i] = RunLoad(context.Background(), LoadConfig{Addr: addr, Headers: halves[i], Rate: 20000})
+			}()
 		}
-		if rep.Replies == 0 || rep.DecodeErrors != 0 {
-			t.Fatalf("client %d: %d replies, %d decode errors", i, rep.Replies, rep.DecodeErrors)
-		}
-		for j, v := range rep.Verdicts {
-			if v == VerdictNone || v == pcapio.VerdictShed {
-				continue
+		wg.Wait()
+		srep := stop()
+		answered := 0
+		for i, rep := range reps {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
 			}
-			if want := int32(rs.Match(onWire(halves[i][j]))); v != want {
-				t.Fatalf("client %d packet %d: verdict %d, oracle %d", i, j, v, want)
+			if rep.Replies == 0 || rep.DecodeErrors != 0 {
+				t.Fatalf("client %d: %d replies, %d decode errors", i, rep.Replies, rep.DecodeErrors)
 			}
+			checkVerdicts(t, rs, halves[i], rep.Verdicts)
+			answered += rep.Replies
 		}
-		answered += rep.Replies
-	}
-	if srep.Replies != srep.Received {
-		t.Fatalf("server wrote %d replies for %d requests", srep.Replies, srep.Received)
-	}
-	if answered > srep.Replies {
-		t.Fatalf("clients saw %d replies, server wrote %d", answered, srep.Replies)
-	}
+		if srep.Replies != srep.Received {
+			t.Fatalf("server wrote %d replies for %d requests", srep.Replies, srep.Received)
+		}
+		if answered > srep.Replies {
+			t.Fatalf("clients saw %d replies, server wrote %d", answered, srep.Replies)
+		}
+	})
 }
 
 // An oversize request in the middle of a pull is answered
 // VerdictDecodeError, and its neighbours are classified.
 func TestPullOversizeRequestMidBatch(t *testing.T) {
 	rs, _, headers := loadFixtures(t, 2)
-	s, addr := sourcePair(t, &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)}, 8)
+	s, addr := sourcePair(t, &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	c := dial(t, addr)
 	oversize := make([]byte, pcapio.MaxRequestLen+1)
 	for _, req := range [][]byte{request(1, headers[0]), oversize, request(3, headers[1])} {
@@ -205,7 +205,7 @@ func TestDualStackReplies(t *testing.T) {
 		ln.Close()
 	}
 	rs, _, headers := loadFixtures(t, 3)
-	s, addr := sourcePair(t, &net.UDPAddr{IP: net.IPv6unspecified}, len(headers))
+	s, addr := sourcePair(t, &net.UDPAddr{IP: net.IPv6unspecified})
 	for _, ip := range []net.IP{net.IPv4(127, 0, 0, 1), net.IPv6loopback} {
 		c := dial(t, &net.UDPAddr{IP: ip, Port: addr.Port})
 		for i, h := range headers {
@@ -217,18 +217,11 @@ func TestDualStackReplies(t *testing.T) {
 		if n, _ := s.Next(hs); n != len(headers) {
 			t.Fatalf("%v: pull returned %d of %d", ip, n, len(headers))
 		}
-		var metas []replyMeta
-		for range headers {
-			metas = append(metas, <-s.meta)
-		}
-		from := metas[0].addr.Addr()
+		from := s.ring[uint64(s.offered-len(headers))&s.mask].addr.Addr()
 		if want := ip.To4() != nil; from.Is4In6() != want {
 			t.Fatalf("%v client arrived from %v", ip, from)
 		}
-		for i, m := range metas {
-			s.replies.add(m.token, int32(rs.Match(onWire(headers[i]))), m.addr)
-		}
-		s.Flush()
+		answer(s, rs, hs)
 		replies := readReplies(t, c, len(headers))
 		for i, h := range headers {
 			if want := int32(rs.Match(onWire(h))); replies[uint64(i)] != want {
@@ -243,7 +236,7 @@ func TestDualStackReplies(t *testing.T) {
 func TestServeSteadyZeroAlloc(t *testing.T) {
 	const batch = 64
 	_, _, headers := loadFixtures(t, batch)
-	s, addr := sourcePair(t, &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)}, batch)
+	s, addr := sourcePair(t, &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	c := dial(t, addr)
 	reqs := make([][]byte, batch)
 	for i, h := range headers {
@@ -259,9 +252,8 @@ func TestServeSteadyZeroAlloc(t *testing.T) {
 			}
 		}
 		n, _ := s.Next(hs)
-		for range n {
-			m := <-s.meta
-			s.replies.add(m.token, 0, m.addr)
+		for i := range n {
+			s.reply(engine.Result{Seq: uint64(s.offered - n + i)}, true)
 		}
 		s.Flush()
 		for range n {

@@ -69,32 +69,22 @@ func startServer(t *testing.T, cl engine.Classifier, cfg ServerConfig) (string, 
 	}
 }
 
-func TestLoopbackOracleExact(t *testing.T) {
-	rs, tree, headers := loadFixtures(t, 3000)
-	addr, stop := startServer(t, tree, ServerConfig{
-		Engine: engine.Config{Shards: 2},
-		Echo:   true,
-	})
-	rep, err := RunLoad(context.Background(), LoadConfig{Addr: addr, Headers: headers})
-	if err != nil {
-		t.Fatal(err)
+// eachOrder runs f as an ordered and an unordered subtest.
+func eachOrder(t *testing.T, f func(t *testing.T, ordered bool)) {
+	for _, ordered := range []bool{true, false} {
+		name := "unordered"
+		if ordered {
+			name = "ordered"
+		}
+		t.Run(name, func(t *testing.T) { f(t, ordered) })
 	}
-	srep := stop()
+}
 
-	if rep.Sent != len(headers) {
-		t.Fatalf("sent %d of %d", rep.Sent, len(headers))
-	}
-	if rep.Replies+rep.Lost != rep.Sent {
-		t.Fatalf("replies %d + lost %d != sent %d", rep.Replies, rep.Lost, rep.Sent)
-	}
-	if rep.Replies == 0 {
-		t.Fatal("no replies over loopback")
-	}
-	if rep.DecodeErrors != 0 || srep.DecodeErrors != 0 {
-		t.Fatalf("decode errors on well-formed traffic: client %d server %d", rep.DecodeErrors, srep.DecodeErrors)
-	}
-	// Every answered packet must carry the linear oracle's verdict.
-	for i, v := range rep.Verdicts {
+// checkVerdicts fails on any answered, classified packet whose verdict is
+// not the linear oracle's.
+func checkVerdicts(t *testing.T, rs *rules.RuleSet, headers []rules.Header, verdicts []int32) {
+	t.Helper()
+	for i, v := range verdicts {
 		if v == VerdictNone || v == pcapio.VerdictShed {
 			continue
 		}
@@ -102,18 +92,52 @@ func TestLoopbackOracleExact(t *testing.T) {
 			t.Fatalf("packet %d: verdict %d, oracle %d", i, v, want)
 		}
 	}
-	if rep.P50 <= 0 || rep.P99 < rep.P50 || rep.P999 < rep.P99 {
-		t.Fatalf("implausible latency quantiles: p50 %v p99 %v p999 %v", rep.P50, rep.P99, rep.P999)
-	}
-	// Server-side conservation: Check ran inside Serve; cross-check
-	// against the client's view (loopback may still drop datagrams, so
-	// inequalities, not equalities, across the socket).
-	if srep.Received > rep.Sent {
-		t.Fatalf("server received %d of %d sent", srep.Received, rep.Sent)
-	}
-	if srep.Replies < rep.Replies {
-		t.Fatalf("server wrote %d replies, client saw %d", srep.Replies, rep.Replies)
-	}
+}
+
+func TestLoopbackOracleExact(t *testing.T) {
+	rs, tree, headers := loadFixtures(t, 3000)
+	eachOrder(t, func(t *testing.T, ordered bool) {
+		addr, stop := startServer(t, tree, ServerConfig{
+			Engine: engine.Config{Shards: 2, PreserveOrder: ordered},
+			Echo:   true,
+		})
+		rep, err := RunLoad(context.Background(), LoadConfig{Addr: addr, Headers: headers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srep := stop()
+
+		if rep.Sent != len(headers) {
+			t.Fatalf("sent %d of %d", rep.Sent, len(headers))
+		}
+		if rep.Replies+rep.Lost != rep.Sent {
+			t.Fatalf("replies %d + lost %d != sent %d", rep.Replies, rep.Lost, rep.Sent)
+		}
+		if rep.Replies == 0 {
+			t.Fatal("no replies over loopback")
+		}
+		if rep.DecodeErrors != 0 || srep.DecodeErrors != 0 {
+			t.Fatalf("decode errors on well-formed traffic: client %d server %d", rep.DecodeErrors, srep.DecodeErrors)
+		}
+		// Every answered packet must carry the linear oracle's verdict.
+		checkVerdicts(t, rs, headers, rep.Verdicts)
+		if rep.P50 <= 0 || rep.P99 < rep.P50 || rep.P999 < rep.P99 {
+			t.Fatalf("implausible latency quantiles: p50 %v p99 %v p999 %v", rep.P50, rep.P99, rep.P999)
+		}
+		// Server-side conservation: Check ran inside Serve, and every
+		// request received was answered. Across the socket, loopback may
+		// still drop datagrams under this unpaced burst, so inequalities,
+		// not equalities.
+		if srep.Replies != srep.Received {
+			t.Fatalf("server wrote %d replies for %d requests", srep.Replies, srep.Received)
+		}
+		if srep.Received > rep.Sent {
+			t.Fatalf("server received %d of %d sent", srep.Received, rep.Sent)
+		}
+		if srep.Replies < rep.Replies {
+			t.Fatalf("server wrote %d replies, client saw %d", srep.Replies, rep.Replies)
+		}
+	})
 }
 
 func TestLoopbackPacedRate(t *testing.T) {

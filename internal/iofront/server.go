@@ -17,7 +17,6 @@ import (
 	"net"
 	"net/netip"
 	"os"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -29,23 +28,22 @@ import (
 
 // ServerConfig configures Serve.
 type ServerConfig struct {
-	// Engine is passed through to engine.RunStream. PreserveOrder is
-	// forced on: reply correlation relies on results emerging in arrival
-	// order (see replyMeta).
+	// Engine is passed through to engine.RunStream.
 	Engine engine.Config
-	// FlushInterval bounds how long an under-filled batch may wait for
-	// more traffic before being handed to the engine — the tail-latency
-	// knob. 0 means DefaultFlushInterval.
-	FlushInterval time.Duration
 	// Echo controls whether verdicts are sent back to the requester.
 	// Decode-error replies are sent regardless — a malformed request is
 	// a protocol conversation, not traffic.
 	Echo bool
 }
 
-// DefaultFlushInterval keeps tail latency bounded at light load without
-// spinning the receive loop.
-const DefaultFlushInterval = 500 * time.Microsecond
+// readDeadline bounds how long an under-filled pull waits for more
+// traffic before it returns short and the engine flushes its half-built
+// batches: tail latency at light load without spinning the receive loop.
+const readDeadline = 500 * time.Microsecond
+
+// replyRingBits sizes the reply ring: at most 1<<replyRingBits headers
+// wait for their replies at once.
+const replyRingBits = 15
 
 // ServeReport is the server's accounting after a Serve returns. Every
 // received datagram is accounted exactly once, and Check verifies it.
@@ -91,14 +89,14 @@ func (r ServeReport) Check() error {
 }
 
 // replyMeta is the per-packet reply routing the engine never sees: the
-// request token and where to send the verdict. The dispatcher pushes one
-// per header it feeds the engine; the emitter pops one per result. With
-// PreserveOrder forced on, results emerge in exactly the order headers
-// were pulled, so a FIFO queue is a correct correlator — no map, no
-// per-packet allocation.
+// request token and where to send the verdict. Next writes it into the
+// ring slot of the header's sequence number and sets busy; reply reads it
+// by the result's Seq on the emit goroutine and then clears busy. Results
+// may come out in any order, so each slot frees on its own.
 type replyMeta struct {
 	token uint64
 	addr  netip.AddrPort
+	busy  atomic.Bool
 }
 
 // maxRun bounds the reply arena, and with it a GSO send's segments.
@@ -156,15 +154,17 @@ func (a *replyArena) flush() {
 
 // udpSource adapts a UDP socket to engine.Source: each pull assembles
 // datagrams into a segment arena under a read deadline, decodes them,
-// answers malformed ones before it returns, and queues reply metadata
-// for the rest. A deadline expiry returns a short fill, which tells the
-// engine to flush half-built shard batches (see engine.Source).
+// answers malformed ones before it returns, and files reply metadata in
+// the ring for the rest. A deadline expiry returns a short fill, which
+// tells the engine to flush half-built shard batches (see engine.Source).
 // Verdict replies collect in an arena of their own on the emit goroutine
 // until the engine calls Flush.
 type udpSource struct {
-	conn  *net.UDPConn
-	flush time.Duration
-	meta  chan replyMeta
+	conn     *net.UDPConn
+	deadline time.Duration
+	ring     []replyMeta
+	mask     uint64
+	wake     chan struct{} // signalled by Flush, after replies freed slots
 
 	seg     pcapio.Segment
 	errs    replyArena // decode-error replies, source goroutine
@@ -172,7 +172,8 @@ type udpSource struct {
 
 	received     int
 	decodeErrors int
-	offered      int
+	offered      int  // also the sequence number of the next header
+	short        bool // the last Next returned a short fill
 	closed       bool
 }
 
@@ -180,16 +181,24 @@ func (s *udpSource) Next(hs []rules.Header) (int, bool) {
 	if s.closed {
 		return 0, false
 	}
+	// Wait for a busy slot only after a short return: the engine flushed
+	// every half-built batch then, so each pending reply is on its way and
+	// a Flush follows it. After a full return the header holding the slot
+	// may sit in a half-built batch that only a short pull sends.
+	for s.short && s.ring[uint64(s.offered)&s.mask].busy.Load() {
+		<-s.wake
+	}
 	s.seg.Reset()
 	// One deadline covers the whole batch: every read until it fires
 	// shares the same absolute cutoff, so arm it once, not per datagram
 	// (a syscall per packet on the receive path).
-	if err := s.conn.SetReadDeadline(time.Now().Add(s.flush)); err != nil {
+	if err := s.conn.SetReadDeadline(time.Now().Add(s.deadline)); err != nil {
 		s.closed = true
 		return 0, false
 	}
 	n := 0
-	for n < len(hs) {
+	// A pull stops short at the first slot still waiting for its reply.
+	for n < len(hs) && !s.ring[uint64(s.offered)&s.mask].busy.Load() {
 		buf := s.seg.Grow(pcapio.MaxRequestLen + 1)
 		m, addr, err := s.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
@@ -214,72 +223,23 @@ func (s *udpSource) Next(hs []rules.Header) (int, bool) {
 			s.errs.add(token, pcapio.VerdictDecodeError, addr)
 			continue
 		}
+		slot := &s.ring[uint64(s.offered)&s.mask]
+		slot.token, slot.addr = token, addr
+		slot.busy.Store(true)
 		hs[n] = h
 		n++
 		s.offered++
-		s.meta <- replyMeta{token: token, addr: addr}
 	}
 	s.errs.flush()
+	s.short = n < len(hs)
 	return n, !s.closed
 }
 
-// newUDPSource is the source over conn, its metadata queue sized for
-// inFlight headers.
-func newUDPSource(conn *net.UDPConn, flush time.Duration, inFlight int) *udpSource {
-	// Decode-error replies are written on the dispatcher goroutine and
-	// verdict replies on the emitter goroutine, so each side owns an arena;
-	// the writer between them is concurrency-safe.
-	w := &replyWriter{conn: conn}
-	return &udpSource{
-		conn:    conn,
-		flush:   flush,
-		meta:    make(chan replyMeta, inFlight),
-		errs:    replyArena{w: w},
-		replies: replyArena{w: w},
-	}
-}
-
-// Flush writes the buffered verdict replies. The engine calls it on the
-// emit goroutine whenever the emit stage runs dry, and after the last
-// result.
-func (s *udpSource) Flush() { s.replies.flush() }
-
-// Serve classifies datagrams arriving on conn until ctx is canceled
-// (cancellation is the normal shutdown path and is not reported as an
-// error). The caller keeps ownership of conn.
-func Serve(ctx context.Context, conn *net.UDPConn, cl engine.Classifier, cfg ServerConfig) (ServeReport, error) {
-	if cfg.FlushInterval <= 0 {
-		cfg.FlushInterval = DefaultFlushInterval
-	}
-	ecfg := cfg.Engine
-	ecfg.PreserveOrder = true
-
-	// Size the metadata queue near the engine's in-flight packet bound so
-	// it never backpressures the receive loop on the steady path. A full
-	// queue cannot deadlock — the emitter pops one entry per result and
-	// every result's entry was pushed before its header entered the
-	// engine, so the pop side never waits on the push side — it would
-	// only stall the dispatcher briefly. Mirror the engine's defaulting
-	// for the unset knobs.
-	d := engine.DefaultConfig()
-	shards, queueDepth, batch := ecfg.Shards, ecfg.QueueDepth, ecfg.BatchSize
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	if queueDepth <= 0 {
-		queueDepth = d.QueueDepth
-	}
-	if batch <= 0 {
-		batch = d.BatchSize
-	}
-	inFlight := shards * (queueDepth + 4) * batch
-
-	src := newUDPSource(conn, cfg.FlushInterval, inFlight)
-	st, err := engine.RunStream(ctx, cl, ecfg, src, func(r engine.Result) {
-		m := <-src.meta
-		if !cfg.Echo {
-			return
-		}
+// reply answers result r from its ring slot, when echo is set, and then
+// frees the slot. It runs on the emit goroutine.
+func (s *udpSource) reply(r engine.Result, echo bool) {
+	m := &s.ring[r.Seq&s.mask]
+	if echo {
 		verdict := pcapio.VerdictShed
 		if r.Err == nil {
 			verdict = int32(r.Match) // rule index, or −1 == VerdictNoMatch
@@ -287,8 +247,46 @@ func Serve(ctx context.Context, conn *net.UDPConn, cl engine.Classifier, cfg Ser
 		// Shed, canceled or panicked packets all present to the client as
 		// VerdictShed — "not classified, resend if you care" — rather than
 		// leaking server internals.
-		src.replies.add(m.token, verdict, m.addr)
-	})
+		s.replies.add(m.token, verdict, m.addr)
+	}
+	m.busy.Store(false)
+}
+
+// newUDPSource is the source over conn, with a read deadline per pull and
+// a reply ring of 1<<ringBits slots.
+func newUDPSource(conn *net.UDPConn, deadline time.Duration, ringBits uint) *udpSource {
+	// Decode-error replies are written on the dispatcher goroutine and
+	// verdict replies on the emitter goroutine, so each side owns an arena;
+	// the writer between them is concurrency-safe.
+	w := &replyWriter{conn: conn}
+	return &udpSource{
+		conn:     conn,
+		deadline: deadline,
+		ring:     make([]replyMeta, 1<<ringBits),
+		mask:     1<<ringBits - 1,
+		wake:     make(chan struct{}, 1),
+		errs:     replyArena{w: w},
+		replies:  replyArena{w: w},
+	}
+}
+
+// Flush writes the buffered verdict replies and wakes a Next waiting for
+// a slot. The engine calls it on the emit goroutine whenever the emit
+// stage runs dry, and after the last result.
+func (s *udpSource) Flush() {
+	s.replies.flush()
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+}
+
+// Serve classifies datagrams arriving on conn until ctx is canceled
+// (cancellation is the normal shutdown path and is not reported as an
+// error). The caller keeps ownership of conn.
+func Serve(ctx context.Context, conn *net.UDPConn, cl engine.Classifier, cfg ServerConfig) (ServeReport, error) {
+	src := newUDPSource(conn, readDeadline, replyRingBits)
+	st, err := engine.RunStream(ctx, cl, cfg.Engine, src, func(r engine.Result) { src.reply(r, cfg.Echo) })
 	if err != nil && ctx.Err() != nil && errors.Is(err, ctx.Err()) {
 		err = nil // cancellation is how a serve run ends
 	}

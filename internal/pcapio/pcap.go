@@ -117,7 +117,7 @@ type Writer struct {
 func NewWriter(w io.Writer) (*Writer, error) {
 	var hdr [pcapFileHeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], magicUsec)
-	binary.LittleEndian.PutUint16(hdr[4:6], 2)  // version 2.4
+	binary.LittleEndian.PutUint16(hdr[4:6], 2) // version 2.4
 	binary.LittleEndian.PutUint16(hdr[6:8], 4)
 	binary.LittleEndian.PutUint32(hdr[16:20], 65535)
 	binary.LittleEndian.PutUint32(hdr[20:24], LinkTypeEthernet)

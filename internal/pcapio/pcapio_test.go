@@ -167,8 +167,8 @@ func bigEndianNanosCapture(frame []byte) []byte {
 	binary.BigEndian.PutUint32(hdr[20:24], LinkTypeEthernet)
 	buf.Write(hdr[:])
 	var rec [pcapRecordHeaderLen]byte
-	binary.BigEndian.PutUint32(rec[0:4], 7)          // 7s
-	binary.BigEndian.PutUint32(rec[4:8], 123456789)  // +123456789ns
+	binary.BigEndian.PutUint32(rec[0:4], 7)         // 7s
+	binary.BigEndian.PutUint32(rec[4:8], 123456789) // +123456789ns
 	binary.BigEndian.PutUint32(rec[8:12], uint32(len(frame)))
 	binary.BigEndian.PutUint32(rec[12:16], uint32(len(frame)))
 	buf.Write(rec[:])
