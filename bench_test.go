@@ -228,14 +228,24 @@ func BenchmarkLinearClassify(b *testing.B) {
 	}
 }
 
-// BenchmarkExpCutsBuild measures full ExpCuts construction on CR04.
+// BenchmarkExpCutsBuild measures full ExpCuts construction — the tree,
+// its native arena and its serialized image — on CR04 and on FW03, the
+// largest paper tree: time, bytes and allocations per build.
 func BenchmarkExpCutsBuild(b *testing.B) {
-	rs, _ := benchSet(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewExpCuts(rs, ExpCutsConfig{}); err != nil {
-			b.Fatal(err)
-		}
+	for _, set := range []string{"CR04", "FW03"} {
+		b.Run(set, func(b *testing.B) {
+			rs, err := StandardRuleSet(set)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewExpCuts(rs, ExpCutsConfig{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

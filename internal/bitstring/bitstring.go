@@ -112,26 +112,37 @@ const MaxV = 5
 // CompressHABS builds the HABS encoding of ptrs, which must have length 2^w.
 // v must satisfy v <= w and v <= MaxV.
 func CompressHABS(ptrs []uint32, w, v uint) (HABS, error) {
+	words, err := AppendHABS(nil, ptrs, w, v)
+	if err != nil {
+		return HABS{}, err
+	}
+	return HABS{Bits: words[0], CPA: words[1:], W: w, V: v}, nil
+}
+
+// AppendHABS appends the HABS encoding of ptrs to dst as one word of bit
+// string followed by the CPA, the layout a serialized node stores. Its
+// arguments are CompressHABS's.
+func AppendHABS(dst, ptrs []uint32, w, v uint) ([]uint32, error) {
 	if v > w {
-		return HABS{}, fmt.Errorf("bitstring: v=%d exceeds w=%d", v, w)
+		return dst, fmt.Errorf("bitstring: v=%d exceeds w=%d", v, w)
 	}
 	if v > MaxV {
-		return HABS{}, fmt.Errorf("bitstring: v=%d exceeds MaxV=%d", v, MaxV)
+		return dst, fmt.Errorf("bitstring: v=%d exceeds MaxV=%d", v, MaxV)
 	}
 	if len(ptrs) != 1<<w {
-		return HABS{}, fmt.Errorf("bitstring: %d pointers, want 2^%d=%d", len(ptrs), w, 1<<w)
+		return dst, fmt.Errorf("bitstring: %d pointers, want 2^%d=%d", len(ptrs), w, 1<<w)
 	}
-	h := HABS{W: w, V: v}
-	u := w - v
-	sub := 1 << u
+	head := len(dst)
+	dst = append(dst, 0)
+	sub := 1 << (w - v)
 	for i := 0; i < 1<<v; i++ {
 		cur := ptrs[i*sub : (i+1)*sub]
 		if i == 0 || !equalU32(cur, ptrs[(i-1)*sub:i*sub]) {
-			h.Bits |= 1 << i
-			h.CPA = append(h.CPA, cur...)
+			dst[head] |= 1 << i
+			dst = append(dst, cur...)
 		}
 	}
-	return h, nil
+	return dst, nil
 }
 
 // At recovers pointer n using the paper's 4-step decode. This is the exact

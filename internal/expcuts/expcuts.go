@@ -36,6 +36,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/bitstring"
@@ -236,22 +237,28 @@ type builder struct {
 	mode  SharingMode
 	nodes []node
 	work  buildWork
+	boxes []rules.Box // per rule: its box, computed once per build
 
 	// Scratch reused by every node expansion; build finishes with it before
 	// it recurses.
 	sig   []byte
 	class []int32    // per cell of the node being expanded: its class
 	spans []ruleSpan // per rule of that node: the cells it spans
+
+	// Stacks of the classes and class rule lists of the nodes on the
+	// recursion path: a node pushes one frame and pops it when it returns.
+	classes []cellClass
+	ruleStk []int32
 }
 
 // ruleSpan is rule ri's span of cells lo..hi along a node's cut dimension.
 type ruleSpan struct{ ri, lo, hi int32 }
 
 // cellClass is a run of equivalent cells ending before cell end (it starts
-// where the previous class ends) and the rules intersecting it.
+// where the previous class ends) and its rules, ruleStk[lo:lo+n].
 type cellClass struct {
 	end   int
-	rules []int32
+	lo, n int32
 }
 
 // buildWork counts what a build did: build calls, signatures computed and
@@ -287,7 +294,7 @@ func NewCtx(ctx context.Context, rs *rules.RuleSet, cfg Config, budget *buildgov
 
 // buildGraph builds the pointer graph (t.nodes, t.root) under gov.
 func (t *Tree) buildGraph(gov *buildgov.Governor) error {
-	b := &builder{t: t, mode: t.cfg.Sharing, gov: gov, class: make([]int32, 1<<t.cfg.StrideW)}
+	b := &builder{t: t, mode: t.cfg.Sharing, gov: gov, boxes: t.rs.Boxes(), class: make([]int32, 1<<t.cfg.StrideW)}
 	var memo map[string]ref
 	if b.mode == ShareGlobal {
 		memo = make(map[string]ref)
@@ -331,7 +338,7 @@ func (b *builder) build(pos uint, box rules.Box, ruleIdx []int32, memo map[strin
 	// Rule overlap pruning: a rule covering the whole box shadows all
 	// lower-priority rules.
 	for k, ri := range ruleIdx {
-		if t.rs.Rules[ri].Box().Covers(box) {
+		if b.boxes[ri].Covers(box) {
 			ruleIdx = ruleIdx[:k+1]
 			break
 		}
@@ -344,18 +351,19 @@ func (b *builder) build(pos uint, box rules.Box, ruleIdx []int32, memo map[strin
 	// intersecting rule covers it (then it wins everywhere inside), or
 	// all 104 bits are consumed (the box is a single point, which every
 	// remaining rule covers).
-	if pos >= rules.KeyBits || t.rs.Rules[top].Box().Covers(box) {
+	if pos >= rules.KeyBits || b.boxes[top].Covers(box) {
 		return refLeaf(int(top)), nil
 	}
 
-	var key string
+	var key string // a copy of the reused signature, made only on a miss
 	if memo != nil {
-		key = b.signature(pos, box, ruleIdx)
+		sig := b.signature(pos, box, ruleIdx)
 		b.work.sigs++
-		if r, ok := memo[key]; ok {
+		if r, ok := memo[string(sig)]; ok {
 			b.work.hits++
 			return r, nil
 		}
+		key = string(sig)
 	}
 
 	w := t.cfg.StrideW
@@ -388,7 +396,7 @@ func (b *builder) build(pos uint, box rules.Box, ruleIdx []int32, memo map[strin
 	boxLo := box[dim].Lo
 	spans := b.spans[:0]
 	for _, ri := range ruleIdx {
-		clip, ok := t.rs.Rules[ri].Span(dim).Intersect(box[dim])
+		clip, ok := b.boxes[ri][dim].Intersect(box[dim])
 		if !ok {
 			continue
 		}
@@ -401,29 +409,45 @@ func (b *builder) build(pos uint, box rules.Box, ruleIdx []int32, memo map[strin
 		}
 	}
 	b.spans = spans
-	var classes []cellClass
+	// Push this node's frame: number the classes, count each one's rules,
+	// prefix-sum the counts into offsets, then fill in priority order.
+	classBase, ruleBase := len(b.classes), int32(len(b.ruleStk))
 	for c, s := range class {
 		if s == 1 {
-			classes = append(classes, cellClass{})
+			b.classes = append(b.classes, cellClass{})
 		}
-		class[c] = int32(len(classes) - 1)
-		classes[len(classes)-1].end = c + 1
+		class[c] = int32(len(b.classes) - 1 - classBase)
+		b.classes[len(b.classes)-1].end = c + 1
 	}
+	classes := b.classes[classBase:]
 	for _, s := range spans {
 		for k := class[s.lo]; k <= class[s.hi]; k++ {
-			classes[k].rules = append(classes[k].rules, s.ri)
+			classes[k].n++
+		}
+	}
+	next := ruleBase
+	for k := range classes {
+		classes[k].lo, next = next, next+classes[k].n
+		classes[k].n = 0 // counts again as the fill places the rules
+	}
+	b.ruleStk = slices.Grow(b.ruleStk, int(next-ruleBase))[:next]
+	for _, s := range spans {
+		for k := class[s.lo]; k <= class[s.hi]; k++ {
+			b.ruleStk[classes[k].lo+classes[k].n] = s.ri
+			classes[k].n++
 		}
 	}
 
 	n := node{level: int(pos / w), runs: make([]run, 0, len(classes))}
 	first := 0
-	for _, cl := range classes {
+	for k := range classes {
+		cl := b.classes[classBase+k] // children's frames may move the stacks
 		cellBox := box
 		cellBox[dim] = rules.Span{
 			Lo: boxLo + uint32(uint64(first)<<log2cw),
 			Hi: boxLo + uint32(uint64(first+1)<<log2cw) - 1,
 		}
-		child, err := b.build(pos+w, cellBox, cl.rules, childMemo)
+		child, err := b.build(pos+w, cellBox, b.ruleStk[cl.lo:cl.lo+cl.n:cl.lo+cl.n], childMemo)
 		if err != nil {
 			return 0, err
 		}
@@ -435,6 +459,7 @@ func (b *builder) build(pos uint, box rules.Box, ruleIdx []int32, memo map[strin
 		}
 		first = cl.end
 	}
+	b.classes, b.ruleStk = b.classes[:classBase], b.ruleStk[:ruleBase]
 	if len(b.nodes) >= t.cfg.MaxNodes {
 		return 0, fmt.Errorf("expcuts: node budget %d exhausted (rule set %q, w=%d, sharing %v)",
 			t.cfg.MaxNodes, t.rs.Name, w, b.mode)
@@ -459,13 +484,13 @@ func (b *builder) build(pos uint, box rules.Box, ruleIdx []int32, memo map[strin
 // Estimated per-entry heap costs used by the governor's byte accounting.
 // A node charges len(runs)*8 + nodeOverheadBytes: its runs, and for the
 // rest what building the node allocates besides them — its header in the
-// node slice (with that slice's growth), the class table and per-class rule
-// lists it leaves as garbage, and under ShareSiblings the child memo. The
-// constant was refit to runs against measured peak HeapAlloc (GC percent
-// 20) on deadline-bounded ACL-family builds: solving for it gave 206–224 B
-// per node at 10k rules and 305–369 B at 100k, and 256 sits between, so
-// the estimate runs within 7 % of the measured peak at both sizes. A memo
-// entry charges its key bytes plus memoOverheadBytes for the map slot.
+// node slice (with the garbage that slice's growth leaves), and under
+// ShareSiblings the child memo. Its class rule lists live on the builder's
+// stack and leave no garbage. Solved for against measured peak HeapAlloc
+// (GC percent 20) on deadline-bounded ACL-family builds, the constant comes
+// to 95–155 B per node at 10k rules and 131–174 B at 100k, so 256 runs the
+// estimate 7–24 % over the measured peak: trips come early, not late. A
+// memo entry charges its key bytes plus memoOverheadBytes for the map slot.
 // buildgov's TestEstimateAccuracyAtScale holds the estimate to its band.
 const (
 	nodeOverheadBytes = 256
@@ -477,20 +502,21 @@ const (
 // sub-spaces with equal signatures have identical sub-trees: all boxes at
 // one bit position are translates of the same shape, lookups index children
 // by key-bit extraction (box-independent), and the relative geometry fixes
-// every later cut decision.
-func (b *builder) signature(pos uint, box rules.Box, ruleIdx []int32) string {
+// every later cut decision. The result is the builder's reused scratch,
+// which the next signature overwrites.
+func (b *builder) signature(pos uint, box rules.Box, ruleIdx []int32) []byte {
 	sig := b.sig[:0]
 	sig = binary.AppendUvarint(sig, uint64(pos))
 	for _, ri := range ruleIdx {
 		sig = binary.AppendUvarint(sig, uint64(ri))
 		for d := 0; d < rules.NumDims; d++ {
-			clip, _ := b.t.rs.Rules[ri].Span(rules.Dim(d)).Intersect(box[d])
+			clip, _ := b.boxes[ri][d].Intersect(box[d])
 			sig = binary.AppendUvarint(sig, uint64(clip.Lo-box[d].Lo))
 			sig = binary.AppendUvarint(sig, uint64(clip.Hi-box[d].Lo))
 		}
 	}
 	b.sig = sig
-	return string(sig)
+	return sig
 }
 
 // dimOfBit returns the dimension owning key bit position pos.

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/buildgov"
@@ -112,6 +113,34 @@ func TestBuildChargesAreExact(t *testing.T) {
 				sharing, st.MemoEntries, tree.work.sigs-tree.work.hits, memoNodes)
 		}
 	}
+}
+
+// TestBuildAllocationBound caps the heap allocations of one CR04 build.
+// The builder keeps every node's class rule lists on one stack, probes the
+// memo without copying the signature and encodes the image through one
+// reused buffer: ≈ 23 000 allocations per build, most of them the nodes'
+// runs and memo keys, where one rule list per class, one key per probe and
+// one slice per encoded node made ≈ 246 000. A builder that returns to
+// per-class lists builds the same tree and fails here (≈ 142 000).
+func TestBuildAllocationBound(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("enforced in the non-race pass, beside the zero-allocation gates")
+	}
+	rs, err := rulegen.Standard("CR04")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if _, err := New(rs, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	n := m1.Mallocs - m0.Mallocs
+	if n > 120000 {
+		t.Fatalf("New(CR04) made %d allocations, want <= 120000", n)
+	}
+	t.Logf("New(CR04) made %d allocations, %d B", n, m1.TotalAlloc-m0.TotalAlloc)
 }
 
 // checkRuns checks the builder graph's run invariant: every node's run ends

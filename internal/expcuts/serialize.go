@@ -23,14 +23,12 @@ import (
 // they cost nothing: the final CPA read *is* the classification result.
 //
 // serialize lays the tree out through place, each node as its HABS word and
-// CPA.
+// CPA, encoded into one reused buffer (the image copies the words).
 func (t *Tree) serialize() error {
-	image, root, err := t.place(func(row []uint32) ([]uint32, error) {
-		habs, err := bitstring.CompressHABS(row, t.cfg.StrideW, t.cfg.HabsV)
-		if err != nil {
-			return nil, err
-		}
-		return append([]uint32{habs.Bits}, habs.CPA...), nil
+	var words []uint32
+	image, root, err := t.place(func(row []uint32) (_ []uint32, err error) {
+		words, err = bitstring.AppendHABS(words[:0], row, t.cfg.StrideW, t.cfg.HabsV)
+		return words, err
 	})
 	if err != nil {
 		return err
@@ -45,7 +43,7 @@ func (t *Tree) serialize() error {
 // (§5.3, Table 4), deepest level first so child pointers exist when their
 // parents are written, and within a level in id order. Each node's runs are
 // expanded into one reused row of 2^w pointer words, which encode turns
-// into the words stored for the node.
+// into the words stored for the node (the image copies them).
 func (t *Tree) place(encode func(row []uint32) ([]uint32, error)) (*memlayout.Image, uint32, error) {
 	depth := t.Depth()
 	alloc, err := memlayout.AllocateLevels(memlayout.UniformDemand(depth), t.cfg.Headroom, t.cfg.Channels)

@@ -495,6 +495,15 @@ func (s *RuleSet) Len() int {
 	return len(s.Rules)
 }
 
+// Boxes returns every rule's box, in rule order.
+func (s *RuleSet) Boxes() []Box {
+	boxes := make([]Box, len(s.Rules))
+	for i := range s.Rules {
+		boxes[i] = s.Rules[i].Box()
+	}
+	return boxes
+}
+
 // Match performs reference first-match classification by scanning rules in
 // priority order. It returns the matched rule index, or -1 if none match.
 // Every classifier in this repository must agree with Match on every header.

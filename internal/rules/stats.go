@@ -54,10 +54,7 @@ func ComputeStats(s *RuleSet) Stats {
 		st.PrefixLenHist[0][s.Rules[i].SrcIP.Len]++
 		st.PrefixLenHist[1][s.Rules[i].DstIP.Len]++
 	}
-	boxes := make([]Box, len(s.Rules))
-	for i := range s.Rules {
-		boxes[i] = s.Rules[i].Box()
-	}
+	boxes := s.Boxes()
 	for i := range boxes {
 		for j := i + 1; j < len(boxes); j++ {
 			if boxes[i].Overlaps(boxes[j]) {
