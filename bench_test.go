@@ -7,147 +7,21 @@ import (
 	"repro/internal/experiments"
 )
 
-// benchCtx keeps the per-iteration cost of the experiment benchmarks
-// manageable; EXPERIMENTS.md numbers come from cmd/pcbench with the full
-// context.
-var benchCtx = experiments.Context{TraceLen: 400, Packets: 6000, Seed: 1, MatchFraction: 0.9}
-
-// BenchmarkFig6SpaceAggregation regenerates Figure 6 (ExpCuts memory with
-// vs without hierarchical space aggregation) and reports the CR04
-// aggregation ratio.
-func BenchmarkFig6SpaceAggregation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig6(benchCtx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := rows[len(rows)-1]
-		b.ReportMetric(last.Ratio, "aggRatio(CR04)")
-		b.ReportMetric(float64(last.WithAggBytes)/1e6, "aggMB(CR04)")
-	}
-}
-
-// BenchmarkFig7Speedup regenerates Figure 7 (throughput vs threads on
-// CR04) and reports the 71-thread point.
-func BenchmarkFig7Speedup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig7(benchCtx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[len(rows)-1].ThroughputMbps, "Mbps@71thr")
-		b.ReportMetric(rows[len(rows)-1].Speedup, "speedup@71thr")
-	}
-}
-
-// BenchmarkFig8LinearSearch regenerates Figure 8 (throughput vs rules
-// linearly searched) and reports the 8-rule point the paper highlights.
-func BenchmarkFig8LinearSearch(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig8(benchCtx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Rules == 8 {
-				b.ReportMetric(r.ThroughputMbps, "Mbps@8rules")
+// BenchmarkPaperExperiments times each paper experiment — Figures 6–9,
+// Tables 2, 4 and 5, the ablations and the extended comparison on CR01 —
+// at the tests' context, the one internal/experiments/testdata/paper.golden
+// is rendered at; EXPERIMENTS.md numbers come from cmd/pcbench with the
+// full context.
+func BenchmarkPaperExperiments(b *testing.B) {
+	ctx := experiments.Context{TraceLen: 400, Packets: 6000, Seed: 1, MatchFraction: 0.9}
+	for _, e := range experiments.Paper("CR01") {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(ctx); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	}
-}
-
-// BenchmarkFig9Comparison regenerates Figure 9 (ExpCuts vs HiCuts vs HSM on
-// all seven rule sets) and reports the CR04 column.
-func BenchmarkFig9Comparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig9(benchCtx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := rows[len(rows)-1]
-		b.ReportMetric(last.ExpCutsMbps, "ExpCuts(CR04)")
-		b.ReportMetric(last.HiCutsMbps, "HiCuts(CR04)")
-		b.ReportMetric(last.HSMMbps, "HSM(CR04)")
-	}
-}
-
-// BenchmarkTab2Mapping regenerates Table 2 (multiprocessing vs context
-// pipelining).
-func BenchmarkTab2Mapping(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Tab2(benchCtx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].ThroughputMbps, "multiMbps")
-		b.ReportMetric(rows[1].ThroughputMbps, "pipelineMbps")
-	}
-}
-
-// BenchmarkTab5Channels regenerates Table 5 (throughput vs SRAM channels).
-func BenchmarkTab5Channels(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Tab5(benchCtx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].ThroughputMbps, "Mbps@1ch")
-		b.ReportMetric(rows[3].ThroughputMbps, "Mbps@4ch")
-	}
-}
-
-// BenchmarkAblationStride sweeps the cutting stride w.
-func BenchmarkAblationStride(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationStride(benchCtx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[len(rows)-1].ThroughputMbps, "Mbps@w8")
-	}
-}
-
-// BenchmarkAblationHABS sweeps the HABS width v.
-func BenchmarkAblationHABS(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationHABS(benchCtx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(rows[len(rows)-1].MemoryBytes)/1e6, "MB@v5")
-	}
-}
-
-// BenchmarkAblationPopCount compares POP_COUNT against RISC emulation.
-func BenchmarkAblationPopCount(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationPopCount(benchCtx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].ThroughputMbps/rows[1].ThroughputMbps, "hw/riscSpeedup")
-	}
-}
-
-// BenchmarkAblationBinth sweeps HiCuts binth.
-func BenchmarkAblationBinth(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationBinth(benchCtx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].ThroughputMbps, "Mbps@binth1")
-	}
-}
-
-// BenchmarkAblationSharing compares node-sharing scopes.
-func BenchmarkAblationSharing(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationSharing(benchCtx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(rows[1].Nodes)/float64(rows[0].Nodes), "siblings/globalNodes")
+		})
 	}
 }
 

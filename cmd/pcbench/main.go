@@ -10,7 +10,10 @@
 // stride habs popcount binth sharing extended rulescale all
 //
 // An unknown name anywhere in the list is refused (exit 2) before
-// anything runs.
+// anything runs. Stdout carries only the tables, so it is deterministic
+// for the paper experiments: at -packets 6000 -trace 400 -set CR01 it is
+// internal/experiments/testdata/paper.golden. Each experiment's
+// "(… completed in …)" time goes to stderr.
 //
 // The rulescale experiment measures build time, memory and critical-path
 // Mpps per algorithm on the deterministic ACL presets across
@@ -34,12 +37,6 @@ import (
 	"repro/internal/experiments"
 )
 
-// driver is one named experiment.
-type driver struct {
-	name string
-	run  func() (string, error)
-}
-
 func main() {
 	var (
 		which      = flag.String("experiment", "all", "comma-separated experiment list (fig6 fig7 fig8 fig9 tab2 tab4 tab5 stride habs popcount binth sharing extended rulescale all)")
@@ -55,75 +52,20 @@ func main() {
 	flag.Parse()
 
 	ctx := experiments.Context{TraceLen: *traceLen, Packets: *packets, Seed: *seed}
-	drivers := []driver{
-		{"fig6", func() (string, error) {
-			rows, err := experiments.Fig6(ctx)
-			return experiments.RenderFig6(rows), err
-		}},
-		{"fig7", func() (string, error) {
-			rows, err := experiments.Fig7(ctx)
-			return experiments.RenderFig7(rows), err
-		}},
-		{"fig8", func() (string, error) {
-			rows, err := experiments.Fig8(ctx)
-			return experiments.RenderFig8(rows), err
-		}},
-		{"fig9", func() (string, error) {
-			rows, err := experiments.Fig9(ctx)
-			return experiments.RenderFig9(rows), err
-		}},
-		{"tab2", func() (string, error) {
-			rows, err := experiments.Tab2(ctx)
-			return experiments.RenderTab2(rows), err
-		}},
-		{"tab4", func() (string, error) {
-			rows, err := experiments.Tab4(ctx)
-			return experiments.RenderTab4(rows), err
-		}},
-		{"tab5", func() (string, error) {
-			rows, err := experiments.Tab5(ctx)
-			return experiments.RenderTab5(rows), err
-		}},
-		{"stride", func() (string, error) {
-			rows, err := experiments.AblationStride(ctx)
-			return experiments.RenderAblationStride(rows), err
-		}},
-		{"habs", func() (string, error) {
-			rows, err := experiments.AblationHABS(ctx)
-			return experiments.RenderAblationHABS(rows), err
-		}},
-		{"popcount", func() (string, error) {
-			rows, err := experiments.AblationPopCount(ctx)
-			return experiments.RenderAblationPopCount(rows), err
-		}},
-		{"binth", func() (string, error) {
-			rows, err := experiments.AblationBinth(ctx)
-			return experiments.RenderAblationBinth(rows), err
-		}},
-		{"sharing", func() (string, error) {
-			rows, err := experiments.AblationSharing(ctx)
-			return experiments.RenderAblationSharing(rows), err
-		}},
-		{"extended", func() (string, error) {
-			rows, err := experiments.Extended(ctx, *extSet)
-			return experiments.RenderExtended(rows, *extSet), err
-		}},
-		{"rulescale", func() (string, error) {
+	drivers := append(experiments.Paper(*extSet), experiments.Experiment{
+		Name: "rulescale",
+		Run: func(ctx experiments.Context) (fmt.Stringer, error) {
 			sizes, err := parseIntList(*scaleSizes, "rule count")
 			if err != nil {
-				return "", err
+				return nil, err
 			}
 			algos := strings.Split(*scaleAlgos, ",")
 			for i := range algos {
 				algos[i] = strings.TrimSpace(algos[i])
 			}
-			rows, err := experiments.RuleScale(ctx, sizes, algos)
-			if err != nil {
-				return "", err
-			}
-			return experiments.RenderRuleScale(rows), nil
-		}},
-	}
+			return experiments.RuleScale(ctx, sizes, algos)
+		},
+	})
 
 	selected, err := selectDrivers(drivers, *which)
 	if err != nil {
@@ -161,13 +103,13 @@ func main() {
 
 	for _, d := range selected {
 		start := time.Now()
-		out, err := d.run()
+		out, err := d.Run(ctx)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pcbench: %s: %v\n", d.name, err)
+			fmt.Fprintf(os.Stderr, "pcbench: %s: %v\n", d.Name, err)
 			os.Exit(1)
 		}
-		fmt.Println(out)
-		fmt.Printf("(%s completed in %.1fs)\n\n", d.name, time.Since(start).Seconds())
+		fmt.Printf("%s\n\n", out)
+		fmt.Fprintf(os.Stderr, "(%s completed in %.1fs)\n", d.Name, time.Since(start).Seconds())
 	}
 }
 
@@ -175,12 +117,12 @@ func main() {
 // driver order; "all" selects every driver. A name that is neither a
 // driver nor "all" is an error listing the valid names, even when other
 // names in the list match.
-func selectDrivers(drivers []driver, list string) ([]driver, error) {
+func selectDrivers(drivers []experiments.Experiment, list string) ([]experiments.Experiment, error) {
 	known := map[string]bool{"all": true}
 	valid := make([]string, 0, len(drivers)+1)
 	for _, d := range drivers {
-		known[d.name] = true
-		valid = append(valid, d.name)
+		known[d.Name] = true
+		valid = append(valid, d.Name)
 	}
 	valid = append(valid, "all")
 
@@ -192,9 +134,9 @@ func selectDrivers(drivers []driver, list string) ([]driver, error) {
 		}
 		want[name] = true
 	}
-	var out []driver
+	var out []experiments.Experiment
 	for _, d := range drivers {
-		if want["all"] || want[d.name] {
+		if want["all"] || want[d.Name] {
 			out = append(out, d)
 		}
 	}

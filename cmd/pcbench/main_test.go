@@ -4,10 +4,12 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 func TestSelectDrivers(t *testing.T) {
-	drivers := []driver{{name: "fig6"}, {name: "fig7"}, {name: "tab2"}}
+	drivers := []experiments.Experiment{{Name: "fig6"}, {Name: "fig7"}, {Name: "tab2"}}
 	cases := []struct {
 		list    string
 		want    []string
@@ -45,10 +47,10 @@ func TestSelectDrivers(t *testing.T) {
 	}
 }
 
-func names(ds []driver) []string {
+func names(ds []experiments.Experiment) []string {
 	var out []string
 	for _, d := range ds {
-		out = append(out, d.name)
+		out = append(out, d.Name)
 	}
 	return out
 }

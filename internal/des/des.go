@@ -3,8 +3,6 @@
 // for simultaneous events. The IXP2850 model (internal/npsim) runs on it.
 package des
 
-import "container/heap"
-
 // Time is virtual time in simulation ticks (ME clock cycles for npsim).
 type Time uint64
 
@@ -17,30 +15,18 @@ type item struct {
 	fn  Event
 }
 
-type eventHeap []item
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(item)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+// less orders events by time, then by scheduling order. The order is
+// total (seq is unique), so the dispatch sequence does not depend on how
+// the heap is laid out.
+func less(a, b *item) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Sim is a discrete-event simulator. The zero value is ready to use.
 type Sim struct {
 	now   Time
 	seq   uint64
-	queue eventHeap
+	queue []item // binary min-heap under less
 }
 
 // Now returns the current virtual time.
@@ -53,8 +39,17 @@ func (s *Sim) At(t Time, fn Event) {
 	if t < s.now {
 		panic("des: scheduling into the past")
 	}
-	heap.Push(&s.queue, item{at: t, seq: s.seq, fn: fn})
+	q := append(s.queue, item{at: t, seq: s.seq, fn: fn})
+	s.queue = q
 	s.seq++
+	for i := len(q) - 1; i > 0; { // sift up
+		p := (i - 1) / 2
+		if !less(&q[i], &q[p]) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
 }
 
 // After schedules fn delay ticks from now.
@@ -64,10 +59,23 @@ func (s *Sim) After(delay Time, fn Event) {
 
 // Step dispatches the next event; it reports false when the queue is empty.
 func (s *Sim) Step() bool {
-	if len(s.queue) == 0 {
+	q := s.queue
+	n := len(q) - 1
+	if n < 0 {
 		return false
 	}
-	it := heap.Pop(&s.queue).(item)
+	it := q[0]
+	q[0], q[n] = q[n], item{} // the vacated slot drops its callback
+	s.queue = q[:n]
+	for i, c := 0, 1; c < n; i, c = c, 2*c+1 { // sift down
+		if c+1 < n && less(&q[c+1], &q[c]) {
+			c++
+		}
+		if !less(&q[c], &q[i]) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+	}
 	s.now = it.at
 	it.fn(s.now)
 	return true

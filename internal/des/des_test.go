@@ -1,6 +1,7 @@
 package des
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -94,5 +95,47 @@ func TestStepOnEmptyQueue(t *testing.T) {
 	var s Sim
 	if s.Step() {
 		t.Error("Step on empty queue should return false")
+	}
+}
+
+// Many events on few distinct times, scheduled in random order and
+// interleaved with dispatch, must come out ordered by time and, within a
+// time, in scheduling order.
+func TestRandomEventsPopInTimeThenScheduleOrder(t *testing.T) {
+	const events = 10000
+	rng := rand.New(rand.NewSource(1))
+	var s Sim
+	type key struct {
+		at  Time
+		seq int
+	}
+	var got []key
+	scheduled := 0
+	schedule := func() {
+		seq := scheduled
+		scheduled++
+		s.After(Time(rng.Intn(8)), func(now Time) { got = append(got, key{now, seq}) })
+	}
+	for scheduled < events/2 {
+		schedule()
+	}
+	for s.Step() {
+		if scheduled < events && rng.Intn(2) == 0 {
+			schedule()
+			schedule()
+		}
+	}
+	for scheduled < events {
+		schedule()
+		s.Run()
+	}
+	if len(got) != events {
+		t.Fatalf("dispatched %d events, want %d", len(got), events)
+	}
+	for i := 1; i < len(got); i++ {
+		a, b := got[i-1], got[i]
+		if b.at < a.at || (b.at == a.at && b.seq < a.seq) {
+			t.Fatalf("event %d: (%d, #%d) dispatched after (%d, #%d)", i, b.at, b.seq, a.at, a.seq)
+		}
 	}
 }

@@ -11,13 +11,8 @@ import (
 	"repro/internal/memlayout"
 	"repro/internal/nptrace"
 	"repro/internal/rfc"
-	"repro/internal/rules"
+	"repro/internal/rulegen"
 )
-
-// newHSM builds the HSM classifier with defaults.
-func newHSM(rs *rules.RuleSet) (*hsm.Classifier, error) {
-	return hsm.New(rs, hsm.Config{})
-}
 
 // StrideRow is one point of the stride ablation: the w of 2^w cuts per
 // node trades tree depth (and so the explicit access bound) against memory.
@@ -31,9 +26,9 @@ type StrideRow struct {
 
 // AblationStride sweeps w ∈ {2, 4, 8} on CR02 (§4.2.1: the paper fixes
 // w = 8; smaller strides save memory but deepen the tree).
-func AblationStride(ctx Context) ([]StrideRow, error) {
+func AblationStride(ctx Context) (StrideTable, error) {
 	ctx.fillDefaults()
-	rs, err := ruleSetByName("CR02")
+	rs, err := rulegen.Standard("CR02")
 	if err != nil {
 		return nil, err
 	}
@@ -41,7 +36,7 @@ func AblationStride(ctx Context) ([]StrideRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rows []StrideRow
+	var rows StrideTable
 	for _, w := range []uint{2, 4, 8} {
 		v := w
 		if v > 4 {
@@ -66,8 +61,8 @@ func AblationStride(ctx Context) ([]StrideRow, error) {
 	return rows, nil
 }
 
-// RenderAblationStride formats the stride ablation.
-func RenderAblationStride(rows []StrideRow) string {
+// String renders the stride ablation.
+func (rows StrideTable) String() string {
 	out := make([][]string, len(rows))
 	for i, r := range rows {
 		out[i] = []string{
@@ -88,13 +83,13 @@ type HABSRow struct {
 // AblationHABS sweeps the HABS exponent v on CR02 at w = 8 (§4.2.2: the
 // paper packs a 16-bit HABS, v = 4, into the node word; wider strings
 // track runs more precisely and store fewer duplicate sub-arrays).
-func AblationHABS(ctx Context) ([]HABSRow, error) {
+func AblationHABS(ctx Context) (HABSTable, error) {
 	ctx.fillDefaults()
-	rs, err := ruleSetByName("CR02")
+	rs, err := rulegen.Standard("CR02")
 	if err != nil {
 		return nil, err
 	}
-	var rows []HABSRow
+	var rows HABSTable
 	for _, v := range []uint{1, 2, 4, 5} {
 		tree, err := expcuts.New(rs, expcuts.Config{StrideW: 8, HabsV: v, Headroom: memlayout.PaperHeadroom})
 		if err != nil {
@@ -105,8 +100,8 @@ func AblationHABS(ctx Context) ([]HABSRow, error) {
 	return rows, nil
 }
 
-// RenderAblationHABS formats the HABS ablation.
-func RenderAblationHABS(rows []HABSRow) string {
+// String renders the HABS ablation.
+func (rows HABSTable) String() string {
 	out := make([][]string, len(rows))
 	for i, r := range rows {
 		out[i] = []string{fmt.Sprint(r.HabsV), fmt.Sprint(1 << r.HabsV), mb(r.MemoryBytes)}
@@ -125,13 +120,9 @@ type PopCountRow struct {
 
 // AblationPopCount runs the same ExpCuts lookup under the two
 // instruction-selection variants.
-func AblationPopCount(ctx Context) ([]PopCountRow, error) {
+func AblationPopCount(ctx Context) (PopCountTable, error) {
 	ctx.fillDefaults()
-	rs, err := ruleSetByName("CR04")
-	if err != nil {
-		return nil, err
-	}
-	tree, err := expcuts.New(rs, expcuts.Config{Headroom: memlayout.PaperHeadroom})
+	rs, tree, err := paperTree("CR04")
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +130,7 @@ func AblationPopCount(ctx Context) ([]PopCountRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rows []PopCountRow
+	var rows PopCountTable
 	for _, variant := range []struct {
 		name  string
 		costs nptrace.Costs
@@ -170,8 +161,8 @@ func riscCosts() nptrace.Costs {
 	return c
 }
 
-// RenderAblationPopCount formats the POP_COUNT ablation.
-func RenderAblationPopCount(rows []PopCountRow) string {
+// String renders the POP_COUNT ablation.
+func (rows PopCountTable) String() string {
 	out := make([][]string, len(rows))
 	for i, r := range rows {
 		out[i] = []string{r.Variant, fmt.Sprint(r.CyclesPerOp), fmt.Sprintf("%.0f", r.ThroughputMbps)}
@@ -191,9 +182,9 @@ type BinthRow struct {
 // AblationBinth sweeps HiCuts binth ∈ {1, 2, 4, 8, 16} on FW02 (§6.6
 // motivates ExpCuts as the binth → 1 limit; small binth needs overlap
 // pruning to stay buildable).
-func AblationBinth(ctx Context) ([]BinthRow, error) {
+func AblationBinth(ctx Context) (BinthTable, error) {
 	ctx.fillDefaults()
-	rs, err := ruleSetByName("FW02")
+	rs, err := rulegen.Standard("FW02")
 	if err != nil {
 		return nil, err
 	}
@@ -201,7 +192,7 @@ func AblationBinth(ctx Context) ([]BinthRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rows []BinthRow
+	var rows BinthTable
 	for _, binth := range []int{1, 2, 4, 8, 16} {
 		tree, err := hicuts.New(rs, hicuts.Config{
 			Binth:        binth,
@@ -225,8 +216,8 @@ func AblationBinth(ctx Context) ([]BinthRow, error) {
 	return rows, nil
 }
 
-// RenderAblationBinth formats the binth sweep.
-func RenderAblationBinth(rows []BinthRow) string {
+// String renders the binth sweep.
+func (rows BinthTable) String() string {
 	out := make([][]string, len(rows))
 	for i, r := range rows {
 		out[i] = []string{
@@ -247,13 +238,13 @@ type SharingRow struct {
 
 // AblationSharing compares global node sharing (ExpCuts) against
 // sibling-only sharing (HiCuts-style pointer aggregation) on FW02.
-func AblationSharing(ctx Context) ([]SharingRow, error) {
+func AblationSharing(ctx Context) (SharingTable, error) {
 	ctx.fillDefaults()
-	rs, err := ruleSetByName("FW02")
+	rs, err := rulegen.Standard("FW02")
 	if err != nil {
 		return nil, err
 	}
-	var rows []SharingRow
+	var rows SharingTable
 	for _, mode := range []expcuts.SharingMode{expcuts.ShareGlobal, expcuts.ShareSiblings} {
 		tree, err := expcuts.New(rs, expcuts.Config{Sharing: mode, Headroom: memlayout.PaperHeadroom})
 		if err != nil {
@@ -268,8 +259,8 @@ func AblationSharing(ctx Context) ([]SharingRow, error) {
 	return rows, nil
 }
 
-// RenderAblationSharing formats the sharing ablation.
-func RenderAblationSharing(rows []SharingRow) string {
+// String renders the sharing ablation.
+func (rows SharingTable) String() string {
 	out := make([][]string, len(rows))
 	for i, r := range rows {
 		out[i] = []string{r.Mode, fmt.Sprint(r.Nodes), mb(r.MemoryBytes)}
@@ -287,37 +278,41 @@ type ExtendedRow struct {
 	WorstAccesses  int
 }
 
-// Extended compares all five classifiers on one rule set — the paper's
-// three, the RFC extension, and the linear-search floor.
-func Extended(ctx Context, setName string) ([]ExtendedRow, error) {
+// ExtendedTable is the extended comparison on one rule set, one row per
+// classifier.
+type ExtendedTable struct {
+	RuleSet string
+	Rows    []ExtendedRow
+}
+
+// Extended compares all six classifiers on one rule set — the paper's
+// three, the HyperCuts and RFC extensions, and the linear-search floor.
+func Extended(ctx Context, setName string) (ExtendedTable, error) {
 	ctx.fillDefaults()
-	rs, err := ruleSetByName(setName)
+	t := ExtendedTable{RuleSet: setName}
+	rs, ec, err := paperTree(setName)
 	if err != nil {
-		return nil, err
+		return t, err
 	}
 	headers, err := ctx.headers(rs)
 	if err != nil {
-		return nil, err
-	}
-	ec, err := expcuts.New(rs, expcuts.Config{Headroom: memlayout.PaperHeadroom})
-	if err != nil {
-		return nil, err
+		return t, err
 	}
 	hc, err := hicuts.New(rs, hicuts.Config{Headroom: memlayout.PaperHeadroom})
 	if err != nil {
-		return nil, err
+		return t, err
 	}
-	hsCl, err := newHSM(rs)
+	hsCl, err := hsm.New(rs, hsm.Config{})
 	if err != nil {
-		return nil, err
+		return t, err
 	}
 	rf, err := rfc.New(rs, rfc.Config{})
 	if err != nil {
-		return nil, err
+		return t, err
 	}
 	hyper, err := hypercuts.New(rs, hypercuts.Config{Headroom: memlayout.PaperHeadroom})
 	if err != nil {
-		return nil, err
+		return t, err
 	}
 	ln := linear.New(rs)
 	worst := map[string]int{
@@ -328,31 +323,30 @@ func Extended(ctx Context, setName string) ([]ExtendedRow, error) {
 		"RFC":       rf.Stats().WorstCaseAccesses,
 		"Linear":    rs.Len(),
 	}
-	var rows []ExtendedRow
 	for _, cl := range []tracedClassifier{ec, hc, hyper, hsCl, rf, ln} {
 		r, err := ctx.simulate(programs(cl, headers))
 		if err != nil {
-			return nil, err
+			return t, err
 		}
-		rows = append(rows, ExtendedRow{
+		t.Rows = append(t.Rows, ExtendedRow{
 			Algorithm:      cl.Name(),
 			ThroughputMbps: r.ThroughputMbps,
 			MemoryBytes:    cl.MemoryBytes(),
 			WorstAccesses:  worst[cl.Name()],
 		})
 	}
-	return rows, nil
+	return t, nil
 }
 
-// RenderExtended formats the extended comparison.
-func RenderExtended(rows []ExtendedRow, setName string) string {
-	out := make([][]string, len(rows))
-	for i, r := range rows {
+// String renders the extended comparison.
+func (t ExtendedTable) String() string {
+	out := make([][]string, len(t.Rows))
+	for i, r := range t.Rows {
 		out[i] = []string{
 			r.Algorithm, fmt.Sprintf("%.0f", r.ThroughputMbps),
 			mb(r.MemoryBytes), fmt.Sprint(r.WorstAccesses),
 		}
 	}
-	return fmt.Sprintf("Extended comparison — all classifiers on %s\n", setName) +
+	return fmt.Sprintf("Extended comparison — all classifiers on %s\n", t.RuleSet) +
 		renderTable([]string{"algorithm", "Mbps", "mem(MB)", "worstAcc"}, out)
 }

@@ -1,10 +1,12 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§6) plus the ablations DESIGN.md calls out, and the
 // scaling-by-rule-count table (rulescale.go). Each driver returns typed
-// rows and a paper-style text rendering; cmd/pcbench prints them, the root
-// package's figure benchmarks time them, and EXPERIMENTS.md records their
-// output against the paper's numbers. Serving throughput and latency are
-// measured by bench/ (BENCHMARK.json), not here.
+// rows whose String is a paper-style text table. Paper lists the paper's
+// drivers once: cmd/pcbench prints them, the root package's
+// BenchmarkPaperExperiments times them, testdata/paper.golden pins their
+// text and EXPERIMENTS.md records their output against the paper's
+// numbers. Serving throughput and latency are measured by bench/
+// (BENCHMARK.json), not here.
 //
 // The paper drivers are deterministic: rule sets, traces and the NP
 // simulation are seeded. RuleScale times real builds and engine runs.
@@ -14,6 +16,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/expcuts"
 	"repro/internal/memlayout"
 	"repro/internal/npsim"
 	"repro/internal/nptrace"
@@ -21,6 +24,57 @@ import (
 	"repro/internal/rulegen"
 	"repro/internal/rules"
 )
+
+// Experiment is one entry of the paper's evaluation: its pcbench name and
+// its driver, whose rows render as text.
+type Experiment struct {
+	Name string
+	Run  func(Context) (fmt.Stringer, error)
+}
+
+// Each driver returns its rows as one of these tables; String renders
+// the table as paper-style text.
+type (
+	Fig6Table      []Fig6Row
+	Fig7Table      []Fig7Row
+	Fig8Table      []Fig8Row
+	Fig9Table      []Fig9Row
+	Tab2Table      []Tab2Row
+	Tab4Table      []Tab4Row
+	Tab5Table      []Tab5Row
+	StrideTable    []StrideRow
+	HABSTable      []HABSRow
+	PopCountTable  []PopCountRow
+	BinthTable     []BinthRow
+	SharingTable   []SharingRow
+	RuleScaleTable []RuleScaleRow
+)
+
+// Paper lists the paper's experiments in print order: Figures 6–9,
+// Tables 2, 4 and 5, the ablations, and the extended comparison on
+// extendedSet.
+func Paper(extendedSet string) []Experiment {
+	return []Experiment{
+		{"fig6", stringer(Fig6)},
+		{"fig7", stringer(Fig7)},
+		{"fig8", stringer(Fig8)},
+		{"fig9", stringer(Fig9)},
+		{"tab2", stringer(Tab2)},
+		{"tab4", stringer(Tab4)},
+		{"tab5", stringer(Tab5)},
+		{"stride", stringer(AblationStride)},
+		{"habs", stringer(AblationHABS)},
+		{"popcount", stringer(AblationPopCount)},
+		{"binth", stringer(AblationBinth)},
+		{"sharing", stringer(AblationSharing)},
+		{"extended", func(ctx Context) (fmt.Stringer, error) { return Extended(ctx, extendedSet) }},
+	}
+}
+
+// stringer adapts a driver to Experiment.Run.
+func stringer[T fmt.Stringer](run func(Context) (T, error)) func(Context) (fmt.Stringer, error) {
+	return func(ctx Context) (fmt.Stringer, error) { return run(ctx) }
+}
 
 // Context carries the shared experiment parameters.
 type Context struct {
@@ -94,9 +148,18 @@ func (c Context) simulate(progs []nptrace.Program) (npsim.Result, error) {
 	return npsim.Run(cfg, progs, c.Packets)
 }
 
-// standardSets loads the seven named rule sets.
-func standardSets() ([]*rules.RuleSet, error) {
-	return rulegen.StandardSets()
+// paperTree loads a named rule set and builds its ExpCuts tree on the
+// paper's configuration: stride w = 8, Table 4 bandwidth headroom.
+func paperTree(set string) (*rules.RuleSet, *expcuts.Tree, error) {
+	rs, err := rulegen.Standard(set)
+	if err != nil {
+		return nil, nil, err
+	}
+	tree, err := expcuts.New(rs, expcuts.Config{Headroom: memlayout.PaperHeadroom})
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", set, err)
+	}
+	return rs, tree, nil
 }
 
 // renderTable formats rows as a fixed-width text table.

@@ -3,13 +3,13 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/expcuts"
 	"repro/internal/hicuts"
 	"repro/internal/hsm"
 	"repro/internal/linear"
 	"repro/internal/memlayout"
 	"repro/internal/npsim"
 	"repro/internal/nptrace"
+	"repro/internal/rulegen"
 	"repro/internal/rules"
 )
 
@@ -27,17 +27,13 @@ type Fig6Row struct {
 }
 
 // Fig6 measures the space-aggregation effect on all seven rule sets.
-func Fig6(ctx Context) ([]Fig6Row, error) {
+func Fig6(ctx Context) (Fig6Table, error) {
 	ctx.fillDefaults()
-	sets, err := standardSets()
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Fig6Row, 0, len(sets))
-	for _, rs := range sets {
-		tree, err := expcuts.New(rs, expcuts.Config{Headroom: memlayout.PaperHeadroom})
+	var rows Fig6Table
+	for _, name := range rulegen.StandardNames() {
+		rs, tree, err := paperTree(name)
 		if err != nil {
-			return nil, fmt.Errorf("fig6 %s: %w", rs.Name, err)
+			return nil, fmt.Errorf("fig6: %w", err)
 		}
 		full, err := tree.Full()
 		if err != nil {
@@ -58,8 +54,8 @@ func Fig6(ctx Context) ([]Fig6Row, error) {
 	return rows, nil
 }
 
-// RenderFig6 formats Figure 6 rows.
-func RenderFig6(rows []Fig6Row) string {
+// String renders Figure 6.
+func (rows Fig6Table) String() string {
 	out := make([][]string, len(rows))
 	for i, r := range rows {
 		out[i] = []string{
@@ -84,13 +80,9 @@ type Fig7Row struct {
 
 // Fig7 sweeps the thread count 7..71 (1..9 MEs × 8 threads − 1 reserved)
 // on the largest rule set.
-func Fig7(ctx Context) ([]Fig7Row, error) {
+func Fig7(ctx Context) (Fig7Table, error) {
 	ctx.fillDefaults()
-	rs, err := standardRuleSet("CR04")
-	if err != nil {
-		return nil, err
-	}
-	tree, err := expcuts.New(rs, expcuts.Config{Headroom: memlayout.PaperHeadroom})
+	rs, tree, err := paperTree("CR04")
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +91,7 @@ func Fig7(ctx Context) ([]Fig7Row, error) {
 		return nil, err
 	}
 	progs := programs(tree, headers)
-	var rows []Fig7Row
+	var rows Fig7Table
 	for mes := 1; mes <= 9; mes++ {
 		threads := mes*8 - 1
 		cfg := npsim.DefaultConfig()
@@ -117,8 +109,8 @@ func Fig7(ctx Context) ([]Fig7Row, error) {
 	return rows, nil
 }
 
-// RenderFig7 formats Figure 7 rows.
-func RenderFig7(rows []Fig7Row) string {
+// String renders Figure 7.
+func (rows Fig7Table) String() string {
 	out := make([][]string, len(rows))
 	for i, r := range rows {
 		out[i] = []string{
@@ -141,9 +133,9 @@ type Fig8Row struct {
 // Fig8 measures the linear-search effect: N disjoint rules crafted so that
 // every packet matches the last one, forcing exactly N 6-word record reads
 // per packet (§6.6: each access reads one 6-word rule record).
-func Fig8(ctx Context) ([]Fig8Row, error) {
+func Fig8(ctx Context) (Fig8Table, error) {
 	ctx.fillDefaults()
-	var rows []Fig8Row
+	var rows Fig8Table
 	for _, n := range []int{1, 3, 5, 8, 10, 13, 15, 18, 20} {
 		rs := scanRules(n)
 		cl := linear.New(rs)
@@ -176,8 +168,8 @@ func scanRules(n int) *rules.RuleSet {
 	return rules.NewRuleSet(fmt.Sprintf("scan-%d", n), rs)
 }
 
-// RenderFig8 formats Figure 8 rows.
-func RenderFig8(rows []Fig8Row) string {
+// String renders Figure 8.
+func (rows Fig8Table) String() string {
 	out := make([][]string, len(rows))
 	for i, r := range rows {
 		out[i] = []string{fmt.Sprint(r.Rules), fmt.Sprintf("%.0f", r.ThroughputMbps)}
@@ -201,23 +193,17 @@ type Fig9Row struct {
 
 // Fig9 compares ExpCuts, HiCuts (binth = 8) and HSM on all seven rule sets
 // under the full application configuration.
-func Fig9(ctx Context) ([]Fig9Row, error) {
+func Fig9(ctx Context) (Fig9Table, error) {
 	ctx.fillDefaults()
-	sets, err := standardSets()
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Fig9Row, 0, len(sets))
-	for _, rs := range sets {
+	var rows Fig9Table
+	for _, name := range rulegen.StandardNames() {
+		rs, ec, err := paperTree(name)
+		if err != nil {
+			return nil, fmt.Errorf("fig9: %w", err)
+		}
 		headers, err := ctx.headers(rs)
 		if err != nil {
 			return nil, err
-		}
-		row := Fig9Row{RuleSet: rs.Name, Rules: rs.Len()}
-
-		ec, err := expcuts.New(rs, expcuts.Config{Headroom: memlayout.PaperHeadroom})
-		if err != nil {
-			return nil, fmt.Errorf("fig9 %s expcuts: %w", rs.Name, err)
 		}
 		hc, err := hicuts.New(rs, hicuts.Config{Headroom: memlayout.PaperHeadroom})
 		if err != nil {
@@ -227,27 +213,25 @@ func Fig9(ctx Context) ([]Fig9Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fig9 %s hsm: %w", rs.Name, err)
 		}
-		for _, cl := range []tracedClassifier{ec, hc, hs} {
+		var mbps [3]float64
+		for i, cl := range []tracedClassifier{ec, hc, hs} {
 			r, err := ctx.simulate(programs(cl, headers))
 			if err != nil {
 				return nil, err
 			}
-			switch cl.Name() {
-			case "ExpCuts":
-				row.ExpCutsMbps, row.ExpCutsBytes = r.ThroughputMbps, cl.MemoryBytes()
-			case "HiCuts":
-				row.HiCutsMbps, row.HiCutsBytes = r.ThroughputMbps, cl.MemoryBytes()
-			case "HSM":
-				row.HSMMbps, row.HSMBytes = r.ThroughputMbps, cl.MemoryBytes()
-			}
+			mbps[i] = r.ThroughputMbps
 		}
-		rows = append(rows, row)
+		rows = append(rows, Fig9Row{
+			RuleSet: rs.Name, Rules: rs.Len(),
+			ExpCutsMbps: mbps[0], HiCutsMbps: mbps[1], HSMMbps: mbps[2],
+			ExpCutsBytes: ec.MemoryBytes(), HiCutsBytes: hc.MemoryBytes(), HSMBytes: hs.MemoryBytes(),
+		})
 	}
 	return rows, nil
 }
 
-// RenderFig9 formats Figure 9 rows.
-func RenderFig9(rows []Fig9Row) string {
+// String renders Figure 9.
+func (rows Fig9Table) String() string {
 	out := make([][]string, len(rows))
 	for i, r := range rows {
 		out[i] = []string{
@@ -260,9 +244,4 @@ func RenderFig9(rows []Fig9Row) string {
 	}
 	return "Figure 9 — algorithm comparison (Mbps at 71 threads; memory in MB)\n" +
 		renderTable([]string{"set", "rules", "ExpCuts", "HiCuts", "HSM", "EC(MB)", "HC(MB)", "HSM(MB)"}, out)
-}
-
-// standardRuleSet loads one named set.
-func standardRuleSet(name string) (*rules.RuleSet, error) {
-	return ruleSetByName(name)
 }

@@ -54,7 +54,7 @@ var RuleScaleAlgos = []string{"expcuts", "hsm", "linear", "rmi"}
 // algorithm at each rule-set size, on the deterministic ACL presets. The
 // packet count shrinks with rule count (floor 2000) so the linear
 // baseline stays measurable at 100k+ rules.
-func RuleScale(ctx Context, sizes []int, algos []string) ([]RuleScaleRow, error) {
+func RuleScale(ctx Context, sizes []int, algos []string) (RuleScaleTable, error) {
 	ctx.fillDefaults()
 	if len(sizes) == 0 {
 		sizes = RuleScaleSizes
@@ -62,7 +62,7 @@ func RuleScale(ctx Context, sizes []int, algos []string) ([]RuleScaleRow, error)
 	if len(algos) == 0 {
 		algos = RuleScaleAlgos
 	}
-	var rows []RuleScaleRow
+	var rows RuleScaleTable
 	for _, size := range sizes {
 		gc := rulegen.LargeForSize(size)
 		rs, err := rulegen.Generate(gc)
@@ -144,8 +144,8 @@ func ruleScaleCell(algo string, rs *rules.RuleSet, setName string, hs []rules.He
 	return row, nil
 }
 
-// RenderRuleScale formats the scaling-by-rule-count table.
-func RenderRuleScale(rows []RuleScaleRow) string {
+// String renders the scaling-by-rule-count table.
+func (rows RuleScaleTable) String() string {
 	table := make([][]string, len(rows))
 	for i, r := range rows {
 		mpps := fmt.Sprintf("%.2f", r.CriticalPathMpps)

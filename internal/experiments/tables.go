@@ -8,12 +8,7 @@ import (
 	"repro/internal/npsim"
 	"repro/internal/pipeline"
 	"repro/internal/rulegen"
-	"repro/internal/rules"
 )
-
-func ruleSetByName(name string) (*rules.RuleSet, error) {
-	return rulegen.Standard(name)
-}
 
 // Tab2Row compares the two task-partitioning strategies of Table 2.
 type Tab2Row struct {
@@ -24,13 +19,9 @@ type Tab2Row struct {
 
 // Tab2 simulates multiprocessing vs context-pipelining for the CR04
 // classification stage (Table 2's qualitative comparison, quantified).
-func Tab2(ctx Context) ([]Tab2Row, error) {
+func Tab2(ctx Context) (Tab2Table, error) {
 	ctx.fillDefaults()
-	rs, err := ruleSetByName("CR04")
-	if err != nil {
-		return nil, err
-	}
-	tree, err := expcuts.New(rs, expcuts.Config{Headroom: memlayout.PaperHeadroom})
+	rs, tree, err := paperTree("CR04")
 	if err != nil {
 		return nil, err
 	}
@@ -48,14 +39,14 @@ func Tab2(ctx Context) ([]Tab2Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []Tab2Row{
+	return Tab2Table{
 		{Mapping: "multiprocessing", ThroughputMbps: mp.ThroughputMbps, BottleneckStage: -1},
 		{Mapping: "context-pipelining", ThroughputMbps: cp.ThroughputMbps, BottleneckStage: cp.BottleneckStage},
 	}, nil
 }
 
-// RenderTab2 formats Table 2 rows.
-func RenderTab2(rows []Tab2Row) string {
+// String renders Table 2.
+func (rows Tab2Table) String() string {
 	out := make([][]string, len(rows))
 	for i, r := range rows {
 		stage := "-"
@@ -80,13 +71,9 @@ type Tab4Row struct {
 // Tab4 reproduces the memory-allocation table: the CR04 ExpCuts tree's 13
 // levels distributed over the four SRAM channels in proportion to
 // bandwidth headroom.
-func Tab4(ctx Context) ([]Tab4Row, error) {
+func Tab4(ctx Context) (Tab4Table, error) {
 	ctx.fillDefaults()
-	rs, err := ruleSetByName("CR04")
-	if err != nil {
-		return nil, err
-	}
-	tree, err := expcuts.New(rs, expcuts.Config{Headroom: memlayout.PaperHeadroom})
+	_, tree, err := paperTree("CR04")
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +82,7 @@ func Tab4(ctx Context) ([]Tab4Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]Tab4Row, memlayout.NumChannels)
+	rows := make(Tab4Table, memlayout.NumChannels)
 	for c := range rows {
 		lo, hi := -1, -1
 		for lvl, ch := range alloc {
@@ -120,8 +107,8 @@ func Tab4(ctx Context) ([]Tab4Row, error) {
 	return rows, nil
 }
 
-// RenderTab4 formats Table 4 rows.
-func RenderTab4(rows []Tab4Row) string {
+// String renders Table 4.
+func (rows Tab4Table) String() string {
 	out := make([][]string, len(rows))
 	for i, r := range rows {
 		out[i] = []string{
@@ -145,9 +132,9 @@ type Tab5Row struct {
 // Tab5 sweeps 1..4 SRAM channels on CR04 at 71 threads. Channels are used
 // in descending-headroom order — the paper notes its single-channel case
 // has 100% bandwidth headroom.
-func Tab5(ctx Context) ([]Tab5Row, error) {
+func Tab5(ctx Context) (Tab5Table, error) {
 	ctx.fillDefaults()
-	rs, err := ruleSetByName("CR04")
+	rs, err := rulegen.Standard("CR04")
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +144,7 @@ func Tab5(ctx Context) ([]Tab5Row, error) {
 	}
 	// Descending-headroom channel order: 100%, 69%, 53%, 44%.
 	ordered := memlayout.Headroom{1.00, 0.69, 0.53, 0.44}
-	var rows []Tab5Row
+	var rows Tab5Table
 	for n := 1; n <= memlayout.NumChannels; n++ {
 		tree, err := expcuts.New(rs, expcuts.Config{Channels: n, Headroom: ordered})
 		if err != nil {
@@ -174,8 +161,8 @@ func Tab5(ctx Context) ([]Tab5Row, error) {
 	return rows, nil
 }
 
-// RenderTab5 formats Table 5 rows.
-func RenderTab5(rows []Tab5Row) string {
+// String renders Table 5.
+func (rows Tab5Table) String() string {
 	out := make([][]string, len(rows))
 	for i, r := range rows {
 		out[i] = []string{fmt.Sprint(r.Channels), fmt.Sprintf("%.0f", r.ThroughputMbps)}

@@ -153,7 +153,7 @@ func streamACL(rng *rand.Rand, n int, emit func(rules.Rule) error) error {
 
 // largeConfigs are the production-scale presets, named after the NuevoMatch
 // acl1 seeds. They are deliberately *not* part of standardConfigs: the
-// paper-table experiment drivers iterate StandardSets and must keep printing
+// paper-table experiment drivers iterate StandardNames and must keep printing
 // the paper's seven rows.
 var largeConfigs = []Config{
 	{Kind: ACL, Size: 1000, Seed: 0xAC1001, Name: "ACL1_1K"},

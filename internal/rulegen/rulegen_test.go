@@ -119,9 +119,13 @@ func TestCoreRouterShape(t *testing.T) {
 }
 
 func TestStandardSets(t *testing.T) {
-	sets, err := StandardSets()
-	if err != nil {
-		t.Fatal(err)
+	var sets []*rules.RuleSet
+	for _, name := range StandardNames() {
+		s, err := Standard(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets = append(sets, s)
 	}
 	wantNames := []string{"FW01", "FW02", "FW03", "CR01", "CR02", "CR03", "CR04"}
 	wantSizes := []int{85, 160, 310, 460, 920, 1530, 1945}

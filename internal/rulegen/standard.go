@@ -48,7 +48,7 @@ func StandardConfig(name string) (Config, bool) {
 // Standard generates the named standard rule set (FW01…CR04), or one of
 // the production-scale presets (ACL1_1K…ACL1_1M). The large presets resolve
 // here so every command-line `-ruleset` flag accepts them, but they stay
-// out of StandardSets: the paper-table drivers print exactly seven rows.
+// out of StandardNames: the paper-table drivers print exactly seven rows.
 func Standard(name string) (*rules.RuleSet, error) {
 	for _, c := range standardConfigs {
 		if c.Name == name {
@@ -59,17 +59,4 @@ func Standard(name string) (*rules.RuleSet, error) {
 		return Generate(c)
 	}
 	return nil, fmt.Errorf("rulegen: unknown standard rule set %q (have %v and large presets %v)", name, StandardNames(), LargeNames())
-}
-
-// StandardSets generates all seven sets in presentation order.
-func StandardSets() ([]*rules.RuleSet, error) {
-	out := make([]*rules.RuleSet, len(standardConfigs))
-	for i, c := range standardConfigs {
-		s, err := Generate(c)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = s
-	}
-	return out, nil
 }
