@@ -35,14 +35,6 @@ var (
 	ErrCompactionAborted = errors.New("update: compaction aborted: base generation changed during build")
 )
 
-func toTSSOps(ops []Op) []tss.Op {
-	out := make([]tss.Op, len(ops))
-	for i, op := range ops {
-		out[i] = tss.Op{Insert: op.Insert, Rule: op.Rule, Pos: op.Pos}
-	}
-	return out
-}
-
 // ApplyDelta absorbs a batch of ops into the delta layer and publishes
 // the result as a new generation in microseconds — no tree build, no
 // validation pass (the delta structures are exact by construction, unlike
@@ -66,7 +58,7 @@ func (m *Manager) ApplyDelta(ops []Op) error {
 	if d == nil {
 		d = tss.NewDelta(g.rules, &m.maskScans)
 	}
-	nd, err := d.Apply(toTSSOps(ops))
+	nd, err := d.Apply(ops)
 	if err != nil {
 		return m.fail(fmt.Errorf("update: delta apply: %w", err))
 	}
@@ -155,7 +147,7 @@ func (m *Manager) compactOnce() error {
 	var nd *tss.Delta
 	cur := snapshot
 	if len(journal) > 0 {
-		d, err := tss.NewDelta(snapshot, &m.maskScans).Apply(toTSSOps(journal))
+		d, err := tss.NewDelta(snapshot, &m.maskScans).Apply(journal)
 		if err != nil {
 			// Unreachable by construction: every journaled op was already
 			// validated by the ApplyDelta that recorded it, against exactly

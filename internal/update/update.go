@@ -67,16 +67,11 @@ type Rung struct {
 	Build BuilderCtx
 }
 
-// Op is one rule-set modification.
-type Op struct {
-	// Insert, when set, adds the rule; otherwise the op deletes.
-	Insert bool
-	// Rule is the rule to insert (Insert true).
-	Rule rules.Rule
-	// Pos is the priority position: for inserts, the index the new rule
-	// takes (clamped to [0, len]); for deletes, the index removed.
-	Pos int
-}
+// Op is one rule-set modification: an insert of Rule at priority position
+// Pos (clamped to [0, len]) when Insert is set, otherwise the deletion of
+// the rule at Pos. It is the delta layer's own op, so a batch reaches the
+// delta layer and the journal without a copy.
+type Op = tss.Op
 
 // InsertAt builds an insert op.
 func InsertAt(pos int, r rules.Rule) Op {
