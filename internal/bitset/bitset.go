@@ -117,6 +117,12 @@ func (in *Interner) Class(id uint32) Set {
 	return in.classes[id]
 }
 
+// Classes returns every class, indexed by ID; the caller must not modify
+// them.
+func (in *Interner) Classes() []Set {
+	return in.classes
+}
+
 // Len returns the number of distinct classes.
 func (in *Interner) Len() int {
 	return len(in.classes)

@@ -3,62 +3,9 @@ package hsm
 import (
 	"testing"
 
-	"repro/internal/pktgen"
 	"repro/internal/rulegen"
 	"repro/internal/rules"
 )
-
-func buildSet(t *testing.T, kind rulegen.Kind, size int, seed int64) *rules.RuleSet {
-	t.Helper()
-	rs, err := rulegen.Generate(rulegen.Config{Kind: kind, Size: size, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rs
-}
-
-func trace(t *testing.T, rs *rules.RuleSet, n int, seed int64) []rules.Header {
-	t.Helper()
-	tr, err := pktgen.Generate(rs, pktgen.Config{Count: n, Seed: seed, MatchFraction: 0.85})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr.Headers
-}
-
-func TestClassifyMatchesOracle(t *testing.T) {
-	for _, tc := range []struct {
-		kind rulegen.Kind
-		size int
-	}{
-		{rulegen.Firewall, 85},
-		{rulegen.Firewall, 200},
-		{rulegen.CoreRouter, 250},
-		{rulegen.Random, 80},
-	} {
-		rs := buildSet(t, tc.kind, tc.size, 41)
-		c, err := New(rs, Config{})
-		if err != nil {
-			t.Fatalf("%v/%d: %v", tc.kind, tc.size, err)
-		}
-		for _, h := range trace(t, rs, 2000, 42) {
-			if got, want := c.Classify(h), rs.Match(h); got != want {
-				t.Fatalf("%v/%d: Classify(%v) = %d, oracle = %d", tc.kind, tc.size, h, got, want)
-			}
-		}
-	}
-}
-
-func TestSerializedLookupMatchesNative(t *testing.T) {
-	rs := buildSet(t, rulegen.CoreRouter, 200, 43)
-	c, err := New(rs, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Verify(trace(t, rs, 3000, 44)); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestSegmentLookup(t *testing.T) {
 	rs := rules.NewRuleSet("segs", []rules.Rule{
@@ -87,7 +34,10 @@ func TestSegmentLookup(t *testing.T) {
 }
 
 func TestStatsShape(t *testing.T) {
-	rs := buildSet(t, rulegen.CoreRouter, 300, 45)
+	rs, err := rulegen.Generate(rulegen.Config{Kind: rulegen.CoreRouter, Size: 300, Seed: 45})
+	if err != nil {
+		t.Fatal(err)
+	}
 	c, err := New(rs, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -105,85 +55,5 @@ func TestStatsShape(t *testing.T) {
 	}
 	if st.WorstCaseAccesses < 9 {
 		t.Errorf("WorstCaseAccesses = %d, must include 5 class reads + 4 table reads", st.WorstCaseAccesses)
-	}
-}
-
-func TestProgramWithinWorstCase(t *testing.T) {
-	rs := buildSet(t, rulegen.Firewall, 120, 46)
-	c, err := New(rs, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bound := c.Stats().WorstCaseAccesses
-	for _, h := range trace(t, rs, 800, 47) {
-		p := c.Program(h)
-		if p.Result != c.Classify(h) {
-			t.Fatalf("program result mismatch for %v", h)
-		}
-		if p.Accesses() > bound {
-			t.Fatalf("program used %d accesses, bound %d", p.Accesses(), bound)
-		}
-		// Every HSM access is a single word.
-		for _, s := range p.Steps {
-			if s.Words != 1 {
-				t.Fatalf("HSM access of %d words; all accesses must be single-word", s.Words)
-			}
-		}
-	}
-}
-
-func TestChannelRestriction(t *testing.T) {
-	rs := buildSet(t, rulegen.Firewall, 90, 48)
-	for channels := 1; channels <= 4; channels++ {
-		c, err := New(rs, Config{Channels: channels})
-		if err != nil {
-			t.Fatal(err)
-		}
-		words := c.Image().ChannelWords()
-		for ch := channels; ch < len(words); ch++ {
-			if words[ch] != 0 {
-				t.Errorf("channels=%d: channel %d has %d words", channels, ch, words[ch])
-			}
-		}
-		if err := c.Verify(trace(t, rs, 300, 49)); err != nil {
-			t.Fatalf("channels=%d: %v", channels, err)
-		}
-	}
-}
-
-func TestTableCap(t *testing.T) {
-	rs := buildSet(t, rulegen.CoreRouter, 300, 50)
-	if _, err := New(rs, Config{MaxTableEntries: 100}); err == nil {
-		t.Error("tiny table cap should fail construction")
-	}
-}
-
-func TestConfigValidation(t *testing.T) {
-	rs := buildSet(t, rulegen.Firewall, 20, 51)
-	if _, err := New(rs, Config{Channels: 9}); err == nil {
-		t.Error("bad channel count should be rejected")
-	}
-}
-
-func TestNoMatchReturnsMinusOne(t *testing.T) {
-	// A set with no default rule: headers outside every rule must yield -1.
-	rs := rules.NewRuleSet("narrow", []rules.Rule{
-		{
-			SrcIP:   rules.Prefix{Addr: 0x0A000000, Len: 8},
-			DstIP:   rules.Prefix{Addr: 0x0B000000, Len: 8},
-			SrcPort: rules.FullPortRange,
-			DstPort: rules.PortRange{Lo: 80, Hi: 80},
-			Proto:   rules.ProtoMatch{Value: rules.ProtoTCP},
-		},
-	})
-	c, err := New(rs, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Classify(rules.Header{SrcIP: 0x0C000001}); got != -1 {
-		t.Errorf("Classify = %d, want -1", got)
-	}
-	if got := c.Classify(rules.Header{SrcIP: 0x0A000001, DstIP: 0x0B000001, DstPort: 80, Proto: rules.ProtoTCP}); got != 0 {
-		t.Errorf("Classify = %d, want 0", got)
 	}
 }

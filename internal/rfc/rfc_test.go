@@ -3,50 +3,9 @@ package rfc
 import (
 	"testing"
 
-	"repro/internal/pktgen"
 	"repro/internal/rulegen"
 	"repro/internal/rules"
 )
-
-func buildSet(t *testing.T, kind rulegen.Kind, size int, seed int64) *rules.RuleSet {
-	t.Helper()
-	rs, err := rulegen.Generate(rulegen.Config{Kind: kind, Size: size, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rs
-}
-
-func trace(t *testing.T, rs *rules.RuleSet, n int, seed int64) []rules.Header {
-	t.Helper()
-	tr, err := pktgen.Generate(rs, pktgen.Config{Count: n, Seed: seed, MatchFraction: 0.85})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr.Headers
-}
-
-func TestClassifyMatchesOracle(t *testing.T) {
-	for _, tc := range []struct {
-		kind rulegen.Kind
-		size int
-	}{
-		{rulegen.Firewall, 85},
-		{rulegen.CoreRouter, 200},
-		{rulegen.Random, 60},
-	} {
-		rs := buildSet(t, tc.kind, tc.size, 101)
-		c, err := New(rs, Config{})
-		if err != nil {
-			t.Fatalf("%v/%d: %v", tc.kind, tc.size, err)
-		}
-		for _, h := range trace(t, rs, 2000, 102) {
-			if got, want := c.Classify(h), rs.Match(h); got != want {
-				t.Fatalf("%v/%d: Classify(%v) = %d, oracle = %d", tc.kind, tc.size, h, got, want)
-			}
-		}
-	}
-}
 
 func TestChunkSpanSplitExactness(t *testing.T) {
 	// Prefixes shorter and longer than 16 bits project exactly.
@@ -68,45 +27,12 @@ func TestChunkSpanSplitExactness(t *testing.T) {
 	}
 }
 
-func TestSerializedLookupMatchesNative(t *testing.T) {
-	rs := buildSet(t, rulegen.CoreRouter, 150, 103)
-	c, err := New(rs, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Verify(trace(t, rs, 2000, 104)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFixedAccessCount(t *testing.T) {
-	rs := buildSet(t, rulegen.Firewall, 100, 105)
-	c, err := New(rs, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Stats().WorstCaseAccesses != 13 {
-		t.Fatalf("worst case = %d, want 13", c.Stats().WorstCaseAccesses)
-	}
-	for _, h := range trace(t, rs, 300, 106) {
-		p := c.Program(h)
-		if p.Accesses() != 13 {
-			t.Fatalf("RFC lookup used %d accesses, want exactly 13", p.Accesses())
-		}
-		for _, s := range p.Steps {
-			if s.Words != 1 {
-				t.Fatalf("access of %d words, want 1", s.Words)
-			}
-		}
-		if p.Result != c.Classify(h) {
-			t.Fatalf("program result mismatch")
-		}
-	}
-}
-
 func TestPhase0TablesDominateMemory(t *testing.T) {
 	// The memory-for-speed trade: phase-0 alone is 6×2^16+2^8 words.
-	rs := buildSet(t, rulegen.Firewall, 50, 107)
+	rs, err := rulegen.Generate(rulegen.Config{Kind: rulegen.Firewall, Size: 50, Seed: 107})
+	if err != nil {
+		t.Fatal(err)
+	}
 	c, err := New(rs, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -114,34 +40,5 @@ func TestPhase0TablesDominateMemory(t *testing.T) {
 	min := 6*65536 + 256
 	if c.Stats().MemoryWords < min {
 		t.Errorf("memory %d words below the phase-0 floor %d", c.Stats().MemoryWords, min)
-	}
-}
-
-func TestChannelRestriction(t *testing.T) {
-	rs := buildSet(t, rulegen.Firewall, 60, 108)
-	for channels := 1; channels <= 4; channels++ {
-		c, err := New(rs, Config{Channels: channels})
-		if err != nil {
-			t.Fatal(err)
-		}
-		words := c.Image().ChannelWords()
-		for ch := channels; ch < len(words); ch++ {
-			if words[ch] != 0 {
-				t.Errorf("channels=%d: channel %d has %d words", channels, ch, words[ch])
-			}
-		}
-		if err := c.Verify(trace(t, rs, 200, 109)); err != nil {
-			t.Fatalf("channels=%d: %v", channels, err)
-		}
-	}
-}
-
-func TestConfigValidation(t *testing.T) {
-	rs := buildSet(t, rulegen.Firewall, 20, 110)
-	if _, err := New(rs, Config{Channels: 5}); err == nil {
-		t.Error("bad channels should fail")
-	}
-	if _, err := New(rs, Config{MaxTableEntries: 1}); err == nil {
-		t.Error("tiny table cap should fail")
 	}
 }

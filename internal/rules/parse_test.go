@@ -122,58 +122,6 @@ func TestWriteParseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestProjectedSegments(t *testing.T) {
-	rs := NewRuleSet("segs", []Rule{
-		{SrcPort: PortRange{10, 20}, DstPort: FullPortRange, Proto: AnyProto},
-		{SrcPort: PortRange{15, 30}, DstPort: FullPortRange, Proto: AnyProto},
-		{SrcPort: FullPortRange, DstPort: FullPortRange, Proto: AnyProto},
-	})
-	segs := ProjectedSegments(rs, DimSrcPort)
-	want := []Span{{0, 9}, {10, 14}, {15, 20}, {21, 30}, {31, 65535}}
-	if !reflect.DeepEqual(segs, want) {
-		t.Errorf("segments = %v, want %v", segs, want)
-	}
-	// Invariants: contiguous cover of the whole domain.
-	checkSegmentsCover(t, segs, DimSrcPort.Max())
-}
-
-func TestProjectedSegmentsFullDomainEdge(t *testing.T) {
-	// A span ending at the domain max must not generate an overflowed
-	// boundary.
-	rs := NewRuleSet("edge", []Rule{
-		{SrcPort: PortRange{65530, 65535}, DstPort: FullPortRange, Proto: AnyProto},
-	})
-	segs := ProjectedSegments(rs, DimSrcPort)
-	want := []Span{{0, 65529}, {65530, 65535}}
-	if !reflect.DeepEqual(segs, want) {
-		t.Errorf("segments = %v, want %v", segs, want)
-	}
-	// Same at the 32-bit IP boundary.
-	rs2 := NewRuleSet("edge2", []Rule{
-		{SrcIP: Prefix{0xFFFFFF00, 24}, SrcPort: FullPortRange, DstPort: FullPortRange, Proto: AnyProto},
-	})
-	segs2 := ProjectedSegments(rs2, DimSrcIP)
-	checkSegmentsCover(t, segs2, DimSrcIP.Max())
-}
-
-func checkSegmentsCover(t *testing.T, segs []Span, max uint32) {
-	t.Helper()
-	if len(segs) == 0 {
-		t.Fatal("no segments")
-	}
-	if segs[0].Lo != 0 {
-		t.Errorf("first segment starts at %d, want 0", segs[0].Lo)
-	}
-	if segs[len(segs)-1].Hi != max {
-		t.Errorf("last segment ends at %d, want %d", segs[len(segs)-1].Hi, max)
-	}
-	for i := 1; i < len(segs); i++ {
-		if segs[i].Lo != segs[i-1].Hi+1 {
-			t.Errorf("gap between segment %d (%v) and %d (%v)", i-1, segs[i-1], i, segs[i])
-		}
-	}
-}
-
 func TestComputeStats(t *testing.T) {
 	rs := NewRuleSet("st", []Rule{
 		{SrcIP: Prefix{0x0A000000, 8}, SrcPort: FullPortRange, DstPort: PortRange{80, 80}, Proto: ProtoMatch{Value: ProtoTCP}},

@@ -2,7 +2,6 @@ package rules
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -78,39 +77,4 @@ func (st Stats) String() string {
 			Dim(d), st.WildcardFrac[d]*100, st.DistinctSpans[d])
 	}
 	return b.String()
-}
-
-// ProjectedSegments computes the non-overlapping segments induced by the
-// rules' projections onto dimension d: the unique span endpoints split the
-// domain into maximal intervals inside which the set of matching rules is
-// constant. This is the phase-0 building block of field-independent schemes
-// (HSM, RFC) and is also used to size their tables.
-//
-// The returned segments are sorted, contiguous and cover the full domain.
-func ProjectedSegments(s *RuleSet, d Dim) []Span {
-	// Collect the set of segment start points: 0, every span Lo, and every
-	// span Hi+1 (if it does not overflow the domain).
-	max := Dim(d).Max()
-	startSet := map[uint32]bool{0: true}
-	for i := range s.Rules {
-		sp := s.Rules[i].Span(Dim(d))
-		startSet[sp.Lo] = true
-		if sp.Hi < max {
-			startSet[sp.Hi+1] = true
-		}
-	}
-	starts := make([]uint32, 0, len(startSet))
-	for v := range startSet {
-		starts = append(starts, v)
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	segs := make([]Span, len(starts))
-	for i, lo := range starts {
-		hi := max
-		if i+1 < len(starts) {
-			hi = starts[i+1] - 1
-		}
-		segs[i] = Span{lo, hi}
-	}
-	return segs
 }
