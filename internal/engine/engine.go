@@ -252,9 +252,6 @@ type Stats struct {
 	ShardBusy []time.Duration
 }
 
-// Errors is the total number of error results (shed + panicked + canceled).
-func (s Stats) Errors() int { return s.Shed + s.Panics + s.Canceled }
-
 // Run classifies every header, invoking emit exactly once per packet from
 // a single goroutine. With PreserveOrder, emit sees results strictly in
 // arrival order; otherwise in completion order. Run blocks until all

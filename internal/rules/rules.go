@@ -381,11 +381,6 @@ func (r PortRange) Matches(p uint16) bool {
 	return r.Lo <= p && p <= r.Hi
 }
 
-// IsWildcard reports whether the range covers all 65536 ports.
-func (r PortRange) IsWildcard() bool {
-	return r.Lo == 0 && r.Hi == 0xFFFF
-}
-
 // String renders the range as "lo : hi" in the ClassBench style.
 func (r PortRange) String() string {
 	return fmt.Sprintf("%d : %d", r.Lo, r.Hi)
@@ -462,12 +457,6 @@ func (r *Rule) Matches(h Header) bool {
 		r.SrcPort.Matches(h.SrcPort) &&
 		r.DstPort.Matches(h.DstPort) &&
 		r.Proto.Matches(h.Proto)
-}
-
-// IsWildcardDim reports whether the rule is a wildcard in dimension d.
-func (r *Rule) IsWildcardDim(d Dim) bool {
-	s := r.Span(d)
-	return s.Lo == 0 && s.Hi == Dim(d).Max()
 }
 
 // String renders the rule in the textual rule format (see Parse).

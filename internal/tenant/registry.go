@@ -16,8 +16,6 @@ import (
 
 // Config configures one tenant.
 type Config struct {
-	// Name is a human label for reports ("" is fine).
-	Name string
 	// Ladder names the tenant's degradation ladder rungs, best first
 	// (update.LadderFromNames). Empty means update.DefaultLadder.
 	Ladder []string
@@ -28,8 +26,8 @@ type Config struct {
 	// expcuts keeps building under its own untouched budget.
 	Budget *buildgov.Budget
 	// Update configures the tenant's update.Manager (validation, build
-	// deadline, breaker and compaction knobs). Update.Events defaults to
-	// the registry's ring.
+	// deadline and compaction knobs). Update.Events defaults to the
+	// registry's ring.
 	Update update.Config
 	// ShedOnOverload picks the tenant's engine overload policy: shed
 	// (drop with ErrShed results when the tenant's queue slots are full)
@@ -45,7 +43,6 @@ type Config struct {
 type Runtime struct {
 	*update.Manager
 	id   ID
-	name string
 	shed bool
 
 	offered    obs.Counter
@@ -57,9 +54,6 @@ type Runtime struct {
 
 // ID returns the tenant's ID.
 func (r *Runtime) ID() ID { return r.id }
-
-// Name returns the tenant's human label.
-func (r *Runtime) Name() string { return r.name }
 
 // ShedOnOverload implements engine.TenantLane.
 func (r *Runtime) ShedOnOverload() bool { return r.shed }
@@ -159,7 +153,7 @@ func (r *Registry) Add(id ID, rs *rules.RuleSet, cfg Config) (*Runtime, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tenant: %v initial build: %w", id, err)
 	}
-	rt := &Runtime{Manager: mgr, id: id, name: cfg.Name, shed: cfg.ShedOnOverload}
+	rt := &Runtime{Manager: mgr, id: id, shed: cfg.ShedOnOverload}
 
 	r.mu.Lock()
 	defer r.mu.Unlock()

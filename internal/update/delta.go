@@ -28,8 +28,8 @@ var (
 	// ErrCompactionConflict: Compact was called while another compaction
 	// was already in flight.
 	ErrCompactionConflict = errors.New("update: a compaction is already in flight")
-	// ErrCompactionAborted: the base generation changed (full Apply,
-	// Submit or Rollback landed) while the compactor was building, so its
+	// ErrCompactionAborted: the base generation changed (full Apply or
+	// Rollback landed) while the compactor was building, so its
 	// candidate was discarded. Nothing was lost: the edits it meant to
 	// fold are still live in the delta layer.
 	ErrCompactionAborted = errors.New("update: compaction aborted: base generation changed during build")
@@ -168,89 +168,15 @@ func (m *Manager) compactOnce() error {
 	return nil
 }
 
-// Submit queues a full rule-set replacement through a one-deep
-// latest-wins slot. Unlike Apply, Submit never blocks behind an in-flight
-// rebuild: the newest submission simply replaces any still-waiting one —
-// superseded rule sets were never going to serve anyway — and a single
-// drainer goroutine applies the latest once the current rebuild
-// finishes. Rebuild failures land in Health.LastError exactly like a
-// failed Apply.
-func (m *Manager) Submit(rs []rules.Rule) {
-	m.pendMu.Lock()
-	if m.pending != nil {
-		m.submitsCoalesced.Inc()
-	}
-	m.pending = append([]rules.Rule(nil), rs...)
-	if m.draining {
-		m.pendMu.Unlock()
-		return
-	}
-	m.draining = true
-	m.pendMu.Unlock()
-	go m.drainSubmits()
-}
-
-// drainSubmits applies pending submissions until the slot stays empty.
-// At most one drainer runs at a time (the draining flag), so submissions
-// serialize through it while Submit itself stays non-blocking.
-func (m *Manager) drainSubmits() {
-	for {
-		m.pendMu.Lock()
-		rs := m.pending
-		m.pending = nil
-		if rs == nil {
-			m.draining = false
-			m.pendMu.Unlock()
-			return
-		}
-		m.pendMu.Unlock()
-		_ = m.SetRules(rs)
-	}
-}
-
-// SetRules synchronously replaces the whole rule list through the guarded
-// rebuild path (build, shadow-validate, atomic swap; any delta layer is
-// absorbed into the new tree). It is Apply for callers that already hold
-// the desired final list instead of an edit script.
-func (m *Manager) SetRules(rs []rules.Rule) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(rs) == 0 {
-		return m.fail(fmt.Errorf("update: empty rule set submitted"))
-	}
-	old := m.rules
-	m.rules = append([]rules.Rule(nil), rs...)
-	if err := m.rebuildLocked(); err != nil {
-		m.rules = old
-		return m.fail(fmt.Errorf("update: rebuild failed, submission rolled back: %w", err))
-	}
-	m.clearError()
-	return nil
-}
-
-// Quiesce blocks until no submission is pending or draining and no
-// compaction is in flight, or until timeout elapses; it reports whether
-// the manager quiesced. Intended for tests and orderly shutdown.
-//
-// Idle is decided as one atomic observation with both locks held
-// (pendMu, then mu — the nesting is safe because no path acquires pendMu
-// while holding mu: the drainer releases pendMu before SetRules takes
-// mu). Checking the two halves under separate acquisitions left a
-// window: a Submit landing between them — typically one that had been
-// waiting on pendMu behind a coalescing peer — made Quiesce report idle
-// with a submission pending and a drainer about to run, so callers
-// observed the coalesced rule set swap in *after* Quiesce returned true.
+// Quiesce blocks until no compaction is in flight or about to start, or
+// until timeout elapses; it reports whether the manager quiesced.
+// Intended for tests and orderly shutdown.
 func (m *Manager) Quiesce(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for {
-		m.pendMu.Lock()
-		idle := m.pending == nil && !m.draining
-		if idle {
-			m.mu.Lock()
-			idle = !m.compacting && !m.compactPending
-			m.mu.Unlock()
-		}
-		m.pendMu.Unlock()
+		m.mu.Lock()
+		idle := !m.compacting && !m.compactPending
+		m.mu.Unlock()
 		if idle {
 			return true
 		}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -341,55 +340,28 @@ func TestAutoCompactionTriggers(t *testing.T) {
 	checkAgainstSnapshot(t, m, headers(t, rs, 400))
 }
 
-func TestSubmitCoalescesLatestWins(t *testing.T) {
-	m, rs := newManager(t)
-	good := m.ladder[0].Build
-	var builds atomic.Int32
-	started := make(chan struct{}, 8)
-	gate := make(chan struct{})
-	m.ladder[0].Build = func(ctx context.Context, r *rules.RuleSet) (Classifier, error) {
-		builds.Add(1)
-		started <- struct{}{}
-		<-gate
-		return good(ctx, r)
-	}
-	// Three distinct rule sets, distinguishable by length.
-	setA := append([]rules.Rule(nil), rs.Rules...)
-	setB := setA[:len(setA)-1]
-	setC := setA[:len(setA)-2]
-
-	m.Submit(setA)
-	<-started // A's rebuild is in flight (parked in the builder)
-	// B and C arrive mid-rebuild: the slot is latest-wins, so B must be
-	// superseded by C without ever being built — and, regression, neither
-	// may be dropped on the floor just because a rebuild was in flight.
-	m.Submit(setB)
-	m.Submit(setC)
-	close(gate)
-	if !m.Quiesce(10 * time.Second) {
-		t.Fatal("submissions never drained")
-	}
-	snap, _ := m.Snapshot()
-	if len(snap) != len(setC) {
-		t.Fatalf("live rule count %d, want latest submission's %d", len(snap), len(setC))
-	}
-	if got := builds.Load(); got != 2 {
-		t.Errorf("builds = %d, want 2 (A and C; B coalesced away)", got)
-	}
-	if h := m.Health(); h.SubmitsCoalesced != 1 {
-		t.Errorf("SubmitsCoalesced = %d, want 1", h.SubmitsCoalesced)
-	}
-	m.ladder[0].Build = good
-	checkAgainstSnapshot(t, m, headers(t, rs, 400))
-}
-
-func TestSetRulesRejectsEmpty(t *testing.T) {
+// Health reports the same footprint as Manager.MemoryBytes: the tree plus
+// the delta layer's side table while a delta is live, and the fresh tree
+// alone once a compaction folds it.
+func TestHealthMemoryIncludesDelta(t *testing.T) {
 	m, _ := newManager(t)
-	if err := m.SetRules(nil); err == nil {
-		t.Fatal("empty submission accepted")
+	tree := m.MemoryBytes()
+	if err := m.ApplyDelta([]Op{InsertAt(0, denyHost(0x0A0B0C0D))}); err != nil {
+		t.Fatal(err)
 	}
-	if h := m.Health(); h.LastError == "" {
-		t.Error("LastError empty after rejected submission")
+	withDelta := m.MemoryBytes()
+	if withDelta <= tree {
+		t.Fatalf("MemoryBytes = %d with a live delta, want more than the tree's %d", withDelta, tree)
+	}
+	if h := m.Health(); h.MemoryBytes != withDelta {
+		t.Errorf("Health.MemoryBytes = %d with a live delta, Manager.MemoryBytes = %d", h.MemoryBytes, withDelta)
+	}
+	if err := m.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if h := m.Health(); h.DeltaOps != 0 || h.MemoryBytes != m.MemoryBytes() {
+		t.Errorf("after compaction: Health.MemoryBytes = %d (DeltaOps %d), Manager.MemoryBytes = %d",
+			h.MemoryBytes, h.DeltaOps, m.MemoryBytes())
 	}
 }
 

@@ -65,9 +65,6 @@ func (f *fakeClock) advance(d time.Duration) { f.t = f.t.Add(d) }
 // fake clock is installed and stamp breakers with time.Now().
 func newFakeClock() *fakeClock              { return &fakeClock{t: time.Now()} }
 func installClock(m *Manager, c *fakeClock) { m.now = c.now }
-func cfgFast(threshold int, cool time.Duration) Config {
-	return Config{BreakerThreshold: threshold, BreakerCooldown: cool}
-}
 
 // A rung that keeps failing opens its breaker after BreakerThreshold
 // consecutive failed rebuilds; while open, further rebuilds skip it
@@ -75,38 +72,47 @@ func cfgFast(threshold int, cool time.Duration) Config {
 func TestBreakerOpensAndSkipsRung(t *testing.T) {
 	var flaky countingFailRung
 	m, err := NewManagerLadder(ladderTestRules(),
-		[]Rung{flaky.rung("flaky"), oracleRung("fallback")},
-		cfgFast(2, time.Minute))
+		[]Rung{flaky.rung("flaky"), oracleRung("fallback")}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := newFakeClock()
-	installClock(m, clock)
-
-	// The constructor's rebuild already failed the rung once.
-	if got := flaky.calls.Load(); got != 1 {
-		t.Fatalf("constructor invoked the rung %d times, want 1", got)
-	}
-	if err := m.Apply(someOp()); err != nil {
-		t.Fatal(err)
-	}
-	if got := flaky.calls.Load(); got != 2 {
-		t.Fatalf("rung invoked %d times after second rebuild, want 2", got)
-	}
-	h := m.Health()
-	if h.Breakers[0].State != "open" || h.Breakers[0].ConsecutiveFailures != 2 {
-		t.Fatalf("breaker = %+v, want open with 2 consecutive failures", h.Breakers[0])
-	}
+	installClock(m, newFakeClock())
+	failToThreshold(t, m, &flaky)
 
 	// Open breaker: the next rebuild must not touch the rung.
 	if err := m.Apply(someOp()); err != nil {
 		t.Fatal(err)
 	}
-	if got := flaky.calls.Load(); got != 2 {
+	if got := flaky.calls.Load(); got != BreakerThreshold {
 		t.Fatalf("open breaker still let the rung run (%d calls)", got)
 	}
 	if h := m.Health(); h.ActiveAlgorithm != "fallback" || h.DegradationLevel != 1 {
 		t.Fatalf("health = %q/%d, want fallback/1", h.ActiveAlgorithm, h.DegradationLevel)
+	}
+}
+
+// failToThreshold drives the failing rung through BreakerThreshold
+// consecutive failed rebuilds (the constructor's is the first) and checks
+// that the breaker stays closed until the last of them opens it.
+func failToThreshold(t *testing.T, m *Manager, flaky *countingFailRung) {
+	t.Helper()
+	for fails := 1; ; fails++ {
+		if got := flaky.calls.Load(); got != int64(fails) {
+			t.Fatalf("rung invoked %d times after %d rebuild(s), want %d", got, fails, fails)
+		}
+		want := "closed"
+		if fails == BreakerThreshold {
+			want = "open"
+		}
+		if b := m.Health().Breakers[0]; b.State != want || b.ConsecutiveFailures != fails {
+			t.Fatalf("breaker after %d failure(s) = %+v, want %s", fails, b, want)
+		}
+		if fails == BreakerThreshold {
+			return
+		}
+		if err := m.Apply(someOp()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -116,28 +122,28 @@ func TestBreakerOpensAndSkipsRung(t *testing.T) {
 func TestBreakerHalfOpenProbeRecovers(t *testing.T) {
 	var flaky countingFailRung
 	m, err := NewManagerLadder(ladderTestRules(),
-		[]Rung{flaky.rung("flaky"), oracleRung("fallback")},
-		cfgFast(1, time.Minute))
+		[]Rung{flaky.rung("flaky"), oracleRung("fallback")}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	clock := newFakeClock()
 	installClock(m, clock)
+	failToThreshold(t, m, &flaky)
 
-	// Threshold 1: already open from the constructor's failure. Within
-	// the cooldown the rung is skipped.
+	// Within the cooldown the rung is skipped.
+	clock.advance(BreakerCooldown - time.Second)
 	if err := m.Apply(someOp()); err != nil {
 		t.Fatal(err)
 	}
-	if got := flaky.calls.Load(); got != 1 {
+	if got := flaky.calls.Load(); got != BreakerThreshold {
 		t.Fatalf("rung probed during cooldown (%d calls)", got)
 	}
 	if h := m.Health(); h.Breakers[0].State != "open" {
 		t.Fatalf("breaker state %q, want open", h.Breakers[0].State)
 	}
 
-	// Past the cooldown the breaker half-opens and the heal the rung.
-	clock.advance(2 * time.Minute)
+	// Past the cooldown the breaker half-opens and the probe heals the rung.
+	clock.advance(2 * time.Second)
 	if h := m.Health(); h.Breakers[0].State != "half-open" {
 		t.Fatalf("breaker state %q after cooldown, want half-open", h.Breakers[0].State)
 	}
@@ -145,7 +151,7 @@ func TestBreakerHalfOpenProbeRecovers(t *testing.T) {
 	if err := m.Apply(someOp()); err != nil {
 		t.Fatal(err)
 	}
-	if got := flaky.calls.Load(); got != 2 {
+	if got := flaky.calls.Load(); got != BreakerThreshold+1 {
 		t.Fatalf("half-open breaker did not probe exactly once (%d calls)", got)
 	}
 	h := m.Health()
@@ -189,7 +195,7 @@ func TestPlainBuildErrorFallsThroughOnce(t *testing.T) {
 	var flaky countingFailRung
 	m, err := NewManagerLadder(ladderTestRules(),
 		[]Rung{flaky.rung("flaky"), oracleRung("fallback")},
-		Config{BreakerThreshold: -1})
+		Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +246,7 @@ func TestDescribeAlgorithmTracksGenerations(t *testing.T) {
 	flaky.ok.Store(true)
 	m, err := NewManagerLadder(ladderTestRules(),
 		[]Rung{flaky.rung("best"), oracleRung("fallback")},
-		cfgFast(1, time.Minute))
+		Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

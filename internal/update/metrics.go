@@ -41,7 +41,6 @@ func (m *Manager) Collect(emit func(obs.Sample)) {
 	counter("pc_update_compactions_total", "Deltas folded into fresh builds.", h.Compactions)
 	counter("pc_update_compaction_aborts_total", "Compactions discarded because the base generation changed mid-build.", h.CompactionAborts)
 	counter("pc_update_compaction_failures_total", "Compactions whose build or validation failed.", h.CompactionFailures)
-	counter("pc_update_submits_coalesced_total", "Submissions superseded in the latest-wins slot before a rebuild picked them up.", h.SubmitsCoalesced)
 	applyNs := m.deltaApplyNs.Snapshot()
 	emit(obs.Sample{Name: "pc_update_delta_apply_ns",
 		Help: "ApplyDelta latency (ns): lock to publish.", Type: "histogram", Hist: &applyNs})

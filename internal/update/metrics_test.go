@@ -98,20 +98,17 @@ func TestManagerEventsBreakerTransitions(t *testing.T) {
 			return linear.New(rs), nil
 		}},
 	}
-	now := time.Unix(1000, 0)
-	mgr, err := NewManagerLadder(rs, ladder, Config{
-		ValidateSamples:  -1,
-		BreakerThreshold: 2, BreakerCooldown: 10 * time.Second,
-		Events: ring,
-	})
+	mgr, err := NewManagerLadder(rs, ladder, Config{ValidateSamples: -1, Events: ring})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr.now = func() time.Time { return now }
+	clock := newFakeClock()
+	installClock(mgr, clock)
 
 	apply := func() error { return mgr.Apply([]Op{InsertAt(rs.Len(), rs.Rules[0])}) }
 	failing = true
-	for i := 0; i < 3; i++ { // failures 1, 2 (opens), then a skipped rung
+	// Failures 1 .. BreakerThreshold (the last opens), then a skipped rung.
+	for i := 0; i <= BreakerThreshold; i++ {
 		if err := apply(); err != nil {
 			t.Fatalf("apply %d: %v (ladder should fall through to linear)", i, err)
 		}
@@ -120,9 +117,12 @@ func TestManagerEventsBreakerTransitions(t *testing.T) {
 	if kinds[obs.EventBreakerOpen] != 1 {
 		t.Errorf("breaker-open events = %d, want exactly 1", kinds[obs.EventBreakerOpen])
 	}
+	if h := mgr.Health(); h.FailedBuilds != BreakerThreshold {
+		t.Errorf("FailedBuilds = %d, want %d: the open rung must be skipped, not rebuilt", h.FailedBuilds, BreakerThreshold)
+	}
 
 	// Past the cooldown the rung half-opens; a successful probe closes it.
-	now = now.Add(11 * time.Second)
+	clock.advance(BreakerCooldown + time.Second)
 	failing = false
 	if err := apply(); err != nil {
 		t.Fatal(err)

@@ -94,15 +94,6 @@ type Config struct {
 	// carries this deadline, and governed builders abort cooperatively
 	// when it expires. 0 means no per-build deadline.
 	BuildTimeout time.Duration
-	// BreakerThreshold is how many consecutive failures (budget trips,
-	// build errors or validation rejections) open a rung's circuit
-	// breaker; 0 means DefaultBreakerThreshold, negative disables the
-	// breakers entirely.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker blocks its rung
-	// before half-opening for one probe build; 0 means
-	// DefaultBreakerCooldown.
-	BreakerCooldown time.Duration
 	// CompactThreshold is how many delta ops accumulate before ApplyDelta
 	// kicks off a background compaction folding them into a fresh tree
 	// build; 0 means DefaultCompactThreshold, negative disables
@@ -118,20 +109,18 @@ type Config struct {
 // Guard-rail defaults.
 const (
 	DefaultValidateSamples  = 256
-	DefaultBreakerThreshold = 3
-	DefaultBreakerCooldown  = 30 * time.Second
 	DefaultCompactThreshold = 256
+)
+
+// Circuit-breaker settings, the same for every rung (see breaker).
+const (
+	BreakerThreshold = 3
+	BreakerCooldown  = 30 * time.Second
 )
 
 func (c *Config) fillDefaults() {
 	if c.ValidateSamples == 0 {
 		c.ValidateSamples = DefaultValidateSamples
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = DefaultBreakerThreshold
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = DefaultBreakerCooldown
 	}
 	if c.CompactThreshold == 0 {
 		c.CompactThreshold = DefaultCompactThreshold
@@ -145,7 +134,8 @@ type Health struct {
 	Generation uint64
 	// Rules is the live generation's rule count.
 	Rules int
-	// MemoryBytes is the live classifier's footprint.
+	// MemoryBytes is the live classifier's footprint, including the
+	// delta layer's side table (Manager.MemoryBytes).
 	MemoryBytes int
 	// CanRollback reports whether a previous generation is retained.
 	CanRollback bool
@@ -199,9 +189,6 @@ type Health struct {
 	CompactionFailures uint64
 	// Compacting reports whether a background compaction is in flight.
 	Compacting bool
-	// SubmitsCoalesced counts Submit calls whose rule set was superseded
-	// in the latest-wins slot before a rebuild picked it up.
-	SubmitsCoalesced uint64
 }
 
 // BreakerStatus is one rung's circuit-breaker snapshot.
@@ -226,17 +213,14 @@ type breaker struct {
 	openUntil time.Time // zero when closed
 }
 
-func (b *breaker) allowed(now time.Time, threshold int) bool {
-	if threshold < 0 || b.fails < threshold {
-		return true
-	}
-	return !now.Before(b.openUntil) // half-open probe
+func (b *breaker) allowed(now time.Time) bool {
+	return b.fails < BreakerThreshold || !now.Before(b.openUntil) // half-open probe
 }
 
-func (b *breaker) fail(now time.Time, threshold int, cooldown time.Duration) {
+func (b *breaker) fail(now time.Time) {
 	b.fails++
-	if threshold >= 0 && b.fails >= threshold {
-		b.openUntil = now.Add(cooldown)
+	if b.fails >= BreakerThreshold {
+		b.openUntil = now.Add(BreakerCooldown)
 	}
 }
 
@@ -245,9 +229,9 @@ func (b *breaker) success() {
 	b.openUntil = time.Time{}
 }
 
-func (b *breaker) state(now time.Time, threshold int) string {
+func (b *breaker) state(now time.Time) string {
 	switch {
-	case threshold < 0 || b.fails < threshold:
+	case b.fails < BreakerThreshold:
 		return "closed"
 	case now.Before(b.openUntil):
 		return "open"
@@ -291,13 +275,6 @@ type Manager struct {
 	bmu      sync.Mutex
 	breakers []breaker // one per ladder rung
 
-	// pendMu guards the latest-wins submission slot (Submit). pending
-	// holds the newest submitted rule set; draining marks the drainer
-	// goroutine as live.
-	pendMu   sync.Mutex
-	pending  []rules.Rule
-	draining bool
-
 	failedBuilds      atomic.Uint64
 	failedValidations atomic.Uint64
 	rollbacks         atomic.Uint64
@@ -309,7 +286,6 @@ type Manager struct {
 	compactions        obs.Counter
 	compactionAborts   obs.Counter
 	compactionFailures obs.Counter
-	submitsCoalesced   obs.Counter
 	deltaApplyNs       obs.Hist
 
 	live atomic.Pointer[generation]
@@ -446,7 +422,10 @@ func (m *Manager) Generation() uint64 {
 // MemoryBytes reports the live classifier's footprint, including the
 // delta layer's side table when one is active.
 func (m *Manager) MemoryBytes() int {
-	g := m.live.Load()
+	return m.live.Load().memoryBytes()
+}
+
+func (g *generation) memoryBytes() int {
 	b := g.cl.MemoryBytes()
 	if g.delta != nil {
 		b += g.delta.MemoryBytes()
@@ -467,7 +446,7 @@ func (m *Manager) Health() Health {
 	for i := range m.ladder {
 		breakers[i] = BreakerStatus{
 			Rung:                m.ladder[i].Name,
-			State:               m.breakers[i].state(now, m.cfg.BreakerThreshold),
+			State:               m.breakers[i].state(now),
 			ConsecutiveFailures: m.breakers[i].fails,
 		}
 	}
@@ -476,7 +455,7 @@ func (m *Manager) Health() Health {
 	h := Health{
 		Generation:        g.gen,
 		Rules:             len(g.rules),
-		MemoryBytes:       g.cl.MemoryBytes(),
+		MemoryBytes:       g.memoryBytes(),
 		CanRollback:       canRollback,
 		FailedBuilds:      m.failedBuilds.Load(),
 		FailedValidations: m.failedValidations.Load(),
@@ -492,7 +471,6 @@ func (m *Manager) Health() Health {
 		CompactionAborts:   m.compactionAborts.Load(),
 		CompactionFailures: m.compactionFailures.Load(),
 		Compacting:         compacting,
-		SubmitsCoalesced:   m.submitsCoalesced.Load(),
 	}
 	if g.delta != nil {
 		h.DeltaOps = g.delta.Ops()
@@ -521,35 +499,17 @@ func (m *Manager) DescribeAlgorithm() (algo string, degradation int) {
 // batch becomes visible as one new generation, or the live generation is
 // unchanged. The fast path keeps serving the old generation during the
 // rebuild; the candidate passes the shadow conformance check before the
-// swap.
+// swap. The ops mean exactly what they mean to ApplyDelta: the next rule
+// list is the one a fresh delta layer over the current list produces.
 func (m *Manager) Apply(ops []Op) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	next := append([]rules.Rule(nil), m.rules...)
-	for i, op := range ops {
-		if op.Insert {
-			pos := op.Pos
-			if pos < 0 {
-				pos = 0
-			}
-			if pos > len(next) {
-				pos = len(next)
-			}
-			next = append(next, rules.Rule{})
-			copy(next[pos+1:], next[pos:])
-			next[pos] = op.Rule
-			continue
-		}
-		if op.Pos < 0 || op.Pos >= len(next) {
-			return m.fail(fmt.Errorf("update: op %d deletes position %d of %d rules", i, op.Pos, len(next)))
-		}
-		next = append(next[:op.Pos], next[op.Pos+1:]...)
-	}
-	if len(next) == 0 {
-		return m.fail(fmt.Errorf("update: batch would empty the rule set"))
+	d, err := tss.NewDelta(m.rules, nil).Apply(ops)
+	if err != nil {
+		return m.fail(fmt.Errorf("update: %w", err))
 	}
 	old := m.rules
-	m.rules = next
+	m.rules = d.Rules()
 	if err := m.rebuildLocked(); err != nil {
 		m.rules = old
 		return m.fail(fmt.Errorf("update: rebuild failed, batch rolled back: %w", err))
@@ -649,9 +609,9 @@ func (m *Manager) buildLadder(rs *rules.RuleSet) (Classifier, string, int, error
 	// breaker into the open state.
 	failRung := func(i int) {
 		m.bmu.Lock()
-		before := m.breakers[i].state(now, m.cfg.BreakerThreshold)
-		m.breakers[i].fail(now, m.cfg.BreakerThreshold, m.cfg.BreakerCooldown)
-		opened := before != "open" && m.breakers[i].state(now, m.cfg.BreakerThreshold) == "open"
+		before := m.breakers[i].state(now)
+		m.breakers[i].fail(now)
+		opened := before != "open" && m.breakers[i].state(now) == "open"
 		fails := m.breakers[i].fails
 		m.bmu.Unlock()
 		if opened {
@@ -663,8 +623,8 @@ func (m *Manager) buildLadder(rs *rules.RuleSet) (Classifier, string, int, error
 	var failures []error
 	for i := range ladder {
 		m.bmu.Lock()
-		allowed := m.breakers[i].allowed(now, m.cfg.BreakerThreshold)
-		state := m.breakers[i].state(now, m.cfg.BreakerThreshold)
+		allowed := m.breakers[i].allowed(now)
+		state := m.breakers[i].state(now)
 		m.bmu.Unlock()
 		// The final rung is always attempted: a servable generation
 		// beats breaker hygiene, and DefaultLadder ends on linear
@@ -694,7 +654,7 @@ func (m *Manager) buildLadder(rs *rules.RuleSet) (Classifier, string, int, error
 			continue
 		}
 		m.bmu.Lock()
-		wasClosed := m.breakers[i].state(now, m.cfg.BreakerThreshold) == "closed"
+		wasClosed := m.breakers[i].state(now) == "closed"
 		m.breakers[i].success()
 		m.bmu.Unlock()
 		if !wasClosed {
