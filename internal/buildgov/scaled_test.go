@@ -41,7 +41,8 @@ func TestScaledBudgetShape(t *testing.T) {
 // under actual peak at 10k–100k rules — trips fired after the blowup, not
 // before. The test lets an ACL-family ExpCuts build run for a fixed slice
 // of wall clock (these sets are exactly the overlap shape that blows trees
-// up, so the build trips its deadline rather than finishing), polls
+// up, and one second is well short of the 100k build's ≈ 2 s, so the build
+// trips its deadline rather than finishing), polls
 // HeapAlloc throughout, and requires estimate and measurement to agree
 // within a band either way. Ratio-based on purpose: wall-clock slices
 // and race-detector slowdowns change how far the build gets, but estimate
@@ -85,7 +86,7 @@ func TestEstimateAccuracyAtScale(t *testing.T) {
 			}
 		}()
 
-		budget := &buildgov.Budget{Timeout: 3 * time.Second, MaxHeapBytes: 2 << 30}
+		budget := &buildgov.Budget{Timeout: time.Second, MaxHeapBytes: 2 << 30}
 		_, buildErr := expcuts.NewCtx(context.Background(), rs, expcuts.Config{}, budget)
 		close(stop)
 		<-done

@@ -60,7 +60,8 @@ func (t *Tree) visitedLevels(h rules.Header) []int {
 // must equal the builder-graph walk and the serialized image's Lookup, and
 // the arena itself must hold only forward references, one CPA ref per
 // maximal run of cells — so no single-child node, no ref per cell and no
-// split run — and, per header, exactly the graph path's cutting nodes.
+// split run — per header, exactly the graph path's cutting nodes, and a
+// wide root that agrees with the walk from root (checkWideRoot).
 func checkArena(t *Tree, hs []rules.Header) error {
 	if got := unsafe.Sizeof(arenaNode{}); got != arenaLineBytes {
 		return fmt.Errorf("arena node is %d bytes, want one %d-byte line", got, arenaLineBytes)
@@ -107,6 +108,9 @@ func checkArena(t *Tree, hs []rules.Header) error {
 	if refs != len(t.ar.cpa) {
 		return fmt.Errorf("arena CPA holds %d refs for %d run starts", len(t.ar.cpa), refs)
 	}
+	if err := checkWideRoot(t); err != nil {
+		return err
+	}
 
 	mem := nptrace.NullMem{R: t.image}
 	batch := make([]int, len(hs))
@@ -137,6 +141,44 @@ func checkArena(t *Tree, hs []rules.Header) error {
 		}
 		if r >= 0 {
 			return fmt.Errorf("arena path of %v is longer than the graph's cutting levels %v", h, levels)
+		}
+	}
+	return nil
+}
+
+// checkWideRoot checks the wide root's run format — rank prefixes that
+// count the run bits before each word, one ref per run, runs that are
+// maximal — that every ref is a leaf or a node cutting at or below bit
+// wideBits, and that for each of the 2^16 key prefixes it holds where the
+// walk from root ends once it has consumed the first wideBits bits.
+func checkWideRoot(t *Tree) error {
+	wr, st := &t.ar.wide, t.step()
+	runs := 0
+	for k, word := range wr.runs {
+		if int(wr.pre[k]) != runs {
+			return fmt.Errorf("wide root: pre[%d] = %d, want %d", k, wr.pre[k], runs)
+		}
+		runs += bits.OnesCount64(word)
+	}
+	if wr.runs[0]&1 == 0 || runs != len(wr.refs) {
+		return fmt.Errorf("wide root: %d run starts (cell 0 one: %v) for %d refs", runs, wr.runs[0]&1 == 1, len(wr.refs))
+	}
+	for j, r := range wr.refs {
+		if j > 0 && r == wr.refs[j-1] {
+			return fmt.Errorf("wide root: refs %d and %d are both %d, a run that is not maximal", j-1, j, r)
+		}
+		if r >= 0 && (int(r) >= len(t.ar.nodes) || t.ar.nodes[r].pos < wideBits) {
+			return fmt.Errorf("wide root: ref %d is %d, not a leaf or a node at pos >= %d", j, r, wideBits)
+		}
+	}
+	for c := uint64(0); c < 1<<wideBits; c++ {
+		kw := c << (64 - wideBits)
+		want := t.ar.root
+		for want >= 0 && t.ar.nodes[want].pos < wideBits {
+			want = t.ar.cpa[st.cpaIndex(&t.ar.nodes[want], kw)]
+		}
+		if got := wr.at(kw | 0xFFFF); got != want {
+			return fmt.Errorf("wide root: prefix %#04x holds %d, the walk from root reaches %d", c, got, want)
 		}
 	}
 	return nil
@@ -175,7 +217,8 @@ var cornerHeaders = []rules.Header{
 // root chain that collapses to a leaf (the builder never emits one — a node
 // whose cells all hold one leaf would itself be that leaf — so these graphs
 // are hand-built), a one-rule set, and a tree whose deepest level is the
-// only one that survives.
+// only one that survives, at every stride. The wide root of the first is
+// one run of the leaf and of the last one run of the elided root's target.
 func TestArenaDegenerateShapes(t *testing.T) {
 	wild := rules.NewRuleSet("wild", []rules.Rule{
 		{SrcPort: rules.FullPortRange, DstPort: rules.FullPortRange, Proto: rules.AnyProto},
@@ -189,9 +232,9 @@ func TestArenaDegenerateShapes(t *testing.T) {
 		{"chain to no-match leaf", refNoMatch, -1},
 	} {
 		tree := graphTree(t, wild, 0, uniformNode(0, 1), uniformNode(1, 2), uniformNode(2, tc.leaf))
-		if len(tree.ar.nodes) != 0 || tree.ar.root != tc.leaf {
-			t.Fatalf("%s: arena keeps %d nodes, root %d; want 0 nodes, root %d",
-				tc.name, len(tree.ar.nodes), tree.ar.root, tc.leaf)
+		if len(tree.ar.nodes) != 0 || tree.ar.root != tc.leaf || len(tree.ar.wide.refs) != 1 || tree.ar.wide.refs[0] != tc.leaf {
+			t.Fatalf("%s: arena keeps %d nodes, root %d, wide root %v; want 0 nodes, root and wide root %d",
+				tc.name, len(tree.ar.nodes), tree.ar.root, tree.ar.wide.refs, tc.leaf)
 		}
 		if p := tree.Program(rules.Header{}); tree.Stats().Nodes != 3 || p.Accesses() != 6 {
 			t.Errorf("%s: stats/image no longer describe the 3-node graph", tc.name)
@@ -229,6 +272,11 @@ func TestArenaDegenerateShapes(t *testing.T) {
 		if len(tree.ar.nodes) != tree.Depth() {
 			t.Errorf("w=%d host rule: arena keeps %d of %d nodes, want all", w, len(tree.ar.nodes), tree.Depth())
 		}
+		// The rule's 16-bit source prefix 0x0A01 is the only run that
+		// leads on, to the one node at pos 16.
+		if refs := tree.ar.wide.refs; len(refs) != 3 || refs[1] < 0 || tree.ar.nodes[refs[1]].pos != 16 {
+			t.Errorf("w=%d host rule: wide root holds %v, want no-match, the node at pos 16, no-match", w, refs)
+		}
 		if err := checkArena(tree, cornerHeaders); err != nil {
 			t.Fatalf("w=%d host rule: %v", w, err)
 		}
@@ -242,6 +290,9 @@ func TestArenaDegenerateShapes(t *testing.T) {
 		if got, want := len(tree.ar.nodes), int(8/w); got != want || tree.ar.nodes[tree.ar.root].pos != 96 {
 			t.Fatalf("w=%d tcp-only: arena keeps %d nodes from pos %d, want %d from pos 96",
 				w, got, tree.ar.nodes[tree.ar.root].pos, want)
+		}
+		if refs := tree.ar.wide.refs; len(refs) != 1 || refs[0] != tree.ar.root {
+			t.Fatalf("w=%d tcp-only: wide root holds %v, want one run of the root %d", w, refs, tree.ar.root)
 		}
 		if tree.Stats().Nodes != tree.Depth() {
 			t.Errorf("w=%d tcp-only: stats report %d nodes, want the full %d-level chain", w, tree.Stats().Nodes, tree.Depth())
@@ -335,5 +386,49 @@ func TestStageFill(t *testing.T) {
 				t.Errorf("%s: level %d fill grew by %d, want %d", name, l, got, want[l])
 			}
 		}
+	}
+}
+
+// TestWideRootVisitsCR04 pins the mean node visits per packet on CR04 over
+// BenchmarkArenaWalk's flows: a walk from root makes 7.009 visits, and the
+// wide root replaces every visit above bit 16 — the root and a level-1
+// node on most paths — with one read of its own.
+func TestWideRootVisitsCR04(t *testing.T) {
+	rs, err := rulegen.Standard("CR04")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := New(rs, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := pktgen.Generate(rs, pktgen.Config{Count: 1 << 18, Seed: 1, MatchFraction: 0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := tree.step()
+	walk := func(r ref, hi, lo uint64) (visits int) {
+		for ; r >= 0; visits++ {
+			nd := &tree.ar.nodes[r]
+			r = tree.ar.cpa[st.cpaIndex(nd, [2]uint64{hi, lo}[nd.pos>>6])]
+		}
+		return visits
+	}
+	fromRoot, fromWide := 0, 0
+	for _, h := range tr.Headers {
+		hi, lo := h.Key().Words()
+		fromRoot += walk(tree.ar.root, hi, lo)
+		fromWide += 1 + walk(tree.ar.wide.at(hi), hi, lo)
+	}
+	// 7.009 and 6.174 per packet: 5.174 node visits after the wide root.
+	if fromRoot != 1837450 || fromWide != 1618385 {
+		t.Errorf("CR04 walks made %d visits from root and %d from the wide root, want %d and %d", fromRoot, fromWide, 1837450, 1618385)
+	}
+	distinct := map[ref]bool{}
+	for _, r := range tree.ar.wide.refs {
+		distinct[r] = true
+	}
+	if runs := len(tree.ar.wide.refs); runs != 558 || len(distinct) != 322 {
+		t.Errorf("CR04 wide root holds %d runs of %d distinct refs, want %d of %d", runs, len(distinct), 558, 322)
 	}
 }

@@ -7,12 +7,13 @@ import (
 )
 
 // batchScratch is the per-call scratch of ClassifyBatch, recycled through
-// a pool so the steady-state batch path allocates nothing. Only the packed
-// keys (hi and lo word) need scratch space: the per-packet tree position is
-// carried in the caller's out slice itself (a ref fits an int), so no second
-// array is touched in the hot loop.
+// a pool so the steady-state batch path allocates nothing: the packed keys
+// (hi and lo word) and the indices of the packets still walking. The
+// per-packet tree position is carried in the caller's out slice itself (a
+// ref fits an int).
 type batchScratch struct {
 	keys [][2]uint64
+	act  []int32
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -27,21 +28,21 @@ const maxPooledBatch = 4096
 // the retention cap.
 func (sc *batchScratch) release() {
 	if cap(sc.keys) > maxPooledBatch {
-		sc.keys = nil
+		*sc = batchScratch{}
 	}
 	batchPool.Put(sc)
 }
 
 // ClassifyBatch classifies hs[i] into out[i] (the rules.BatchClassifier
 // contract; out must be at least as long as hs). It computes every packet's
-// 104-bit key up front, then walks the compressed arena level-synchronously:
-// all packets make their first node visit before any packet makes its
-// second, so a node line and CPA refs that several packets traverse
-// are hot in cache when the second packet arrives instead of evicted by an
-// unrelated full-depth walk. A round is one visit, not one tree level —
-// elided levels are skipped — but every visit consumes at least w key
-// bits, so every packet finishes in at most ⌈104/w⌉ rounds: the batched
-// analogue of the paper's explicit-depth guarantee.
+// 104-bit key and wide-root ref up front, then walks the compressed arena
+// level-synchronously: all packets make their next node visit before any
+// packet makes the one after, so a node line and CPA refs that several
+// packets traverse are hot in cache when the second packet arrives instead
+// of evicted by an unrelated full-depth walk. A round is one visit, not one
+// tree level — elided levels are skipped — but every visit consumes at
+// least w key bits, so every packet finishes in at most ⌈104/w⌉ rounds: the
+// batched analogue of the paper's explicit-depth guarantee.
 //
 // The steady state performs zero heap allocations; answers are identical
 // to per-packet Classify.
@@ -51,49 +52,42 @@ func (t *Tree) ClassifyBatch(hs []rules.Header, out []int) {
 	if n == 0 {
 		return
 	}
-	if t.ar.root < 0 {
-		// Degenerate tree: the root resolves to a leaf.
-		m := decodeRef(t.ar.root)
-		for i := range out {
-			out[i] = m
-		}
-		return
-	}
 	sc := batchPool.Get().(*batchScratch)
-	keys := sc.keys
-	if cap(keys) < n {
-		keys = make([][2]uint64, n)
+	if cap(sc.keys) < n {
+		sc.keys, sc.act = make([][2]uint64, n), make([]int32, n)
 	}
-	keys = keys[:n]
+	keys, act := sc.keys[:n], sc.act[:n]
+	// act[:live] lists the packets still walking. Every round writes each
+	// walker's index at act[live] and advances live only past those that
+	// reached a node: a compaction without a branch. Scanning all of out
+	// and branching past finished packets measured slower (EXPERIMENTS.md,
+	// "A wide root for the native walk").
+	live := 0
 	for i, h := range hs {
-		keys[i][0], keys[i][1] = h.Key().Words()
+		hi, lo := h.Key().Words()
+		keys[i] = [2]uint64{hi, lo}
+		r := t.ar.wide.at(hi)
+		out[i] = int(r)
+		act[live] = int32(i)
+		live += int(^uint32(r) >> 31)
 	}
 
 	st := t.step()
 	nodes, cpa := t.ar.nodes, t.ar.cpa
-	for i := range out {
-		out[i] = int(t.ar.root)
-	}
-	// Finished packets are skipped, not compacted out of the scan: at the
-	// engine's batch of 64 an index list measured slower than this branch.
-	for active := n; active > 0; {
-		for i, o := range out {
-			if o < 0 {
-				continue
-			}
-			nd := &nodes[o]
+	for live > 0 {
+		walking := act[:live]
+		live = 0
+		for _, i := range walking {
+			nd := &nodes[out[i]]
 			r := cpa[st.cpaIndex(nd, keys[i][nd.pos>>6&1])]
 			out[i] = int(r)
-			if r < 0 {
-				active--
-			}
+			act[live] = i
+			live += int(^uint32(r) >> 31)
 		}
 	}
 	for i := range out {
 		out[i] = decodeRef(ref(out[i]))
 	}
-
-	sc.keys = keys
 	sc.release()
 }
 

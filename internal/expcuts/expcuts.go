@@ -225,6 +225,10 @@ type Tree struct {
 	// original level l, and at l = 0 every packet walked (see StageFill).
 	stageFill []atomic.Uint64
 
+	// probe, when set, sees every memo probe of the build: its bit
+	// position, box and (pruned) rule list. Only tests set it.
+	probe func(pos uint, box rules.Box, ruleIdx []int32)
+
 	image   *memlayout.Image
 	rootPtr uint32
 }
@@ -357,6 +361,9 @@ func (b *builder) build(pos uint, box rules.Box, ruleIdx []int32, memo map[strin
 
 	var key string // a copy of the reused signature, made only on a miss
 	if memo != nil {
+		if t.probe != nil {
+			t.probe(pos, box, ruleIdx)
+		}
 		sig := b.signature(pos, box, ruleIdx)
 		b.work.sigs++
 		if r, ok := memo[string(sig)]; ok {
@@ -498,22 +505,24 @@ const (
 )
 
 // signature produces the sharing key for a sub-space: the bit position plus
-// each intersecting rule's identity and box-relative clipped geometry. Two
-// sub-spaces with equal signatures have identical sub-trees: all boxes at
-// one bit position are translates of the same shape, lookups index children
-// by key-bit extraction (box-independent), and the relative geometry fixes
-// every later cut decision. The result is the builder's reused scratch,
-// which the next signature overwrites.
+// each intersecting rule's identity and box-relative clipped span along the
+// cut dimension. Two sub-spaces with equal signatures have identical
+// sub-trees: all boxes at one bit position are translates of the same
+// shape, lookups index children by key-bit extraction (box-independent),
+// and the relative geometry fixes every later cut decision. The other
+// dimensions need no bytes: those before the cut dimension are single
+// points the rule covers (clip 0, 0) and those after it are whole, so the
+// clip is the rule's own span — both fixed by pos and the rule's identity.
+// The result is the builder's reused scratch, which the next signature
+// overwrites.
 func (b *builder) signature(pos uint, box rules.Box, ruleIdx []int32) []byte {
-	sig := b.sig[:0]
-	sig = binary.AppendUvarint(sig, uint64(pos))
+	d := dimOfBit(pos)
+	sig := binary.AppendUvarint(b.sig[:0], uint64(pos))
 	for _, ri := range ruleIdx {
+		clip, _ := b.boxes[ri][d].Intersect(box[d])
 		sig = binary.AppendUvarint(sig, uint64(ri))
-		for d := 0; d < rules.NumDims; d++ {
-			clip, _ := b.boxes[ri][d].Intersect(box[d])
-			sig = binary.AppendUvarint(sig, uint64(clip.Lo-box[d].Lo))
-			sig = binary.AppendUvarint(sig, uint64(clip.Hi-box[d].Lo))
-		}
+		sig = binary.AppendUvarint(sig, uint64(clip.Lo-box[d].Lo))
+		sig = binary.AppendUvarint(sig, uint64(clip.Hi-box[d].Lo))
 	}
 	b.sig = sig
 	return sig
@@ -529,14 +538,15 @@ func dimOfBit(pos uint) rules.Dim {
 	panic(fmt.Sprintf("expcuts: bit position %d beyond key", pos))
 }
 
-// Classify is the native (untraced) lookup, walking the compressed arena:
-// per visited node one line load (run bits, CPA base, key position), a
-// shift-and-mask key chunk, a popcount rank, and one CPA pointer load.
+// Classify is the native (untraced) lookup, walking the compressed arena
+// from its wide root: per visited node one line load (run bits, CPA base,
+// key position), a shift-and-mask key chunk, a popcount rank, and one CPA
+// pointer load.
 func (t *Tree) Classify(h rules.Header) int {
 	hi, lo := h.Key().Words()
 	st := t.step()
 	nodes, cpa := t.ar.nodes, t.ar.cpa
-	r := t.ar.root
+	r := t.ar.wide.at(hi)
 	for r >= 0 {
 		nd := &nodes[r]
 		kw := hi

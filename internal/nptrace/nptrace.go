@@ -116,12 +116,19 @@ type Recorder struct {
 	mem     Reader
 	pending uint32
 	steps   []Step
+	buf     [recorderSteps]Step // steps' storage until a program outgrows it
 }
+
+// recorderSteps is how many steps a Recorder holds before its first
+// allocation: more than an ExpCuts walk at w = 8 (26) or a typical HiCuts one.
+const recorderSteps = 32
 
 // NewRecorder wraps mem for recording. The Recorder may be reused across
 // packets via Finish, which resets it.
 func NewRecorder(mem Reader) *Recorder {
-	return &Recorder{mem: mem}
+	r := &Recorder{mem: mem}
+	r.steps = r.buf[:0]
+	return r
 }
 
 // Read records one SRAM command and returns the underlying words.
@@ -143,10 +150,14 @@ func (r *Recorder) Compute(cycles uint32) {
 }
 
 // Finish seals the program with the classification result and resets the
-// recorder for the next packet.
+// recorder for the next packet. The program's steps are a copy sized once,
+// to the steps recorded, so no two programs share storage.
 func (r *Recorder) Finish(result int) Program {
-	p := Program{Steps: r.steps, FinalCompute: r.pending, Result: result}
-	r.steps = nil
+	p := Program{FinalCompute: r.pending, Result: result}
+	if len(r.steps) > 0 {
+		p.Steps = append([]Step(nil), r.steps...)
+	}
+	r.steps = r.steps[:0]
 	r.pending = 0
 	return p
 }
