@@ -149,21 +149,16 @@ func TestHostileTenantIsolation(t *testing.T) {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		for _, tid := range []uint32{tidX, tidY, tidZ} {
-			bd := ts.Tenants[tid]
-			if bd == nil {
+			tc := ts.Tenants[tid]
+			if tc == nil {
 				t.Fatalf("shards=%d: tenant %d missing from stats", shards, tid)
 			}
-			var sum engine.TenantCounts
-			for si, sc := range bd.Shards {
-				if sc.Offered != sc.Classified+sc.Shed+sc.Canceled+sc.Panicked {
-					t.Errorf("shards=%d tenant %d shard %d: identity broken: %+v", shards, tid, si, sc)
-				}
-				sum.Offered += sc.Offered
-				sum.Classified += sc.Classified
+			if tc.Offered != tc.Classified+tc.Shed+tc.Canceled+tc.Panicked {
+				t.Errorf("shards=%d tenant %d: identity broken: %+v", shards, tid, *tc)
 			}
-			if sum.Offered != uint64(count) || bd.Total.Classified != uint64(count) {
+			if tc.Offered != uint64(count) || tc.Classified != uint64(count) {
 				t.Errorf("shards=%d tenant %d: offered %d classified %d, want %d each",
-					shards, tid, sum.Offered, bd.Total.Classified, count)
+					shards, tid, tc.Offered, tc.Classified, count)
 			}
 		}
 		reg.Absorb(ts)
@@ -271,9 +266,9 @@ func TestTenantFlappingAcrossRestarts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bd := ts.Tenants[5]
-		if wantRefused && bd.Total.Shed != uint64(len(pkts)) {
-			t.Fatalf("removed tenant: %+v, want all %d shed", bd.Total, len(pkts))
+		tc := ts.Tenants[5]
+		if wantRefused && tc.Shed != uint64(len(pkts)) {
+			t.Fatalf("removed tenant: %+v, want all %d shed", *tc, len(pkts))
 		}
 	}
 

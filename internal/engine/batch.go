@@ -46,8 +46,7 @@ func (b *batch) result(i int) Result {
 	return r
 }
 
-// counts is the batch's outcome tally (Offered is the dispatcher's to
-// count and stays zero).
+// counts is the batch's tally: its size offered, and its outcomes.
 func (b *batch) counts() TenantCounts {
 	n := uint64(len(b.hs))
 	switch {
@@ -58,11 +57,11 @@ func (b *batch) counts() TenantCounts {
 				panicked++
 			}
 		}
-		return TenantCounts{Classified: n - panicked, Panicked: panicked}
+		return TenantCounts{Offered: n, Classified: n - panicked, Panicked: panicked}
 	case errors.Is(b.err, ErrShed):
-		return TenantCounts{Shed: n}
+		return TenantCounts{Offered: n, Shed: n}
 	default:
-		return TenantCounts{Canceled: n}
+		return TenantCounts{Offered: n, Canceled: n}
 	}
 }
 

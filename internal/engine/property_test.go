@@ -96,7 +96,7 @@ var entryPoints = []entryPoint{
 		pkts := tenantStream(hs, []uint32{0})
 		res := mapResolver{0: asLane(cl, cfg.Overload == OverloadShed)}
 		ts, err := RunTenants(ctx, res, cfg, pkts, func(r TenantResult) { emit(r.Result) })
-		checkTenantIdentity(t, ts, pkts, cfg.Shards)
+		checkTenantIdentity(t, ts, pkts)
 		return ts.Stats, len(hs), err
 	}},
 }

@@ -374,7 +374,7 @@ func TestPanickedBatchRecyclesClean(t *testing.T) {
 			res := mapResolver{1: poisonLane{cl}, 2: poisonLane{cl}, 3: poisonLane{cl}}
 			ts, err := RunTenants(context.Background(), res, cfg, tenantStream(headers, []uint32{1, 2, 3}),
 				func(r TenantResult) { emit(r.Result) })
-			checkTenantIdentity(t, ts, tenantStream(headers, []uint32{1, 2, 3}), cfg.Shards)
+			checkTenantIdentity(t, ts, tenantStream(headers, []uint32{1, 2, 3}))
 			return ts.Stats, err
 		})
 	})

@@ -54,8 +54,8 @@ func newSequencer(cfg *Config, st *Stats, pool *batchPool, emit func(Result)) *s
 }
 
 // accept takes ownership of one arrived batch: tallies its outcomes into
-// Stats (they are final on arrival) and returns them for the caller's own
-// ledger, emits whatever the batch makes emittable, and recycles every
+// Stats (they are final on arrival) and returns the batch's counts for the
+// caller's per-tenant tally, emits whatever the batch makes emittable, and recycles every
 // batch whose last packet left. Stats.MaxReorder is defined here and only
 // here: the packets still held after the drain that follows an arrival, so
 // a run that completes in order reports 0.

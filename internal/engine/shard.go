@@ -75,12 +75,25 @@ type lane struct {
 	gen   generationProvider // consulted only when cache != nil
 
 	lastGen uint64
+	lastUse uint64 // tenant lanes: the table's clock at the lane's last batch
 }
 
-// newLane is the lane over cl, with its batched path found once.
-func newLane(cl Classifier) lane {
-	bc, _ := cl.(rules.BatchClassifier)
-	return lane{cl: cl, bc: bc}
+// newLane is the lane over cl, with its batched path found once and, when
+// flows > 0, a private flow cache bracketed from cl's current generation.
+func newLane(cl Classifier, flows int) (lane, error) {
+	l := lane{cl: cl}
+	l.bc, _ = cl.(rules.BatchClassifier)
+	if flows > 0 {
+		c, err := newFlowCache(cl, flows)
+		if err != nil {
+			return l, err
+		}
+		l.cache = c
+		if l.gen, _ = cl.(generationProvider); l.gen != nil {
+			l.lastGen = l.gen.Generation()
+		}
+	}
+	return l, nil
 }
 
 // shard is one serving loop: a private job ring and the lane state it
@@ -99,10 +112,10 @@ type shard struct {
 
 	// m is the shard's instrument block and events the flight recorder
 	// (both nil when Config.Metrics is unset). counters reads the
-	// cumulative hit/miss counts of the shard's flow cache or partitions
-	// (nil without one); lastHits / lastMisses hold the previous reading so
-	// hits and misses are exported as per-batch deltas without adding
-	// atomics to the cache.
+	// cumulative hit/miss counts of the shard's flow cache or of its tenant
+	// lanes' caches (nil without one); lastHits / lastMisses hold the
+	// previous reading so hits and misses are exported as per-batch deltas
+	// without adding atomics to the cache.
 	m                    *shardMetrics
 	events               *obs.Ring
 	counters             interface{ Stats() (hits, misses uint64) }
@@ -220,7 +233,7 @@ func (l *lane) classify(b *batch, m *shardMetrics, events *obs.Ring) int64 {
 func makeShards(cl Classifier, resolver TenantResolver, cfg *Config) ([]*shard, error) {
 	shards := make([]*shard, cfg.Shards)
 	for i := range shards {
-		s := &shard{lane: newLane(cl), jobs: make(chan *batch, cfg.QueueDepth)}
+		s := &shard{jobs: make(chan *batch, cfg.QueueDepth)}
 		if cfg.Metrics != nil {
 			s.m = cfg.Metrics.shard(i)
 			s.events = cfg.Metrics.events
@@ -229,15 +242,14 @@ func makeShards(cl Classifier, resolver TenantResolver, cfg *Config) ([]*shard, 
 			if err := s.serveTenants(resolver, cfg, i); err != nil {
 				return nil, err
 			}
-		} else if cfg.FlowCacheFlows > 0 {
-			c, err := newFlowCache(cl, cfg.FlowCacheFlows)
+		} else {
+			l, err := newLane(cl, cfg.FlowCacheFlows)
 			if err != nil {
 				return nil, fmt.Errorf("engine: shard %d flow cache: %w", i, err)
 			}
-			s.cache, s.counters = c, c
-			s.gen, _ = cl.(generationProvider)
-			if s.gen != nil {
-				s.lastGen = s.gen.Generation()
+			s.lane = l
+			if l.cache != nil {
+				s.counters = l.cache
 			}
 		}
 		shards[i] = s
@@ -249,13 +261,13 @@ func makeShards(cl Classifier, resolver TenantResolver, cfg *Config) ([]*shard, 
 // next surrenders the input a run of headers at a time, with each header's
 // tenant (tids nil: all tenant 0); both slices are valid until the next
 // call, and more=false ends the input. A run shorter than a batch is a
-// batch boundary and flushes every half-built batch (see Source). led, set
-// on the tenant path only, receives the per-tenant accounting. flush, if
+// batch boundary and flushes every half-built batch (see Source). tally,
+// set on the tenant path only, receives each tenant's counts. flush, if
 // set, runs on the emit goroutine whenever an arrival's emission leaves
 // no result waiting (see Source). runShards returns once every pulled
 // packet has been emitted, with how many were pulled and the emit stage's
 // error, if any.
-func runShards(ctx context.Context, cl Classifier, cfg *Config, shards []*shard, led *tenantLedger,
+func runShards(ctx context.Context, cl Classifier, cfg *Config, shards []*shard, tally map[uint32]*TenantCounts,
 	next func() (hs []rules.Header, tids []uint32, more bool), emit func(Result), flush func()) (Stats, int, error) {
 	nShards := len(shards)
 	// Sized like a job ring: a lane that finishes a batch should find room
@@ -271,9 +283,8 @@ func runShards(ctx context.Context, cl Classifier, cfg *Config, shards []*shard,
 		}()
 	}
 
-	// pulled (and led.offered) are written by the dispatcher before it
-	// closes the job rings and read after results closes; the closes order
-	// the two.
+	// pulled is written by the dispatcher before it closes the job rings
+	// and read after results closes; the closes order the two.
 	var pulled uint64
 	go func() {
 		// Dispatcher: bin each pull into pending batches by (tenant, flow
@@ -307,9 +318,6 @@ func runShards(ctx context.Context, cl Classifier, cfg *Config, shards []*shard,
 		// overtakes the queued ones to the sequencer as ErrShed markers.
 		send := func(b *batch, err error) {
 			s := shards[b.si]
-			if led != nil {
-				led.counts(led.offered, b.tenant, b.si).Offered += uint64(len(b.hs))
-			}
 			shed := cfg.Overload == OverloadShed
 			if s.tenants != nil {
 				if tl := s.tenants.resolver.Lane(b.tenant); tl != nil {
@@ -410,11 +418,11 @@ func runShards(ctx context.Context, cl Classifier, cfg *Config, shards []*shard,
 	// Draining results unconditionally until close is what guarantees the
 	// lanes can always deliver and never leak.
 	for b := range results {
-		if led == nil {
+		if tally == nil {
 			seq.accept(b)
 		} else {
-			sc := led.counts(led.outcomes, b.tenant, b.si) // accept may recycle b
-			sc.add(seq.accept(b))
+			tc := countsOf(tally, b.tenant) // accept may recycle b
+			tc.add(seq.accept(b))
 		}
 		// The last arrival always finds the channel empty, so flush also
 		// runs after the last result.

@@ -3,13 +3,13 @@
 // carries a tenant ID; the dispatcher bins packets by (tenant, flow) so
 // every dispatched batch is single-tenant by construction, and each shard
 // resolves a batch's tenant to a lane of its own — the tenant's
-// classifier, its own flow-cache partition with its own epoch, and its
-// own generation bracket, so a batch never straddles one tenant's
-// hot-swap and one tenant's invalidation never stales another's cache.
-// The NP analogue is SRAM banking: one physical memory, per-tenant banks,
-// no cross-bank interference. A single-table run is the one-tenant case
-// of the same loop: every packet is tenant 0 and every batch is served on
-// the shard's one lane.
+// classifier, its own flow cache with its own epoch, and its own
+// generation bracket, so a batch never straddles one tenant's hot-swap
+// and one tenant's invalidation never stales another's cache. The lane
+// table is the shard's only per-tenant state, the way each microengine
+// keeps its threads' state in its own local memory. A single-table run is
+// the one-tenant case of the same loop: every packet is tenant 0 and
+// every batch is served on the shard's one lane.
 //
 // Isolation is the contract, not an optimization: a hostile tenant may
 // drive its own lane to the bottom of its degradation ladder, flood its
@@ -29,12 +29,12 @@ import (
 	"repro/internal/rules"
 )
 
-// DefaultTenantPartitions bounds how many tenants per shard keep a
-// resident flow-cache partition on the multi-tenant path (RunTenants):
-// each resident tenant gets its own FlowCacheFlows-flow cache, and at the
-// bound the least recently served tenant's partition is reclaimed (a
-// tenant-evicted event, cold misses for the victim, never a correctness
-// change).
+// DefaultTenantPartitions bounds how many tenant lanes each shard keeps
+// resident on the multi-tenant path (RunTenants), with or without flow
+// caches: each resident lane owns its own FlowCacheFlows-flow cache, and
+// admitting a tenant at the bound reclaims the least recently served lane
+// with its cache (a tenant-evicted event when it held one, cold misses
+// for the victim, never a correctness change).
 const DefaultTenantPartitions = 64
 
 // TenantPacket is one packet of the multi-tenant input stream: the
@@ -93,9 +93,9 @@ var ErrUnknownTenant = fmt.Errorf("engine: unknown tenant: %w", ErrShed)
 // admission refusal and wraps ErrShed.
 var ErrLaneUncomparable = fmt.Errorf("engine: tenant lane of uncomparable type: %w", ErrShed)
 
-// TenantCounts is one tenant's packet accounting on one shard (or in
-// total). The identity Offered == Classified + Shed + Canceled +
-// Panicked holds exactly, per shard and per tenant, on every return path.
+// TenantCounts is one tenant's packet accounting over a run. The
+// identity Offered == Classified + Shed + Canceled + Panicked holds
+// exactly, per tenant, on every return path.
 type TenantCounts struct {
 	Offered    uint64
 	Classified uint64
@@ -112,11 +112,14 @@ func (c *TenantCounts) add(o TenantCounts) {
 	c.Panicked += o.Panicked
 }
 
-// TenantBreakdown is one tenant's accounting: totals plus the per-shard
-// split they are summed from.
-type TenantBreakdown struct {
-	Total  TenantCounts
-	Shards []TenantCounts
+// countsOf is tenant tid's tally in m, created on first use.
+func countsOf(m map[uint32]*TenantCounts, tid uint32) *TenantCounts {
+	c := m[tid]
+	if c == nil {
+		c = new(TenantCounts)
+		m[tid] = c
+	}
+	return c
 }
 
 // TenantStats extends the aggregate run Stats with per-tenant accounting.
@@ -124,67 +127,49 @@ type TenantBreakdown struct {
 // tenant rides its own ladder rung (ask the tenant registry instead).
 type TenantStats struct {
 	Stats
-	Tenants map[uint32]*TenantBreakdown
+	Tenants map[uint32]*TenantCounts
 }
 
-// tenantLedger is RunTenants' per-tenant accounting, kept by two
-// bookkeepers that share no state: the dispatcher tallies Offered for
-// every batch it hands off, the emission goroutine each arrived batch's
-// outcomes. The accounting identity then cross-checks the one against the
-// other.
-type tenantLedger struct {
-	shards            int
-	offered, outcomes map[uint32]*TenantBreakdown
-}
-
-// counts is tenant tid's tally on shard si in m, created on first use.
-func (l *tenantLedger) counts(m map[uint32]*TenantBreakdown, tid uint32, si int) *TenantCounts {
-	bd := m[tid]
-	if bd == nil {
-		bd = &TenantBreakdown{Shards: make([]TenantCounts, l.shards)}
-		m[tid] = bd
-	}
-	return &bd.Shards[si]
-}
-
-// tenantLanes is a multi-tenant shard's lane table. Like the rest of the
-// shard it belongs to the serve goroutine; the dispatcher reads only the
-// resolver.
+// tenantLanes is a multi-tenant shard's lane table, the shard's only
+// per-tenant state: each resident lane owns its tenant's flow cache and
+// its recency stamp, at most DefaultTenantPartitions of them. Like the
+// rest of the shard it belongs to the serve goroutine; the dispatcher
+// reads only the resolver. It is the shard's counters when lanes carry
+// caches.
 type tenantLanes struct {
 	resolver TenantResolver
 	lanes    map[uint32]*lane
-	parts    *flowcache.Partitioned // nil when FlowCacheFlows == 0
+	flows    int    // each lane's flow-cache capacity, 0 for none
+	clock    uint64 // bumped per batch; a lane's lastUse is its last reading
+	// Hits and misses of the caches of lanes no longer resident, so Stats
+	// never falls.
+	goneHits, goneMisses uint64
+
+	events *obs.Ring // records tenant-evicted events for shard si
+	si     int
 }
 
 // serveTenants makes s a multi-tenant shard: lanes are built on demand
-// from the resolver, and with FlowCacheFlows set each tenant gets its own
-// flow-cache partition, at most DefaultTenantPartitions resident at once.
+// from the resolver, each with its own FlowCacheFlows-flow cache when
+// that is set. The capacity is checked here, before any goroutine starts,
+// since lanes build their caches only once serving.
 func (s *shard) serveTenants(resolver TenantResolver, cfg *Config, si int) error {
-	t := &tenantLanes{resolver: resolver, lanes: make(map[uint32]*lane)}
-	if cfg.FlowCacheFlows > 0 {
-		p, err := flowcache.NewPartitioned(cfg.FlowCacheFlows, DefaultTenantPartitions)
-		if err != nil {
-			return fmt.Errorf("engine: shard %d tenant partitions: %w", si, err)
-		}
-		events := s.events
-		p.OnEvict = func(victim uint32) {
-			delete(t.lanes, victim)
-			events.Recordf(obs.EventTenantEvicted,
-				"tenant %d flow-cache partition reclaimed on shard %d", victim, si)
-		}
-		t.parts, s.counters = p, p
+	if int64(cfg.FlowCacheFlows) > flowcache.MaxCapacity {
+		return fmt.Errorf("engine: shard %d flow cache: %w", si, &flowcache.CapacityError{Capacity: cfg.FlowCacheFlows})
+	}
+	t := &tenantLanes{resolver: resolver, lanes: make(map[uint32]*lane),
+		flows: cfg.FlowCacheFlows, events: s.events, si: si}
+	if t.flows > 0 {
+		s.counters = t
 	}
 	s.tenants = t
 	return nil
 }
 
 // laneFor resolves the tenant's lane, (re)building it on first sight or
-// rebind and re-resolving the flow-cache partition every call (the
-// partition may have been reclaimed for another tenant since the last
-// batch; Partition also stamps recency, which is what drives partition
-// eviction by actual traffic). Unknown tenants and uncomparable lanes are
-// refused with their error. The steady state — known tenant, resident
-// partition — is two map reads.
+// rebind, and stamps its recency. Unknown tenants and uncomparable lanes
+// are refused with their error. The steady state is one resolver call and
+// one map read.
 func (t *tenantLanes) laneFor(tid uint32) (*lane, error) {
 	tl := t.resolver.Lane(tid)
 	if tl == nil {
@@ -193,49 +178,68 @@ func (t *tenantLanes) laneFor(tid uint32) (*lane, error) {
 		t.drop(tid)
 		return nil, ErrUnknownTenant
 	}
+	t.clock++
 	l, ok := t.lanes[tid]
 	// Only comparable lanes are ever stored, so this comparison cannot
 	// panic: two interface values compare unequal without inspecting
 	// either value when their dynamic types differ.
 	if !ok || l.cl != tl {
-		// First sight or rebind. A rebound tenant's partition fronts the
-		// old lane's slow path, so it goes with the old lane.
+		// First sight or rebind. A rebound tenant's cache fronts the old
+		// lane's slow path, so it goes with the old lane.
 		t.drop(tid)
 		if !reflect.ValueOf(tl).Comparable() {
 			return nil, ErrLaneUncomparable
 		}
-		nl := newLane(tl)
+		if len(t.lanes) >= DefaultTenantPartitions {
+			t.reclaim()
+		}
+		nl, err := newLane(tl, t.flows)
+		if err != nil {
+			return nil, err // unreachable: serveTenants checked the capacity
+		}
 		l = &nl
-		l.gen, _ = tl.(generationProvider)
 		t.lanes[tid] = l
 	}
-	if t.parts != nil {
-		c, err := t.parts.Partition(tid, tl)
-		if err != nil {
-			// Unreachable: bounds are validated at construction. Serve
-			// cache-free rather than fail the batch.
-			c = nil
-		}
-		if c != l.cache {
-			// Fresh partition (first use, or re-admitted after eviction):
-			// it is empty, so bracket from the current generation.
-			l.cache = c
-			if l.gen != nil {
-				l.lastGen = l.gen.Generation()
-			}
-		}
-	}
+	l.lastUse = t.clock
 	return l, nil
 }
 
-// drop forgets a tenant's lane and flow-cache partition.
-func (t *tenantLanes) drop(tid uint32) {
-	if _, ok := t.lanes[tid]; ok {
-		delete(t.lanes, tid)
-		if t.parts != nil {
-			t.parts.Drop(tid)
+// reclaim drops the least recently served lane to make room for another.
+func (t *tenantLanes) reclaim() {
+	var victim uint32
+	oldest := ^uint64(0)
+	for tid, l := range t.lanes {
+		if l.lastUse < oldest {
+			victim, oldest = tid, l.lastUse
 		}
 	}
+	if t.lanes[victim].cache != nil {
+		t.events.Recordf(obs.EventTenantEvicted,
+			"tenant %d flow-cache partition reclaimed on shard %d", victim, t.si)
+	}
+	t.drop(victim)
+}
+
+// drop forgets a tenant's lane; its cache's counts stay in the totals.
+func (t *tenantLanes) drop(tid uint32) {
+	if l, ok := t.lanes[tid]; ok && l.cache != nil {
+		hits, misses := l.cache.Stats()
+		t.goneHits, t.goneMisses = t.goneHits+hits, t.goneMisses+misses
+	}
+	delete(t.lanes, tid)
+}
+
+// Stats returns hits and misses summed over every cache the table has
+// ever held, resident or since dropped.
+func (t *tenantLanes) Stats() (hits, misses uint64) {
+	hits, misses = t.goneHits, t.goneMisses
+	for _, l := range t.lanes {
+		if l.cache != nil {
+			h, m := l.cache.Stats()
+			hits, misses = hits+h, misses+m
+		}
+	}
+	return hits, misses
 }
 
 // RunTenants serves a multi-tenant packet stream through cfg.Shards
@@ -254,13 +258,13 @@ func (t *tenantLanes) drop(tid uint32) {
 //   - packets of unknown tenants are refused with ErrUnknownTenant, and
 //     those of tenants with uncomparable lanes with ErrLaneUncomparable
 //     (both accounted as shed, never silently dropped);
-//   - cfg.FlowCacheFlows sizes each tenant's per-shard cache partition
-//     and DefaultTenantPartitions bounds resident partitions per shard.
+//   - cfg.FlowCacheFlows sizes each tenant lane's flow cache on each shard
+//     and DefaultTenantPartitions bounds resident lanes per shard.
 //
-// emit may be nil. The returned TenantStats satisfies, for every tenant
-// and every shard, Offered == Classified + Shed + Canceled + Panicked.
+// emit may be nil. The returned TenantStats satisfies, for every tenant,
+// Offered == Classified + Shed + Canceled + Panicked.
 func RunTenants(ctx context.Context, resolver TenantResolver, cfg Config, pkts []TenantPacket, emit func(TenantResult)) (TenantStats, error) {
-	ts := TenantStats{Tenants: make(map[uint32]*TenantBreakdown)}
+	ts := TenantStats{Tenants: make(map[uint32]*TenantCounts)}
 	if resolver == nil {
 		return ts, fmt.Errorf("engine: nil tenant resolver")
 	}
@@ -279,10 +283,9 @@ func RunTenants(ctx context.Context, resolver TenantResolver, cfg Config, pkts [
 			emit(TenantResult{Result: r, Tenant: p.Tenant, Shard: shardOf(p.Tenant, p.Header, n)})
 		}
 	}
-	led := &tenantLedger{shards: n, offered: make(map[uint32]*TenantBreakdown), outcomes: ts.Tenants}
 	hs, tids := make([]rules.Header, cfg.BatchSize), make([]uint32, cfg.BatchSize)
 	off := 0
-	st, pulled, emitErr := runShards(ctx, nil, &cfg, shards, led, func() ([]rules.Header, []uint32, bool) {
+	st, pulled, emitErr := runShards(ctx, nil, &cfg, shards, ts.Tenants, func() ([]rules.Header, []uint32, bool) {
 		view := pkts[off:min(off+cfg.BatchSize, len(pkts))]
 		for i, p := range view {
 			hs[i], tids[i] = p.Header, p.Tenant
@@ -298,20 +301,9 @@ func RunTenants(ctx context.Context, resolver TenantResolver, cfg Config, pkts [
 	ts.Canceled += len(tail)
 	cfg.Metrics.recordUndispatched(uint64(len(tail)))
 	for _, p := range tail {
-		sc := led.counts(ts.Tenants, p.Tenant, shardOf(p.Tenant, p.Header, n))
-		sc.Offered++
-		sc.Canceled++
-	}
-	// Fold the dispatcher's independent Offered ledger in and derive totals.
-	for tid, bd := range led.offered {
-		for si := range bd.Shards {
-			led.counts(ts.Tenants, tid, si).Offered += bd.Shards[si].Offered
-		}
-	}
-	for _, bd := range ts.Tenants {
-		for si := range bd.Shards {
-			bd.Total.add(bd.Shards[si])
-		}
+		tc := countsOf(ts.Tenants, p.Tenant)
+		tc.Offered++
+		tc.Canceled++
 	}
 	return ts, runErr(ctx, &ts.Stats, emitErr, len(pkts))
 }

@@ -36,8 +36,9 @@ const (
 	// EventCompactAbort: a compaction was discarded — its build failed,
 	// or the base generation changed underneath it.
 	EventCompactAbort = "compact-abort"
-	// EventTenantEvicted: a tenant was removed from a registry, or its
-	// flow-cache partition was reclaimed for a more recently active tenant.
+	// EventTenantEvicted: a tenant was removed from a registry, or a
+	// shard reclaimed its lane and flow cache for a more recently active
+	// tenant.
 	EventTenantEvicted = "tenant-evicted"
 	// EventBudgetStarved: a tenant's build waited on the global admission
 	// budget until its context expired — the fair share never freed up.

@@ -226,16 +226,16 @@ func (r *Registry) IDs() []ID {
 // refused counter so nothing is silently dropped.
 func (r *Registry) Absorb(ts engine.TenantStats) {
 	m := *r.live.Load()
-	for tid, bd := range ts.Tenants {
+	for tid, c := range ts.Tenants {
 		rt := m[tid]
 		if rt == nil {
-			r.refused.Add(bd.Total.Offered)
+			r.refused.Add(c.Offered)
 			continue
 		}
-		rt.offered.Add(bd.Total.Offered)
-		rt.classified.Add(bd.Total.Classified)
-		rt.shedded.Add(bd.Total.Shed)
-		rt.canceled.Add(bd.Total.Canceled)
-		rt.panicked.Add(bd.Total.Panicked)
+		rt.offered.Add(c.Offered)
+		rt.classified.Add(c.Classified)
+		rt.shedded.Add(c.Shed)
+		rt.canceled.Add(c.Canceled)
+		rt.panicked.Add(c.Panicked)
 	}
 }

@@ -138,9 +138,9 @@ func TestRegistryAbsorb(t *testing.T) {
 	r := NewRegistry(Options{})
 	rt := addTenant(t, r, 3, Config{Update: update.Config{ValidateSamples: -1}})
 
-	ts := engine.TenantStats{Tenants: map[uint32]*engine.TenantBreakdown{
-		3: {Total: engine.TenantCounts{Offered: 10, Classified: 7, Shed: 2, Canceled: 1}},
-		9: {Total: engine.TenantCounts{Offered: 5}}, // unknown tenant
+	ts := engine.TenantStats{Tenants: map[uint32]*engine.TenantCounts{
+		3: {Offered: 10, Classified: 7, Shed: 2, Canceled: 1},
+		9: {Offered: 5}, // unknown tenant
 	}}
 	r.Absorb(ts)
 	r.Absorb(ts)
