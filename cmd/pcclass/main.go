@@ -439,9 +439,8 @@ func build(algo string, rs *rules.RuleSet, budget *buildgov.Budget) (classifier,
 	return cl.(classifier), nil
 }
 
-// laddered adapts an update.Manager to the local classifier interface
-// and forwards DescribeAlgorithm so the engine attributes runs to the
-// serving rung.
+// laddered adapts an update.Manager to the local classifier interface;
+// its Name names the serving rung.
 type laddered struct{ m *update.Manager }
 
 func (l laddered) Classify(h rules.Header) int { return l.m.Classify(h) }
@@ -453,7 +452,6 @@ func (l laddered) Name() string {
 	algo, level := l.m.DescribeAlgorithm()
 	return fmt.Sprintf("ladder:%s (degradation level %d)", algo, level)
 }
-func (l laddered) DescribeAlgorithm() (string, int) { return l.m.DescribeAlgorithm() }
 
 func buildLadder(names []string, rs *rules.RuleSet, budget *buildgov.Budget, ring *obs.Ring, reg *obs.Registry) (classifier, error) {
 	rungs, err := update.LadderFromNames(names, budget)

@@ -46,7 +46,9 @@ func (b *batch) result(i int) Result {
 	return r
 }
 
-// counts is the batch's tally: its size offered, and its outcomes.
+// counts is the batch's tally: its size offered, and its outcomes. It is
+// the engine's one decision of what happened to a packet; Stats, the
+// per-tenant counts and the per-shard outcome counters all add it up.
 func (b *batch) counts() TenantCounts {
 	n := uint64(len(b.hs))
 	switch {
@@ -118,18 +120,18 @@ func (p *batchPool) put(b *batch) {
 	p.mu.Unlock()
 }
 
-// classifyBatch writes b.matches, returning how many packets failed with
+// classifyBatch writes b.matches, and b.errs for packets that failed with
 // contained panics. The rules.BatchClassifier fast path classifies the
 // whole batch in one call and writes nothing else; if that call panics, the
 // batch is re-run packet by packet so the panic is attributed to exactly
 // the packet(s) that triggered it and every innocent packet still gets its
 // answer — panic isolation at batch granularity never costs more than the
 // per-packet path would have.
-func classifyBatch(cl Classifier, bc rules.BatchClassifier, b *batch) (panicked int64) {
+func classifyBatch(cl Classifier, bc rules.BatchClassifier, b *batch) {
 	b.errs = nil // a generation redo re-runs the batch
 	out := b.matches[:len(b.hs)]
 	if bc != nil && classifyBatchContained(bc, b.hs, out) {
-		return 0
+		return
 	}
 	for i, h := range b.hs {
 		m, err := classifyOne(cl, h)
@@ -139,10 +141,8 @@ func classifyBatch(cl Classifier, bc rules.BatchClassifier, b *batch) (panicked 
 				b.errs = make([]error, len(b.hs))
 			}
 			b.errs[i] = err
-			panicked++
 		}
 	}
-	return panicked
 }
 
 // classifyBatchContained runs the batched lookup with panic containment,

@@ -51,15 +51,6 @@ func AutoPipelineGroup() int {
 	return g
 }
 
-// Describer is optionally implemented by classifiers that know which
-// algorithm is live and how degraded it is (0 = best rung of a
-// degradation ladder; higher = further down). update.Manager implements
-// it; when the classifier handed to Run does, Stats carries the answer so
-// callers can tell which rung actually served the run.
-type Describer interface {
-	DescribeAlgorithm() (algorithm string, degradationLevel int)
-}
-
 // OverloadPolicy selects what the dispatcher does when the ring is full.
 type OverloadPolicy int
 
@@ -228,20 +219,6 @@ type Stats struct {
 	// follows a batch's arrival (0 when ordering is off or classification
 	// completed in order).
 	MaxReorder int
-	// Algorithm and DegradationLevel are filled when the classifier
-	// implements Describer: the algorithm that served this run and its
-	// rung on the degradation ladder (0 = best). Algorithm is empty for
-	// classifiers that don't describe themselves. This pair is sampled as
-	// serving starts.
-	Algorithm        string
-	DegradationLevel int
-	// FinalAlgorithm and FinalDegradationLevel re-sample the Describer
-	// after the last result is emitted. They differ from Algorithm /
-	// DegradationLevel exactly when a hot-swap or rung change landed
-	// while the run was serving; callers that need one label for the run
-	// should treat a first/final mismatch as "mixed".
-	FinalAlgorithm        string
-	FinalDegradationLevel int
 	// Shards is how many flow-affinity shards served the run.
 	Shards int
 	// ShardBusy is each shard's cumulative classification busy time. On a
@@ -281,7 +258,7 @@ func RunContext(ctx context.Context, cl Classifier, cfg Config, headers []rules.
 	// The slice is served through the streaming core a batch-sized view at
 	// a time: no copy on the way in, and cancellation polled once per view.
 	off := 0
-	st, pulled, emitErr := runShards(ctx, cl, &cfg, shards, nil, func() ([]rules.Header, []uint32, bool) {
+	st, pulled, emitErr := runShards(ctx, &cfg, shards, nil, func() ([]rules.Header, []uint32, bool) {
 		view := headers[off:min(off+cfg.BatchSize, len(headers))]
 		off += len(view)
 		return view, nil, off < len(headers)

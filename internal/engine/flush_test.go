@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/rules"
 )
 
 // flushSource gives any Source a Flush method and checks the engine's
@@ -52,16 +53,40 @@ func (s *flushSource) checkFinalFlush(t *testing.T) {
 	}
 }
 
+// lockstepSource is a trickleSource that, after its first pull, waits
+// until every header it has returned has been emitted, the way a socket
+// source blocks in its reads while its requests are answered. Its pulls
+// are short, which is what lets it wait (see Source); and since nothing
+// is in flight when it returns, each pull's last arrival finds the
+// results channel empty.
+type lockstepSource struct {
+	trickleSource
+	pending int
+	emitted chan struct{} // one token per emitted result
+}
+
+func (s *lockstepSource) Next(hs []rules.Header) (int, bool) {
+	for ; s.pending > 0; s.pending-- {
+		<-s.emitted
+	}
+	n, ok := s.trickleSource.Next(hs)
+	s.pending = n
+	return n, ok
+}
+
 func TestStreamFlushOnEmitGoroutine(t *testing.T) {
 	rs, tree, headers := fixtures(t, 5000)
 	for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
 		prev := runtime.GOMAXPROCS(procs)
-		// Short pulls leave the results channel empty often, so Flush runs
+		// Each short pull is emitted before the next one, so Flush runs
 		// many times mid-stream, not only at the end.
-		src := &flushSource{Source: &trickleSource{headers: headers, chunk: 7}, t: t}
+		lockstep := &lockstepSource{trickleSource: trickleSource{headers: headers, chunk: 7},
+			emitted: make(chan struct{}, len(headers))}
+		src := &flushSource{Source: lockstep, t: t}
 		var next uint64
 		st, err := RunStream(context.Background(), tree, Config{Shards: 3, PreserveOrder: true},
 			src, src.wrap(func(r Result) {
+				lockstep.emitted <- struct{}{}
 				if r.Seq != next {
 					t.Fatalf("procs=%d: seq %d emitted, want %d", procs, r.Seq, next)
 				}

@@ -1,13 +1,11 @@
 // Regression tests for sharded-runtime lifecycle bugs: goroutine leaks
-// on mid-construction failure, and Describer sampling that froze the
-// run's algorithm label before serving started.
+// on mid-construction failure.
 package engine
 
 import (
 	"errors"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/flowcache"
@@ -72,50 +70,4 @@ func TestFlowCacheCapacityErrorSurfaces(t *testing.T) {
 		t.Errorf("CapacityError.Capacity = %d, want %d", ce.Capacity, over)
 	}
 	waitNoLeaks(t, base)
-}
-
-// swappingDescriber reports one algorithm until its swapped flag is set
-// — the smallest model of a hot-swap landing mid-run. The test sets the
-// flag from the emit callback, which runs on the same goroutine that
-// takes both Stats samples: the first sample provably precedes every
-// emit and the final sample follows them all, so the expected values are
-// deterministic rather than racing the serving pipeline.
-type swappingDescriber struct {
-	Classifier
-	swapped atomic.Bool
-}
-
-func (s *swappingDescriber) DescribeAlgorithm() (string, int) {
-	if s.swapped.Load() {
-		return "hsm", 2
-	}
-	return "expcuts", 0
-}
-
-// TestDescriberResampledAfterServing: Stats must carry both the
-// algorithm that started the run and the one live when it finished. The
-// old code sampled DescribeAlgorithm once, before serving, so a mid-run
-// swap or rung change was invisible in the run's stats. Exercised with
-// and without a flow cache.
-func TestDescriberResampledAfterServing(t *testing.T) {
-	_, tree, headers := fixtures(t, 2000)
-	for _, cfg := range []Config{
-		{Shards: 2, PreserveOrder: true},                     // two shards
-		{Shards: 3, PreserveOrder: true},                     // three shards
-		{Shards: 1, FlowCacheFlows: 64, PreserveOrder: true}, // sharded via cache
-	} {
-		cl := &swappingDescriber{Classifier: tree}
-		st, err := Run(cl, cfg, headers, func(Result) { cl.swapped.Store(true) })
-		if err != nil {
-			t.Fatalf("%+v: %v", cfg, err)
-		}
-		if st.Algorithm != "expcuts" || st.DegradationLevel != 0 {
-			t.Errorf("%+v: first sample = %q/%d, want expcuts/0 (sampled before serving)",
-				cfg, st.Algorithm, st.DegradationLevel)
-		}
-		if st.FinalAlgorithm != "hsm" || st.FinalDegradationLevel != 2 {
-			t.Errorf("%+v: final sample = %q/%d, want hsm/2 (re-sampled after serving)",
-				cfg, st.FinalAlgorithm, st.FinalDegradationLevel)
-		}
-	}
 }

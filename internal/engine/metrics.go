@@ -1,6 +1,9 @@
 // Engine observability: per-shard instrument blocks recorded at batch
-// granularity by the serving loops, aggregated only when a registry
-// scrapes. A Metrics value outlives individual runs — attach one to every
+// granularity, aggregated only when a registry scrapes. Every instrument
+// has one writer during a run: a shard's serve goroutine records its work
+// and its served lane's cache delta, and the emit goroutine counts each
+// batch's outcomes from the sequencer's tally and observes the reorder
+// histogram. A Metrics value outlives individual runs — attach one to every
 // Config a process serves with and the counters accumulate across runs,
 // which is what a Prometheus endpoint wants (monotonic totals, not
 // per-run resets).
@@ -13,26 +16,25 @@ import (
 	"repro/internal/obs"
 )
 
-// shardMetrics is one shard's instrument block. During a run it has a
-// single writer — the shard's serve goroutine (the dispatcher and the
-// sequencer write only to the shed/canceled counters and the reorder
-// histogram, which live on separate instruments) — so every update is an
-// uncontended atomic. The trailing pad keeps neighboring shards' blocks
-// off each other's cache lines.
+// shardMetrics is one shard's instrument block. Each instrument has a
+// single writer (see above), so every update is an uncontended atomic.
+// The trailing pad keeps neighboring shards' blocks off each other's
+// cache lines.
 type shardMetrics struct {
-	// packets and batches count classified work (including canceled
-	// batches failed in the serve loop; those are also in canceled).
+	// packets and batches count the work the serve loop classified,
+	// panicked packets included.
 	packets obs.Counter
 	batches obs.Counter
-	// shed / canceled / panics count per-packet outcomes.
+	// shed / canceled / panics count per-packet outcomes of the batches
+	// bound for this shard, served or not.
 	shed     obs.Counter
 	canceled obs.Counter
 	panics   obs.Counter
 	// busyNs accumulates classification time in nanoseconds — the
 	// commodity-core stand-in for per-ME utilization.
 	busyNs obs.Counter
-	// cacheHits / cacheMisses mirror the shard's private flow cache,
-	// fed by per-batch deltas of the cache's own (unsynchronized)
+	// cacheHits / cacheMisses mirror the shard's flow caches, fed by the
+	// served lane's per-batch deltas of its cache's own (unsynchronized)
 	// counters so the cache itself stays atomic-free.
 	cacheHits   obs.Counter
 	cacheMisses obs.Counter
@@ -69,28 +71,15 @@ func (sm *shardMetrics) recordBatch(n int, busy time.Duration, queued int) {
 	sm.queueDepth.Observe(uint64(queued))
 }
 
-// addShed / addCanceled / addPanics bump per-outcome counters; nil-safe
-// so call sites outside the batch-scoped `if s.m != nil` block (the
-// dispatcher's shed path, cancellation fast-fails) need no guards.
-func (sm *shardMetrics) addShed(n uint64) {
+// count adds one emitted batch's outcomes (batch.counts) to the
+// per-outcome counters. Nil-safe.
+func (sm *shardMetrics) count(c TenantCounts) {
 	if sm == nil {
 		return
 	}
-	sm.shed.Add(n)
-}
-
-func (sm *shardMetrics) addCanceled(n uint64) {
-	if sm == nil {
-		return
-	}
-	sm.canceled.Add(n)
-}
-
-func (sm *shardMetrics) addPanics(n uint64) {
-	if sm == nil || n == 0 {
-		return
-	}
-	sm.panics.Add(n)
+	sm.shed.Add(c.Shed)
+	sm.canceled.Add(c.Canceled)
+	sm.panics.Add(c.Panicked)
 }
 
 // addCacheBypass counts one churn-forced cache-free batch. Nil-safe.
@@ -101,15 +90,16 @@ func (sm *shardMetrics) addCacheBypass() {
 	sm.cacheBypasses.Inc()
 }
 
-// recordCache folds the flow cache's hit/miss counters into the exported
-// ones as deltas against the previous batch's reading.
-func (sm *shardMetrics) recordCache(hits, misses uint64, lastHits, lastMisses *uint64) {
-	if sm == nil {
+// recordCache exports the hits and misses l's flow cache took since the
+// lane's last export: one lane per batch, whatever the shard holds.
+func (sm *shardMetrics) recordCache(l *lane) {
+	if sm == nil || l.cache == nil {
 		return
 	}
-	sm.cacheHits.Add(hits - *lastHits)
-	sm.cacheMisses.Add(misses - *lastMisses)
-	*lastHits, *lastMisses = hits, misses
+	hits, misses := l.cache.Stats()
+	sm.cacheHits.Add(hits - l.seenHits)
+	sm.cacheMisses.Add(misses - l.seenMisses)
+	l.seenHits, l.seenMisses = hits, misses
 }
 
 // Metrics is the engine's instrument block: a fixed array of per-shard

@@ -2,12 +2,16 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/expcuts"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
+	"repro/internal/pktgen"
+	"repro/internal/rulegen"
 	"repro/internal/rules"
 )
 
@@ -143,69 +147,120 @@ func TestMetricsFlowCacheAndEvents(t *testing.T) {
 }
 
 // TestMetricsShedCanceledPanics: the failure-path counters must agree
-// with Stats on both serving paths.
+// with Stats — canceled together with the undispatched tail — on every
+// entry point, and on the tenant path the per-tenant counts must sum to
+// the same totals. Shed and canceled batches that never reach a shard
+// count as much as those a shard served.
 func TestMetricsShedCanceledPanics(t *testing.T) {
 	_, tree, headers := fixtures(t, 4096)
-
-	// Shed: tiny ring, dawdling classifier, tail-drop policy.
+	// A dawdling classifier behind a one-batch ring: shed under the
+	// tail-drop policy (cfg's, or on the tenant path the lane's own), and a
+	// run canceled at its first result still has batches queued, half-built
+	// and never pulled.
 	slow := &faultinject.SlowClassifier{Inner: tree, EveryN: 1, Delay: 30 * time.Microsecond}
-	for _, cfg := range []Config{
-		{Shards: 2, QueueDepth: 1, BatchSize: 16, Overload: OverloadShed, Metrics: NewMetrics(8)},
-		{Shards: 4, QueueDepth: 1, BatchSize: 16, Overload: OverloadShed, Metrics: NewMetrics(8)},
-	} {
-		st, err := Run(slow, cfg, headers, func(Result) {})
-		if err != nil {
-			t.Fatalf("%+v: %v", cfg, err)
-		}
-		vals, _ := collect(cfg.Metrics)
-		var shed float64
-		for k, v := range vals {
-			if strings.HasPrefix(k, "pc_engine_shard_shed_total") {
-				shed += v
-			}
-		}
-		if int(shed) != st.Shed {
-			t.Errorf("%+v: metrics shed %v, Stats.Shed %d", cfg, shed, st.Shed)
-		}
-	}
-
-	// Panics: per-packet containment counted per shard.
 	panicky := &faultinject.PanickyClassifier{Inner: tree, EveryN: 97}
-	m := NewMetrics(8)
-	st, err := Run(panicky, Config{Shards: 4, Metrics: m}, headers, func(Result) {})
-	if err == nil {
-		t.Fatal("expected a contained-panics run error")
+	shed := func(shards int) Config {
+		return Config{Shards: shards, QueueDepth: 1, BatchSize: 16, Overload: OverloadShed}
 	}
-	vals, _ := collect(m)
-	var panics float64
-	for k, v := range vals {
-		if strings.HasPrefix(k, "pc_engine_shard_panics_total") {
-			panics += v
-		}
-	}
-	if int(panics) != st.Panics || st.Panics == 0 {
-		t.Errorf("metrics panics %v, Stats.Panics %d", panics, st.Panics)
-	}
+	slowRing := Config{Shards: 2, QueueDepth: 1, BatchSize: 16}
 
-	// Canceled: a pre-canceled context cancels everything; emitted
-	// cancels plus the undispatched tail must cover the whole trace.
-	m = NewMetrics(8)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	st, err = RunContext(ctx, tree, Config{Shards: 4, Metrics: m}, headers, func(Result) {})
-	if err == nil {
-		t.Fatal("expected a cancellation error")
-	}
-	vals, _ = collect(m)
-	var canceled float64
-	for k, v := range vals {
-		if strings.HasPrefix(k, "pc_engine_shard_canceled_total") || k == "pc_engine_undispatched_total" {
-			canceled += v
+	type runFunc func(ctx context.Context, cfg Config, emit func()) (Stats, map[uint32]*TenantCounts, error)
+	slice := func(cl Classifier) runFunc {
+		return func(ctx context.Context, cfg Config, emit func()) (Stats, map[uint32]*TenantCounts, error) {
+			st, err := RunContext(ctx, cl, cfg, headers, func(Result) { emit() })
+			return st, nil, err
 		}
 	}
-	if int(canceled) != st.Canceled || st.Canceled != len(headers) {
-		t.Errorf("metrics canceled %v, Stats.Canceled %d, offered %d",
-			canceled, st.Canceled, len(headers))
+	stream := func(cl Classifier) runFunc {
+		return func(ctx context.Context, cfg Config, emit func()) (Stats, map[uint32]*TenantCounts, error) {
+			st, err := RunStream(ctx, cl, cfg, &SliceSource{Headers: headers}, func(Result) { emit() })
+			return st, nil, err
+		}
+	}
+	tenants := func(res mapResolver, ids ...uint32) runFunc {
+		pkts := tenantStream(headers, ids)
+		return func(ctx context.Context, cfg Config, emit func()) (Stats, map[uint32]*TenantCounts, error) {
+			ts, err := RunTenants(ctx, res, cfg, pkts, func(TenantResult) { emit() })
+			return ts.Stats, ts.Tenants, err
+		}
+	}
+	const (
+		none      = iota
+		precancel // cancel before the run starts
+		midrun    // cancel at the first emitted result
+	)
+	for _, c := range []struct {
+		name   string
+		run    runFunc
+		cfg    Config
+		cancel int
+		want   func(Stats) bool // the failure path was taken
+	}{
+		{"slice/shed/2 shards", slice(slow), shed(2), none, func(st Stats) bool { return st.Shed > 0 }},
+		{"slice/shed/4 shards", slice(slow), shed(4), none, func(st Stats) bool { return st.Shed > 0 }},
+		{"slice/panics", slice(panicky), Config{Shards: 4}, none, func(st Stats) bool { return st.Panics > 0 }},
+		{"slice/precanceled", slice(tree), Config{Shards: 4}, precancel,
+			func(st Stats) bool { return st.Canceled == len(headers) }},
+		{"slice/canceled", slice(slow), slowRing, midrun, func(st Stats) bool { return st.Canceled > 0 }},
+		{"stream/shed", stream(slow), shed(2), none, func(st Stats) bool { return st.Shed > 0 }},
+		{"stream/panics", stream(panicky), Config{Shards: 4}, none, func(st Stats) bool { return st.Panics > 0 }},
+		{"stream/canceled", stream(slow), slowRing, midrun, func(st Stats) bool { return st.Canceled > 0 }},
+		{"tenants/unknown tenant", tenants(mapResolver{1: asLane(tree, false)}, 1, 9), Config{Shards: 2}, none,
+			func(st Stats) bool { return st.Shed == len(headers)/2 }},
+		{"tenants/shedding lane", tenants(mapResolver{1: asLane(slow, true)}, 1), slowRing, none,
+			func(st Stats) bool { return st.Shed > 0 }},
+		{"tenants/panicking lane", tenants(mapResolver{1: asLane(panicky, false)}, 1), Config{Shards: 4}, none,
+			func(st Stats) bool { return st.Panics > 0 }},
+		{"tenants/canceled", tenants(mapResolver{1: asLane(slow, false)}, 1), slowRing, midrun,
+			func(st Stats) bool { return st.Canceled > 0 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if c.cancel == precancel {
+				cancel()
+			}
+			cfg := c.cfg
+			cfg.Metrics = NewMetrics(8)
+			st, tally, err := c.run(ctx, cfg, func() {
+				if c.cancel == midrun {
+					cancel()
+				}
+			})
+			if !c.want(st) {
+				t.Fatalf("the run missed its failure path: %+v", st)
+			}
+			if wantErr := st.Panics > 0 || c.cancel != none; (err != nil) != wantErr {
+				t.Errorf("err = %v with %d panics, canceled %v", err, st.Panics, c.cancel != none)
+			}
+			vals, _ := collect(cfg.Metrics)
+			var shed, canceled, panics float64
+			for k, v := range vals {
+				switch {
+				case strings.HasPrefix(k, "pc_engine_shard_shed_total"):
+					shed += v
+				case strings.HasPrefix(k, "pc_engine_shard_canceled_total"), k == "pc_engine_undispatched_total":
+					canceled += v
+				case strings.HasPrefix(k, "pc_engine_shard_panics_total"):
+					panics += v
+				}
+			}
+			if int(shed) != st.Shed || int(canceled) != st.Canceled || int(panics) != st.Panics {
+				t.Errorf("metrics shed %v canceled %v panics %v, Stats %d / %d / %d",
+					shed, canceled, panics, st.Shed, st.Canceled, st.Panics)
+			}
+			if tally == nil {
+				return
+			}
+			var sum TenantCounts
+			for _, tc := range tally {
+				sum.add(*tc)
+			}
+			if int(sum.Classified) != st.Packets || int(sum.Shed) != st.Shed ||
+				int(sum.Canceled) != st.Canceled || int(sum.Panicked) != st.Panics {
+				t.Errorf("tenant counts sum to %+v, Stats %+v", sum, st)
+			}
+		})
 	}
 }
 
@@ -260,6 +315,51 @@ func TestMetricsRegistryExposition(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
+// BenchmarkRunTenantsMetrics prices Config.Metrics on the tenant path:
+// 2^18 CR headers in runs of 64 packets per tenant, cycling over 1 or 64
+// tenants that share one ExpCuts tree, on 2 shards whose tenant lanes
+// carry 256-flow caches, with metrics off and on. The per-batch
+// instrumentation must cost the same at 64 resident lanes as at one.
+func BenchmarkRunTenantsMetrics(b *testing.B) {
+	rs, err := rulegen.Generate(rulegen.Config{Kind: rulegen.CoreRouter, Size: 200, Seed: 401})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tree, err := expcuts.New(rs, expcuts.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := pktgen.Generate(rs, pktgen.Config{Count: 1 << 18, Seed: 402, MatchFraction: 0.9})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tenants := range []int{1, 64} {
+		res := mapResolver{}
+		for tid := 1; tid <= tenants; tid++ {
+			res[uint32(tid)] = asLane(tree, false)
+		}
+		pkts := make([]TenantPacket, len(tr.Headers))
+		for i, h := range tr.Headers {
+			pkts[i] = TenantPacket{Tenant: uint32(i/64%tenants + 1), Header: h}
+		}
+		for _, metrics := range []bool{false, true} {
+			b.Run(fmt.Sprintf("tenants=%d/metrics=%v", tenants, metrics), func(b *testing.B) {
+				cfg := Config{Shards: 2, FlowCacheFlows: 256, PreserveOrder: true}
+				if metrics {
+					cfg.Metrics = NewMetrics(2)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := RunTenants(context.Background(), res, cfg, pkts, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pkts)), "ns/pkt")
+			})
 		}
 	}
 }

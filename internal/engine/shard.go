@@ -16,7 +16,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -76,6 +75,9 @@ type lane struct {
 
 	lastGen uint64
 	lastUse uint64 // tenant lanes: the table's clock at the lane's last batch
+	// seenHits and seenMisses are the cache's counts as last exported
+	// (recordCache), so each batch exports only its own delta.
+	seenHits, seenMisses uint64
 }
 
 // newLane is the lane over cl, with its batched path found once and, when
@@ -111,19 +113,15 @@ type shard struct {
 	busy time.Duration // cumulative classification time, stored as serve exits
 
 	// m is the shard's instrument block and events the flight recorder
-	// (both nil when Config.Metrics is unset). counters reads the
-	// cumulative hit/miss counts of the shard's flow cache or of its tenant
-	// lanes' caches (nil without one); lastHits / lastMisses hold the
-	// previous reading so hits and misses are exported as per-batch deltas
-	// without adding atomics to the cache.
-	m                    *shardMetrics
-	events               *obs.Ring
-	counters             interface{ Stats() (hits, misses uint64) }
-	lastHits, lastMisses uint64
+	// (both nil when Config.Metrics is unset).
+	m      *shardMetrics
+	events *obs.Ring
 }
 
 // serve is the shard's loop: drain the job ring, classify each batch in
-// place on its lane with panic containment, pass the same batch on. It
+// place on its lane with panic containment, pass the same batch on. With
+// metrics, it records the batch's work and the served lane's cache
+// delta; the batch's outcomes are counted where it is emitted. It
 // fails canceled batches fast (the ring drains at cancellation speed,
 // which is what bounds dispatcher blocking under OverloadBlock) and never
 // exits before its ring closes, so delivery can never deadlock.
@@ -136,37 +134,20 @@ func (s *shard) serve(ctx context.Context, results chan<- *batch) {
 			l, err = s.tenants.laneFor(b.tenant)
 		}
 		if err != nil {
-			fail(b, err, s.m)
+			b.err = err
 		} else {
 			start := time.Now()
-			p := l.classify(b, s.m, s.events)
+			l.classify(b, s.m, s.events)
 			busy := time.Since(start)
 			total += busy
 			if s.m != nil {
 				s.m.recordBatch(len(b.hs), busy, queued)
-				s.m.addPanics(uint64(p))
-				if s.counters != nil {
-					hits, misses := s.counters.Stats()
-					s.m.recordCache(hits, misses, &s.lastHits, &s.lastMisses)
-				}
+				s.m.recordCache(l)
 			}
 		}
 		results <- b
 	}
 	s.busy = total
-}
-
-// fail marks a whole batch failed without classifying it — ErrShed under
-// overload or for a refused tenant, the context's error otherwise. The
-// caller still delivers it, which is what keeps the sequence space
-// gap-free for the sequencer.
-func fail(b *batch, err error, m *shardMetrics) {
-	b.err = err
-	if errors.Is(err, ErrShed) {
-		m.addShed(uint64(len(b.hs)))
-	} else {
-		m.addCanceled(uint64(len(b.hs)))
-	}
 }
 
 // maxGenRetries bounds how many times classify re-runs a batch whose
@@ -193,9 +174,10 @@ const maxGenRetries = 3
 // against the raw classifier — update.Manager's ClassifyBatch is
 // internally coherent (one generation load per batch), so correctness
 // holds and only this batch's cache benefit is lost.
-func (l *lane) classify(b *batch, m *shardMetrics, events *obs.Ring) int64 {
+func (l *lane) classify(b *batch, m *shardMetrics, events *obs.Ring) {
 	if l.cache == nil {
-		return classifyBatch(l.cl, l.bc, b)
+		classifyBatch(l.cl, l.bc, b)
+		return
 	}
 	for attempt := 0; l.gen == nil || attempt < maxGenRetries; attempt++ {
 		var gen uint64
@@ -210,9 +192,9 @@ func (l *lane) classify(b *batch, m *shardMetrics, events *obs.Ring) int64 {
 					"shard flow cache epoch advanced at generation %d", gen)
 			}
 		}
-		n := classifyBatch(l.cache, l.cache, b)
+		classifyBatch(l.cache, l.cache, b)
 		if l.gen == nil || l.gen.Generation() == gen {
-			return n
+			return
 		}
 		// A swap landed mid-batch: results may mix generations. Loop and
 		// redo the batch against the settled generation.
@@ -220,7 +202,7 @@ func (l *lane) classify(b *batch, m *shardMetrics, events *obs.Ring) int64 {
 	// Churn outpaced the retry budget: serve this batch cache-free. The
 	// next batch re-enters the protocol (and stales the cache then).
 	m.addCacheBypass()
-	return classifyBatch(l.cl, l.bc, b)
+	classifyBatch(l.cl, l.bc, b)
 }
 
 // makeShards constructs and validates every shard for one run before any
@@ -248,9 +230,6 @@ func makeShards(cl Classifier, resolver TenantResolver, cfg *Config) ([]*shard, 
 				return nil, fmt.Errorf("engine: shard %d flow cache: %w", i, err)
 			}
 			s.lane = l
-			if l.cache != nil {
-				s.counters = l.cache
-			}
 		}
 		shards[i] = s
 	}
@@ -267,7 +246,7 @@ func makeShards(cl Classifier, resolver TenantResolver, cfg *Config) ([]*shard, 
 // no result waiting (see Source). runShards returns once every pulled
 // packet has been emitted, with how many were pulled and the emit stage's
 // error, if any.
-func runShards(ctx context.Context, cl Classifier, cfg *Config, shards []*shard, tally map[uint32]*TenantCounts,
+func runShards(ctx context.Context, cfg *Config, shards []*shard, tally map[uint32]*TenantCounts,
 	next func() (hs []rules.Header, tids []uint32, more bool), emit func(Result), flush func()) (Stats, int, error) {
 	nShards := len(shards)
 	// Sized like a job ring: a lane that finishes a batch should find room
@@ -312,10 +291,11 @@ func runShards(ctx context.Context, cl Classifier, cfg *Config, shards []*shard,
 			return row
 		}
 		// send hands a batch to its shard, or — failed with err, or shed —
-		// straight to the sequencer. The overload policy is cfg's, or on the
-		// tenant path the tenant lane's own (cfg's for an unknown tenant). A
-		// shedding dispatcher never waits: a batch that finds the ring full
-		// overtakes the queued ones to the sequencer as ErrShed markers.
+		// straight to the sequencer, which keeps the sequence space
+		// gap-free. The overload policy is cfg's, or on the tenant path the
+		// tenant lane's own (cfg's for an unknown tenant). A shedding
+		// dispatcher never waits: a batch that finds the ring full overtakes
+		// the queued ones to the sequencer as ErrShed markers.
 		send := func(b *batch, err error) {
 			s := shards[b.si]
 			shed := cfg.Overload == OverloadShed
@@ -337,7 +317,7 @@ func runShards(ctx context.Context, cl Classifier, cfg *Config, shards []*shard,
 					err = ErrShed
 				}
 			}
-			fail(b, err, s.m)
+			b.err = err
 			results <- b
 		}
 		// bin files a run of one tenant's packets, numbered from seq, into
@@ -410,30 +390,23 @@ func runShards(ctx context.Context, cl Classifier, cfg *Config, shards []*shard,
 	}()
 
 	st := Stats{Shards: nShards}
-	d, describes := cl.(Describer)
-	if describes {
-		st.Algorithm, st.DegradationLevel = d.DescribeAlgorithm()
-	}
 	seq := newSequencer(cfg, &st, pool, emit)
 	// Draining results unconditionally until close is what guarantees the
-	// lanes can always deliver and never leak.
+	// lanes can always deliver and never leak. The counts accept returns
+	// are the batch's only tally: Stats, the shard's outcome counters and
+	// the tenant's counts all take them from here.
 	for b := range results {
-		if tally == nil {
-			seq.accept(b)
-		} else {
-			tc := countsOf(tally, b.tenant) // accept may recycle b
-			tc.add(seq.accept(b))
+		m, tid := shards[b.si].m, b.tenant // accept may recycle b
+		c := seq.accept(b)
+		m.count(c)
+		if tally != nil {
+			countsOf(tally, tid).add(c)
 		}
 		// The last arrival always finds the channel empty, so flush also
 		// runs after the last result.
 		if flush != nil && len(results) == 0 {
 			flush()
 		}
-	}
-	if describes {
-		// Re-sampled after the last result drained so a mid-run hot-swap
-		// or rung change is visible as Algorithm != FinalAlgorithm.
-		st.FinalAlgorithm, st.FinalDegradationLevel = d.DescribeAlgorithm()
 	}
 	st.ShardBusy = make([]time.Duration, nShards)
 	for i, s := range shards {

@@ -398,25 +398,23 @@ func TestShardedHotPathDoesNotAllocate(t *testing.T) {
 	}
 
 	// Same two paths with the full per-batch instrumentation sequence the
-	// serve loop runs when Config.Metrics is set: classify, recordBatch,
-	// panic and cache-delta recording. Metrics on must not buy back the
-	// allocations the pools eliminated.
+	// serve loop runs when Config.Metrics is set: classify, recordBatch
+	// and the lane's cache-delta recording. Metrics on must not buy back
+	// the allocations the pools eliminated.
 	m := NewMetrics(4)
 	s.m, sc.m = m.shard(0), m.shard(1)
 	sc.events = obs.NewRing(16)
 	if n := testing.AllocsPerRun(100, func() {
-		p := s.lane.classify(j, nil, nil)
+		s.lane.classify(j, nil, nil)
 		s.m.recordBatch(len(j.hs), time.Microsecond, 1)
-		s.m.addPanics(uint64(p))
+		s.m.recordCache(&s.lane)
 	}); n != 0 {
 		t.Errorf("instrumented arena batch walk allocates %v/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		p := sc.lane.classify(j, nil, nil)
+		sc.lane.classify(j, nil, nil)
 		sc.m.recordBatch(len(j.hs), time.Microsecond, 1)
-		sc.m.addPanics(uint64(p))
-		hits, misses := sc.cache.Stats()
-		sc.m.recordCache(hits, misses, &sc.lastHits, &sc.lastMisses)
+		sc.m.recordCache(&sc.lane)
 	}); n != 0 {
 		t.Errorf("instrumented flow-cache hit path allocates %v/op, want 0", n)
 	}

@@ -86,7 +86,7 @@ func RunStream(ctx context.Context, cl Classifier, cfg Config, src Source, emit 
 		flush = f.Flush
 	}
 	scratch := make([]rules.Header, cfg.BatchSize)
-	st, pulled, emitErr := runShards(ctx, cl, &cfg, shards, nil, func() ([]rules.Header, []uint32, bool) {
+	st, pulled, emitErr := runShards(ctx, &cfg, shards, nil, func() ([]rules.Header, []uint32, bool) {
 		n, ok := src.Next(scratch)
 		return scratch[:n], nil, ok
 	}, emit, flush)

@@ -123,8 +123,6 @@ func countsOf(m map[uint32]*TenantCounts, tid uint32) *TenantCounts {
 }
 
 // TenantStats extends the aggregate run Stats with per-tenant accounting.
-// Stats.Algorithm stays empty: there is no single algorithm when every
-// tenant rides its own ladder rung (ask the tenant registry instead).
 type TenantStats struct {
 	Stats
 	Tenants map[uint32]*TenantCounts
@@ -134,16 +132,13 @@ type TenantStats struct {
 // per-tenant state: each resident lane owns its tenant's flow cache and
 // its recency stamp, at most DefaultTenantPartitions of them. Like the
 // rest of the shard it belongs to the serve goroutine; the dispatcher
-// reads only the resolver. It is the shard's counters when lanes carry
-// caches.
+// reads only the resolver. A lane's cache counts are exported batch by
+// batch as it serves (recordCache), so a dropped lane takes none with it.
 type tenantLanes struct {
 	resolver TenantResolver
 	lanes    map[uint32]*lane
 	flows    int    // each lane's flow-cache capacity, 0 for none
 	clock    uint64 // bumped per batch; a lane's lastUse is its last reading
-	// Hits and misses of the caches of lanes no longer resident, so Stats
-	// never falls.
-	goneHits, goneMisses uint64
 
 	events *obs.Ring // records tenant-evicted events for shard si
 	si     int
@@ -157,12 +152,8 @@ func (s *shard) serveTenants(resolver TenantResolver, cfg *Config, si int) error
 	if int64(cfg.FlowCacheFlows) > flowcache.MaxCapacity {
 		return fmt.Errorf("engine: shard %d flow cache: %w", si, &flowcache.CapacityError{Capacity: cfg.FlowCacheFlows})
 	}
-	t := &tenantLanes{resolver: resolver, lanes: make(map[uint32]*lane),
+	s.tenants = &tenantLanes{resolver: resolver, lanes: make(map[uint32]*lane),
 		flows: cfg.FlowCacheFlows, events: s.events, si: si}
-	if t.flows > 0 {
-		s.counters = t
-	}
-	s.tenants = t
 	return nil
 }
 
@@ -175,7 +166,7 @@ func (t *tenantLanes) laneFor(tid uint32) (*lane, error) {
 	if tl == nil {
 		// Tenant gone (or never existed): drop whatever lane state it had
 		// so a later re-add starts clean.
-		t.drop(tid)
+		delete(t.lanes, tid)
 		return nil, ErrUnknownTenant
 	}
 	t.clock++
@@ -186,7 +177,7 @@ func (t *tenantLanes) laneFor(tid uint32) (*lane, error) {
 	if !ok || l.cl != tl {
 		// First sight or rebind. A rebound tenant's cache fronts the old
 		// lane's slow path, so it goes with the old lane.
-		t.drop(tid)
+		delete(t.lanes, tid)
 		if !reflect.ValueOf(tl).Comparable() {
 			return nil, ErrLaneUncomparable
 		}
@@ -217,29 +208,7 @@ func (t *tenantLanes) reclaim() {
 		t.events.Recordf(obs.EventTenantEvicted,
 			"tenant %d flow-cache partition reclaimed on shard %d", victim, t.si)
 	}
-	t.drop(victim)
-}
-
-// drop forgets a tenant's lane; its cache's counts stay in the totals.
-func (t *tenantLanes) drop(tid uint32) {
-	if l, ok := t.lanes[tid]; ok && l.cache != nil {
-		hits, misses := l.cache.Stats()
-		t.goneHits, t.goneMisses = t.goneHits+hits, t.goneMisses+misses
-	}
-	delete(t.lanes, tid)
-}
-
-// Stats returns hits and misses summed over every cache the table has
-// ever held, resident or since dropped.
-func (t *tenantLanes) Stats() (hits, misses uint64) {
-	hits, misses = t.goneHits, t.goneMisses
-	for _, l := range t.lanes {
-		if l.cache != nil {
-			h, m := l.cache.Stats()
-			hits, misses = hits+h, misses+m
-		}
-	}
-	return hits, misses
+	delete(t.lanes, victim)
 }
 
 // RunTenants serves a multi-tenant packet stream through cfg.Shards
@@ -285,7 +254,7 @@ func RunTenants(ctx context.Context, resolver TenantResolver, cfg Config, pkts [
 	}
 	hs, tids := make([]rules.Header, cfg.BatchSize), make([]uint32, cfg.BatchSize)
 	off := 0
-	st, pulled, emitErr := runShards(ctx, nil, &cfg, shards, ts.Tenants, func() ([]rules.Header, []uint32, bool) {
+	st, pulled, emitErr := runShards(ctx, &cfg, shards, ts.Tenants, func() ([]rules.Header, []uint32, bool) {
 		view := pkts[off:min(off+cfg.BatchSize, len(pkts))]
 		for i, p := range view {
 			hs[i], tids[i] = p.Header, p.Tenant

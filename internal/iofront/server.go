@@ -152,13 +152,13 @@ func (a *replyArena) flush() {
 	a.n = 0
 }
 
-// udpSource adapts a UDP socket to engine.Source: each pull assembles
-// datagrams into a segment arena under a read deadline, decodes them,
-// answers malformed ones before it returns, and files reply metadata in
-// the ring for the rest. A deadline expiry returns a short fill, which
-// tells the engine to flush half-built shard batches (see engine.Source).
-// Verdict replies collect in an arena of their own on the emit goroutine
-// until the engine calls Flush.
+// udpSource adapts a UDP socket to engine.Source: each pull reads
+// datagrams into one receive buffer under a read deadline, decodes each
+// as it arrives, answers malformed ones before it returns, and files
+// reply metadata in the ring for the rest. A deadline expiry returns a
+// short fill, which tells the engine to flush half-built shard batches
+// (see engine.Source). Verdict replies collect in an arena of their own
+// on the emit goroutine until the engine calls Flush.
 type udpSource struct {
 	conn     *net.UDPConn
 	deadline time.Duration
@@ -166,7 +166,9 @@ type udpSource struct {
 	mask     uint64
 	wake     chan struct{} // signalled by Flush, after replies freed slots
 
-	seg     pcapio.Segment
+	// buf holds the datagram being decoded; its spare byte is how an
+	// oversize request shows (ParseRequest refuses it).
+	buf     [pcapio.MaxRequestLen + 1]byte
 	errs    replyArena // decode-error replies, source goroutine
 	replies replyArena // verdict replies, emit goroutine
 
@@ -188,7 +190,6 @@ func (s *udpSource) Next(hs []rules.Header) (int, bool) {
 	for s.short && s.ring[uint64(s.offered)&s.mask].busy.Load() {
 		<-s.wake
 	}
-	s.seg.Reset()
 	// One deadline covers the whole batch: every read until it fires
 	// shares the same absolute cutoff, so arm it once, not per datagram
 	// (a syscall per packet on the receive path).
@@ -199,8 +200,7 @@ func (s *udpSource) Next(hs []rules.Header) (int, bool) {
 	n := 0
 	// A pull stops short at the first slot still waiting for its reply.
 	for n < len(hs) && !s.ring[uint64(s.offered)&s.mask].busy.Load() {
-		buf := s.seg.Grow(pcapio.MaxRequestLen + 1)
-		m, addr, err := s.conn.ReadFromUDPAddrPort(buf)
+		m, addr, err := s.conn.ReadFromUDPAddrPort(s.buf[:])
 		if err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
@@ -209,9 +209,8 @@ func (s *udpSource) Next(hs []rules.Header) (int, bool) {
 			s.closed = true // socket closed or broken: end of stream
 			break
 		}
-		s.seg.Commit(m)
 		s.received++
-		token, frame, err := pcapio.ParseRequest(s.seg.Packet(s.seg.Count() - 1))
+		token, frame, err := pcapio.ParseRequest(s.buf[:m])
 		if err != nil {
 			s.decodeErrors++
 			s.errs.add(0, pcapio.VerdictDecodeError, addr)

@@ -18,10 +18,9 @@
 // yields at most one, and the result is the minimum original rule index —
 // conformance tests hold it equal to the linear oracle on every family.
 //
-// The package implements rules.BatchClassifier and the engine's Describer
-// contract, so it slots into update.NewManagerLadder as a rung and
-// inherits shadow-validated swaps, breakers, sharding, batch pooling and
-// tenant dispatch unchanged.
+// The package implements rules.BatchClassifier, so it slots into
+// update.NewManagerLadder as a rung and inherits shadow-validated swaps,
+// breakers, sharding, batch pooling and tenant dispatch unchanged.
 package rmi
 
 import (
@@ -93,7 +92,6 @@ type Index struct {
 	rem    classifier
 	remPos []int32 // remainder-local index → original rule index, increasing
 	stats  Stats
-	algo   string // precomputed DescribeAlgorithm string
 }
 
 const sizeofRule = int(unsafe.Sizeof(rules.Rule{}))
@@ -163,7 +161,6 @@ func NewCtx(ctx context.Context, rs *rules.RuleSet, cfg Config, budget *buildgov
 		x.rem = rem
 		x.stats.RemainderAlgo = algo
 	}
-	x.algo = fmt.Sprintf("rmi[%d sets/%s]", x.stats.NumISets, x.stats.RemainderAlgo)
 	return x, nil
 }
 
@@ -238,11 +235,6 @@ func (x *Index) MemoryBytes() int {
 	}
 	return total
 }
-
-// DescribeAlgorithm implements the engine's Describer: the string carries
-// the extracted-set count and which algorithm absorbed the remainder; the
-// index itself is never a degraded rung, so the level is 0.
-func (x *Index) DescribeAlgorithm() (string, int) { return x.algo, 0 }
 
 // Stats returns build statistics.
 func (x *Index) Stats() Stats { return x.stats }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/buildgov"
-	"repro/internal/engine"
 	"repro/internal/faultinject"
 	"repro/internal/pktgen"
 	"repro/internal/update"
@@ -76,29 +75,6 @@ func TestDefaultLadderLandsOnLinearAndMatchesOracle(t *testing.T) {
 		}
 	}
 	waitNoLeaks(t, base)
-}
-
-// The engine attributes runs to the rung that served them via the
-// Describer interface.
-func TestEngineStatsCarryDegradationState(t *testing.T) {
-	storm := faultinject.WildcardStorm("storm", 120, 11)
-	budget := &buildgov.Budget{Timeout: 50 * time.Millisecond, MaxNodes: 200, MaxMemoEntries: 200, MaxHeapBytes: 2 << 20}
-	m, err := update.NewManagerLadder(storm, update.DefaultLadder(budget),
-		update.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := pktgen.Generate(storm, pktgen.Config{Count: 64, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := engine.Run(m, engine.Config{Shards: 2}, tr.Headers, func(engine.Result) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Algorithm != "linear" || st.DegradationLevel != 3 {
-		t.Fatalf("engine stats attribute run to %q/%d, want linear/3", st.Algorithm, st.DegradationLevel)
-	}
 }
 
 // A builder that has stopped making progress cannot wedge the manager:

@@ -487,9 +487,8 @@ func (m *Manager) Health() Health {
 }
 
 // DescribeAlgorithm reports the live generation's algorithm name and
-// degradation level (ladder rung index; 0 = preferred). It satisfies the
-// engine's Describer interface so engine.Stats can attribute each run to
-// the rung that served it.
+// degradation level (ladder rung index; 0 = preferred), the pair Health
+// also carries.
 func (m *Manager) DescribeAlgorithm() (algo string, degradation int) {
 	g := m.live.Load()
 	return g.algo, g.rung
