@@ -16,6 +16,7 @@ import (
 type countingBatcher struct {
 	inner      rules.BatchClassifier
 	batchCalls atomic.Int64
+	batched    atomic.Int64 // headers classified through ClassifyBatch
 	scalar     atomic.Int64
 }
 
@@ -26,6 +27,7 @@ func (c *countingBatcher) Classify(h rules.Header) int {
 
 func (c *countingBatcher) ClassifyBatch(hs []rules.Header, out []int) {
 	c.batchCalls.Add(1)
+	c.batched.Add(int64(len(hs)))
 	c.inner.ClassifyBatch(hs, out)
 }
 

@@ -123,7 +123,9 @@ func TestBuildChargesAreExact(t *testing.T) {
 // reused buffer: ≈ 23 000 allocations per build, most of them the nodes'
 // runs and memo keys, where one rule list per class, one key per probe and
 // one slice per encoded node made ≈ 246 000. A builder that returns to
-// per-class lists builds the same tree and fails here (≈ 142 000).
+// per-class lists builds the same tree and fails here (≈ 142 000). The
+// image sizes each SRAM channel once, so a build allocates ≈ 9.4 MB; an
+// image grown node by node by append made it ≈ 18.6 MB.
 func TestBuildAllocationBound(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("enforced in the non-race pass, beside the zero-allocation gates")
@@ -141,6 +143,9 @@ func TestBuildAllocationBound(t *testing.T) {
 	n := m1.Mallocs - m0.Mallocs
 	if n > 120000 {
 		t.Fatalf("New(CR04) made %d allocations, want <= 120000", n)
+	}
+	if b := m1.TotalAlloc - m0.TotalAlloc; b > 10e6 {
+		t.Fatalf("New(CR04) allocated %d B, want <= 10 MB", b)
 	}
 	t.Logf("New(CR04) made %d allocations, %d B", n, m1.TotalAlloc-m0.TotalAlloc)
 }

@@ -98,7 +98,8 @@ func TestPullInterleavesTwoClients(t *testing.T) {
 		want[who][token] = int32(rs.Match(onWire(h)))
 		hs = append(hs, onWire(h))
 	}
-	got := make([]rules.Header, len(headers))
+	// A pull reads fewer datagrams than it is offered slots.
+	got := make([]rules.Header, len(headers)+1)
 	n, ok := s.Next(got)
 	if n != len(headers) || !ok {
 		t.Fatalf("pull returned %d of %d (ok %v)", n, len(headers), ok)
@@ -176,8 +177,9 @@ func TestPullOversizeRequestMidBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Sent before the pull starts, so one pull reads all three.
-	hs := make([]rules.Header, 2)
+	// Sent before the pull starts, so one pull offered a slot more than
+	// the headers reads all three.
+	hs := make([]rules.Header, 3)
 	if n, _ := s.Next(hs); n != 2 {
 		t.Fatalf("pull returned %d headers, want 2", n)
 	}
@@ -213,10 +215,11 @@ func TestDualStackReplies(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		hs := make([]rules.Header, len(headers))
+		hs := make([]rules.Header, len(headers)+1) // a pull reads fewer than it is offered
 		if n, _ := s.Next(hs); n != len(headers) {
 			t.Fatalf("%v: pull returned %d of %d", ip, n, len(headers))
 		}
+		hs = hs[:len(headers)]
 		from := s.ring[uint64(s.offered-len(headers))&s.mask].addr.Addr()
 		if want := ip.To4() != nil; from.Is4In6() != want {
 			t.Fatalf("%v client arrived from %v", ip, from)

@@ -10,7 +10,10 @@
 // (channel, word offset).
 package memlayout
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // NumChannels is the number of SRAM channels on the IXP2850.
 const NumChannels = 4
@@ -38,6 +41,12 @@ func (im *Image) Alloc(ch uint8, words []uint32) uint32 {
 	off := uint32(len(im.chans[ch]))
 	im.chans[ch] = append(im.chans[ch], words...)
 	return off
+}
+
+// Grow makes room on the channel for n more words, so the next n words
+// allocated there are not copied to a larger array.
+func (im *Image) Grow(ch uint8, n int) {
+	im.chans[ch] = slices.Grow(im.chans[ch], n)
 }
 
 // Reserve appends n zero words to the channel and returns the offset;

@@ -120,8 +120,9 @@ type Recorder struct {
 }
 
 // recorderSteps is how many steps a Recorder holds before its first
-// allocation: more than an ExpCuts walk at w = 8 (26) or a typical HiCuts one.
-const recorderSteps = 32
+// allocation: more than an ExpCuts walk at w = 8 (26) or a typical HiCuts
+// one, and as many as HSM's worst case on CR04 (40 single-word reads).
+const recorderSteps = 40
 
 // NewRecorder wraps mem for recording. The Recorder may be reused across
 // packets via Finish, which resets it.
