@@ -5,8 +5,8 @@
 package bitset
 
 import (
-	"encoding/binary"
 	"math/bits"
+	"slices"
 )
 
 // Set is a fixed-width bitset. All sets combined together must be created
@@ -78,52 +78,102 @@ func (s Set) Clone() Set {
 	return c
 }
 
-// AppendKey appends a canonical byte encoding of the set to buf, for use as
-// an interning map key; the same bits always produce the same bytes.
-func (s Set) AppendKey(buf []byte) []byte {
-	for _, w := range s {
-		buf = binary.LittleEndian.AppendUint64(buf, w)
-	}
-	return buf
+// Interner deduplicates bitsets of one width into dense class IDs. Every
+// class's words live in one slab, and an open-addressed table indexes them
+// by a 64-bit hash of the words; a probe compares the full words wherever
+// the hash matches, so a collision costs a compare and never a wrong
+// class. Interning allocates only when the slab or the table grows.
+type Interner struct {
+	words []uint64 // class id is words[id*width:][:width]
+	width int
+	n     int
+	slots []slot // len a power of two, at most three quarters full
 }
 
-// Interner deduplicates bitsets into dense class IDs.
-type Interner struct {
-	classes []Set
-	index   map[string]uint32
-	scratch []byte
+// slot is one table entry: a class's hash and its ID + 1 (0 = empty).
+type slot struct {
+	hash uint64
+	id   uint32
 }
 
 // NewInterner returns an empty interner.
 func NewInterner() *Interner {
-	return &Interner{index: make(map[string]uint32)}
+	return &Interner{slots: make([]slot, 64)}
 }
 
-// Intern returns the class ID of s, registering a clone of it if unseen.
+// hashWords hashes s in four independent lanes, so the multiplies of
+// neighbouring words overlap instead of waiting on each other.
+func hashWords(s Set) uint64 {
+	const k = 0x9E3779B97F4A7C15
+	h0, h1, h2, h3 := uint64(len(s)), uint64(1), uint64(2), uint64(3)
+	for ; len(s) >= 4; s = s[4:] {
+		h0 = (bits.RotateLeft64(h0, 23) ^ s[0]) * k
+		h1 = (bits.RotateLeft64(h1, 23) ^ s[1]) * k
+		h2 = (bits.RotateLeft64(h2, 23) ^ s[2]) * k
+		h3 = (bits.RotateLeft64(h3, 23) ^ s[3]) * k
+	}
+	for _, w := range s {
+		h0 = (bits.RotateLeft64(h0, 23) ^ w) * k
+	}
+	h := (h0 ^ bits.RotateLeft64(h1, 16) ^ bits.RotateLeft64(h2, 32) ^ bits.RotateLeft64(h3, 48)) * k
+	return h ^ h>>29
+}
+
+// Intern returns the class ID of s, registering a copy of it if unseen.
 // The caller may reuse s's storage afterwards.
 func (in *Interner) Intern(s Set) uint32 {
-	in.scratch = s.AppendKey(in.scratch[:0])
-	if id, ok := in.index[string(in.scratch)]; ok {
-		return id
+	if in.n == 0 {
+		in.width = len(s)
 	}
-	id := uint32(len(in.classes))
-	in.classes = append(in.classes, s.Clone())
-	in.index[string(in.scratch)] = id
+	h := hashWords(s)
+	mask := uint64(len(in.slots) - 1)
+	i := h & mask
+	for ; in.slots[i].id != 0; i = (i + 1) & mask {
+		if sl := in.slots[i]; sl.hash == h && in.Class(sl.id-1).Equal(s) {
+			return sl.id - 1
+		}
+	}
+	id := uint32(in.n)
+	in.n++
+	if len(in.words)+len(s) > cap(in.words) {
+		in.words = slices.Grow(in.words, len(in.words)+len(s)) // double
+	}
+	in.words = append(in.words, s...)
+	in.slots[i] = slot{hash: h, id: id + 1}
+	if 4*in.n > 3*len(in.slots) {
+		old := in.slots
+		in.slots = make([]slot, 2*len(old))
+		mask = uint64(len(in.slots) - 1)
+		for _, sl := range old {
+			if sl.id != 0 {
+				j := sl.hash & mask
+				for in.slots[j].id != 0 {
+					j = (j + 1) & mask
+				}
+				in.slots[j] = sl
+			}
+		}
+	}
 	return id
 }
 
-// Class returns the bitset of a class ID.
+// Class returns the bitset of a class ID; the caller must not modify it.
 func (in *Interner) Class(id uint32) Set {
-	return in.classes[id]
+	lo := int(id) * in.width
+	return in.words[lo : lo+in.width : lo+in.width]
 }
 
 // Classes returns every class, indexed by ID; the caller must not modify
 // them.
 func (in *Interner) Classes() []Set {
-	return in.classes
+	cs := make([]Set, in.n)
+	for id := range cs {
+		cs[id] = in.Class(uint32(id))
+	}
+	return cs
 }
 
 // Len returns the number of distinct classes.
 func (in *Interner) Len() int {
-	return len(in.classes)
+	return in.n
 }

@@ -123,6 +123,11 @@ func TestInternerManyRandom(t *testing.T) {
 			t.Fatal("class table corrupted")
 		}
 	}
+	for id, c := range in.Classes() {
+		if in.Intern(c) != uint32(id) {
+			t.Fatalf("Classes()[%d] interns as another class", id)
+		}
+	}
 }
 
 func TestFirstIsMinimumProperty(t *testing.T) {
@@ -140,5 +145,34 @@ func TestFirstIsMinimumProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInternerHashCollision: a set whose hash equals a registered class's
+// gets its own class, told apart by the full-word compare, and keeps it as
+// the table grows.
+func TestInternerHashCollision(t *testing.T) {
+	in := NewInterner()
+	a, b := New(128), New(128)
+	a.Add(1)
+	b.Add(2)
+	idA := in.Intern(a)
+	for i := range in.slots {
+		if in.slots[i].id == idA+1 {
+			in.slots[i].hash = hashWords(b) // as if a and b collided
+		}
+	}
+	idB := in.Intern(b)
+	if idB == idA || in.Intern(b) != idB {
+		t.Fatalf("colliding sets: a → %d, b → %d", idA, idB)
+	}
+	for i := 3; i < 200; i++ {
+		s := New(128)
+		s.Add(i % 128)
+		s.Add(i / 128)
+		in.Intern(s)
+	}
+	if in.Intern(b) != idB {
+		t.Error("b lost its class when the table grew")
 	}
 }

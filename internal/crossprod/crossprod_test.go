@@ -238,10 +238,11 @@ func cr04(tb testing.TB) *rules.RuleSet {
 	return rs
 }
 
-// TestBuildAllocationBound caps the heap allocations of one CR04 build.
-// Nearly all intern classes (a clone and a map key per class); the phase-0
-// sweep reuses one scratch bitset, where a bitset per segment made 18 957
-// (HSM) and 9 482 (RFC).
+// TestBuildAllocationBound caps the heap allocations of one CR04 build:
+// 147 (HSM) and 203 (RFC), and about 60 and 80 more under -race. Interned
+// classes share one slab, where a copy and a map key per class made
+// 17 330 and 7 615; the phase-0 sweep reuses one scratch bitset, where a
+// bitset per segment made 18 957 and 9 482.
 func TestBuildAllocationBound(t *testing.T) {
 	rs := cr04(t)
 	for i, a := range algos {
@@ -251,7 +252,7 @@ func TestBuildAllocationBound(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			if max := [...]float64{18000, 8500}[i]; allocs > max {
+			if max := [...]float64{220, 300}[i]; allocs > max {
 				t.Errorf("New(CR04) made %.0f allocations, want <= %.0f", allocs, max)
 			}
 		})

@@ -107,13 +107,14 @@ type Config struct {
 	Shards int
 	// FlowCacheFlows, when > 0, gives each shard a private exact-match
 	// flow cache (8-way sets, internal/flowcache) of this many flows in
-	// front of the classifier. Per-shard privacy means no cache
-	// synchronization and no cross-core cache-line bouncing; flow-hash
-	// dispatch guarantees all packets of a flow see the same shard's
-	// cache. When the classifier exposes rule-set generations
-	// (update.Manager), each shard invalidates its cache on generation
-	// change and guarantees no batch mixes results from two generations.
-	// 0 disables caching.
+	// front of the classifier. A full set caches a flow only on its
+	// second miss, so flows seen once do not evict hot ones. Per-shard
+	// privacy means no cache synchronization and no cross-core cache-line
+	// bouncing; flow-hash dispatch guarantees all packets of a flow see
+	// the same shard's cache. When the classifier exposes rule-set
+	// generations (update.Manager), each shard invalidates its cache on
+	// generation change and guarantees no batch mixes results from two
+	// generations. 0 disables caching.
 	FlowCacheFlows int
 	// Metrics, when non-nil, attaches the engine's observability block
 	// (see NewMetrics): serving loops record per-shard counters and

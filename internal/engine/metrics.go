@@ -33,11 +33,12 @@ type shardMetrics struct {
 	// busyNs accumulates classification time in nanoseconds — the
 	// commodity-core stand-in for per-ME utilization.
 	busyNs obs.Counter
-	// cacheHits / cacheMisses mirror the shard's flow caches, fed by the
-	// served lane's per-batch deltas of its cache's own (unsynchronized)
-	// counters so the cache itself stays atomic-free.
-	cacheHits   obs.Counter
-	cacheMisses obs.Counter
+	// cacheHits / cacheMisses / cacheRefused mirror the shard's flow
+	// caches, fed by the served lane's per-batch deltas of its cache's own
+	// (unsynchronized) counters so the cache itself stays atomic-free.
+	cacheHits    obs.Counter
+	cacheMisses  obs.Counter
+	cacheRefused obs.Counter
 	// cacheBypasses counts batches served cache-free because generation
 	// churn outpaced the redo budget (see lane.classify).
 	cacheBypasses obs.Counter
@@ -90,16 +91,18 @@ func (sm *shardMetrics) addCacheBypass() {
 	sm.cacheBypasses.Inc()
 }
 
-// recordCache exports the hits and misses l's flow cache took since the
-// lane's last export: one lane per batch, whatever the shard holds.
+// recordCache exports the hits, misses and refused admissions l's flow
+// cache took since the lane's last export: one lane per batch, whatever
+// the shard holds.
 func (sm *shardMetrics) recordCache(l *lane) {
 	if sm == nil || l.cache == nil {
 		return
 	}
-	hits, misses := l.cache.Stats()
+	hits, misses, refused := l.cache.Stats()
 	sm.cacheHits.Add(hits - l.seenHits)
 	sm.cacheMisses.Add(misses - l.seenMisses)
-	l.seenHits, l.seenMisses = hits, misses
+	sm.cacheRefused.Add(refused - l.seenRefused)
+	l.seenHits, l.seenMisses, l.seenRefused = hits, misses, refused
 }
 
 // Metrics is the engine's instrument block: a fixed array of per-shard
@@ -217,6 +220,7 @@ func (m *Metrics) Collect(emit func(obs.Sample)) {
 		if hits+misses > 0 {
 			counter("pc_flowcache_hits_total", "Flow-cache hits per shard.", hits)
 			counter("pc_flowcache_misses_total", "Flow-cache misses per shard.", misses)
+			counter("pc_flowcache_refused_total", "Flow-cache misses a full set did not cache (first miss of a flow not in its set's ghost) per shard.", sm.cacheRefused.Load())
 			emit(obs.Sample{Name: "pc_flowcache_hit_ratio",
 				Help: "Flow-cache hit fraction per shard.", Type: "gauge",
 				Labels: labels, Value: float64(hits) / float64(hits+misses)})

@@ -85,9 +85,10 @@ func TestMetricsAccountAllPackets(t *testing.T) {
 }
 
 // TestMetricsFlowCacheAndEvents: with heavy flow reuse the cache
-// counters must show hits, the derived ratio must land in (0,1], and a
-// mid-run generation bump must record a cache-invalidate event in the
-// attached flight recorder.
+// counters must show hits, the derived ratio must land in (0,1], full
+// sets must show refused first misses (about 1 024 flows per shard in 128
+// sets of 8), and a mid-run generation bump must record a
+// cache-invalidate event in the attached flight recorder.
 func TestMetricsFlowCacheAndEvents(t *testing.T) {
 	_, _, headers := fixtures(t, 2048)
 	cl := &genClassifier{}
@@ -100,7 +101,7 @@ func TestMetricsFlowCacheAndEvents(t *testing.T) {
 	// land while most batches are still unclassified — the invalidation
 	// must fire on every shard.
 	bumped := false
-	_, err := Run(cl, Config{Shards: 2, FlowCacheFlows: 4096, BatchSize: 64, QueueDepth: 1, PreserveOrder: true, Metrics: m},
+	_, err := Run(cl, Config{Shards: 2, FlowCacheFlows: 1024, BatchSize: 64, QueueDepth: 1, PreserveOrder: true, Metrics: m},
 		trace, func(Result) {
 			if !bumped {
 				cl.gen.Add(1)
@@ -111,7 +112,7 @@ func TestMetricsFlowCacheAndEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	vals, _ := collect(m)
-	var hits, misses float64
+	var hits, misses, refused float64
 	ratioSeen := false
 	for k, v := range vals {
 		switch {
@@ -119,6 +120,8 @@ func TestMetricsFlowCacheAndEvents(t *testing.T) {
 			hits += v
 		case strings.HasPrefix(k, "pc_flowcache_misses_total"):
 			misses += v
+		case strings.HasPrefix(k, "pc_flowcache_refused_total"):
+			refused += v
 		case strings.HasPrefix(k, "pc_flowcache_hit_ratio"):
 			ratioSeen = true
 			if v <= 0 || v > 1 {
@@ -131,6 +134,9 @@ func TestMetricsFlowCacheAndEvents(t *testing.T) {
 	}
 	if misses == 0 {
 		t.Error("cold flows recorded no misses")
+	}
+	if refused == 0 || refused >= misses {
+		t.Errorf("%v refused admissions of %v misses, want some but not all", refused, misses)
 	}
 	if !ratioSeen {
 		t.Error("hit ratio gauge missing")

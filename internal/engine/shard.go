@@ -75,9 +75,9 @@ type lane struct {
 
 	lastGen uint64
 	lastUse uint64 // tenant lanes: the table's clock at the lane's last batch
-	// seenHits and seenMisses are the cache's counts as last exported
-	// (recordCache), so each batch exports only its own delta.
-	seenHits, seenMisses uint64
+	// seenHits, seenMisses and seenRefused are the cache's counts as last
+	// exported (recordCache), so each batch exports only its own delta.
+	seenHits, seenMisses, seenRefused uint64
 }
 
 // newLane is the lane over cl, with its batched path found once and, when

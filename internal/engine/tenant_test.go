@@ -523,7 +523,7 @@ func TestTenantLanesReclaimLeastRecent(t *testing.T) {
 	if lanes[1] != first {
 		t.Error("tenant 1, served just before the admission, lost its lane")
 	}
-	if hits, _ := lanes[1].cache.Stats(); hits == 0 {
+	if hits, _, _ := lanes[1].cache.Stats(); hits == 0 {
 		t.Error("tenant 1's cache never hit: its working set did not survive")
 	}
 	if n := evictions(s); n != 1 {
@@ -646,9 +646,9 @@ func TestTenantLanesIsolateCaches(t *testing.T) {
 	lb := serve(2, 2)
 	a.gen.Store(11)
 	serve(1, 11)
-	_, missesB := lb.cache.Stats()
+	_, missesB, _ := lb.cache.Stats()
 	serve(2, 2)
-	if _, m := lb.cache.Stats(); m != missesB {
+	if _, m, _ := lb.cache.Stats(); m != missesB {
 		t.Errorf("tenant 2 missed %d times after tenant 1's generation change", m-missesB)
 	}
 }

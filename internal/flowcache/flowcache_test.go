@@ -72,7 +72,7 @@ func TestCacheShortCircuitsRepeats(t *testing.T) {
 	if slow.calls != 1 {
 		t.Errorf("slow path called %d times, want 1", slow.calls)
 	}
-	hits, misses := cache.Stats()
+	hits, misses, _ := cache.Stats()
 	if hits != 99 || misses != 1 {
 		t.Errorf("hits/misses = %d/%d", hits, misses)
 	}
@@ -81,6 +81,8 @@ func TestCacheShortCircuitsRepeats(t *testing.T) {
 	}
 }
 
+// TestLRUEviction: a full set refuses a flow on its first miss and
+// admits it on its second, over the way touched longest ago.
 func TestLRUEviction(t *testing.T) {
 	_, slow := fixtures(t)
 	cache, err := New(slow, 2)
@@ -93,18 +95,74 @@ func TestLRUEviction(t *testing.T) {
 	cache.Classify(a) // cache: a
 	cache.Classify(b) // cache: b a
 	cache.Classify(a) // cache: a b (a refreshed)
-	cache.Classify(c) // evicts b -> cache: c a
+	cache.Classify(c) // set full, c unknown: refused -> cache: a b, ghost: c
+	calls := slow.calls
+	cache.Classify(a)
+	cache.Classify(b)
+	if slow.calls != calls {
+		t.Fatal("c's first miss evicted a or b")
+	}
+	cache.Classify(a) // cache: a b
+	cache.Classify(c) // second miss: admitted over b -> cache: c a
 	if cache.Len() != 2 {
 		t.Fatalf("Len = %d", cache.Len())
 	}
-	calls := slow.calls
+	if _, _, refused := cache.Stats(); refused != 1 {
+		t.Errorf("refused = %d, want 1", refused)
+	}
+	calls = slow.calls
+	cache.Classify(c) // hit
 	cache.Classify(a) // hit
 	if slow.calls != calls {
-		t.Error("a should still be cached")
+		t.Error("a and c should be cached")
 	}
 	cache.Classify(b) // miss (evicted)
 	if slow.calls != calls+1 {
 		t.Error("b should have been evicted")
+	}
+}
+
+// TestAdmissionResistsScan: 8 × capacity distinct flows, each seen once,
+// pass through a cache holding a hot set. Each is refused (its set is
+// full) or takes an empty way, so the resident hot flows stay; plain LRU
+// would keep none of them.
+func TestAdmissionResistsScan(t *testing.T) {
+	const capacity = 4096
+	slow := &switchable{}
+	cache, err := New(slow, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit := func(id int) bool {
+		calls := slow.calls
+		cache.Classify(rules.Header{SrcIP: uint32(id) * 2654435761, DstIP: uint32(id), DstPort: 443, Proto: rules.ProtoTCP})
+		return slow.calls == calls
+	}
+	hot := capacity / 2
+	for pass := 0; pass < 2; pass++ {
+		for id := 0; id < hot; id++ {
+			hit(id)
+		}
+	}
+	var resident []int
+	for id := 0; id < hot; id++ {
+		if hit(id) {
+			resident = append(resident, id)
+		}
+	}
+	for id := hot; id < hot+8*capacity; id++ {
+		hit(id)
+	}
+	kept := 0
+	for _, id := range resident {
+		if hit(id) {
+			kept++
+		}
+	}
+	if frac := float64(kept) / float64(len(resident)); len(resident) < hot*9/10 || frac < 0.95 {
+		t.Errorf("%d of %d hot flows resident before the scan, %.4f of them after it, want >= 0.95", len(resident), hot, frac)
+	} else {
+		t.Logf("%d of %d hot flows resident, %.4f kept", len(resident), hot, frac)
 	}
 }
 
@@ -151,9 +209,11 @@ func TestZipfTrafficHitRate(t *testing.T) {
 	}
 }
 
-// TestZipfHitRateNearExactLRU pins what 8-way sets cost against the exact
-// LRU they replaced: on a fixed Zipf(1.1) trace over 2^16 flows at capacity
-// 4096, the hit rate stays within 0.01 of a full LRU list's.
+// TestZipfHitRateNearExactLRU pins what 8-way sets with second-miss
+// admission earn against a full LRU list: on a fixed Zipf(1.1) trace over
+// 2^16 flows at capacity 4096 the hit rate is at least 0.015 above it, as
+// one-time tail flows no longer evict hot ones (8-way LRU sets read 0.01
+// below it).
 func TestZipfHitRateNearExactLRU(t *testing.T) {
 	const capacity, packets = 4096, 1 << 19
 	cache, err := New(&switchable{}, capacity)
@@ -178,8 +238,8 @@ func TestZipfHitRateNearExactLRU(t *testing.T) {
 		resident[id] = recency.PushFront(id)
 	}
 	exact := float64(lruHits) / packets
-	if got := cache.HitRate(); got < exact-0.01 {
-		t.Errorf("hit rate %.4f, exact LRU %.4f: associativity costs more than 0.01", got, exact)
+	if got := cache.HitRate(); got < exact+0.015 {
+		t.Errorf("hit rate %.4f, exact LRU %.4f: admission gains less than 0.015", got, exact)
 	} else {
 		t.Logf("hit rate %.4f, exact LRU %.4f", got, exact)
 	}
@@ -196,8 +256,10 @@ func TestZeroHeaderMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var zero, k key
+	cache.locate(rules.Header{}, &zero)
 	twin := rules.Header{SrcIP: 1}
-	for cache.locate(twin).tag != cache.locate(rules.Header{}).tag {
+	for cache.locate(twin, &k); k.tag != zero.tag; cache.locate(twin, &k) {
 		twin.SrcIP++
 	}
 	probe := func(when string) {
@@ -327,7 +389,7 @@ func TestBatchForwardsMissesAsOneSubBatch(t *testing.T) {
 	if slow.batchCalls != 1 || slow.calls != 0 {
 		t.Errorf("warm batch hit the slow path (batch calls %d, scalar calls %d)", slow.batchCalls, slow.calls)
 	}
-	hits, misses := cache.Stats()
+	hits, misses, _ := cache.Stats()
 	if misses != uint64(slow.batchPackets) {
 		t.Errorf("misses %d != packets forwarded %d", misses, slow.batchPackets)
 	}

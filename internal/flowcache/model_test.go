@@ -42,36 +42,61 @@ func modelFlow(id int) rules.Header {
 	return rules.Header{SrcIP: uint32(id) * 2654435761, DstIP: uint32(id), SrcPort: uint16(id), DstPort: 80, Proto: rules.ProtoTCP}
 }
 
-// lruModel is exact LRU over at most n flows, most recent last.
-type lruModel struct {
+// setModel is one set of n ways under the cache's policy, spelled out
+// with lists: resident flows in recency order (least recent first), each
+// with the epoch it was cached under, and the ghost's fingerprints, oldest
+// first.
+type setModel struct {
 	n     int
-	flows []rules.Header
+	epoch int
+	ways  []modelWay
+	ghost []uint64
+	fp    func(rules.Header) uint64
 }
 
-func (m *lruModel) touch(h rules.Header) bool {
-	i := slices.Index(m.flows, h)
-	if i < 0 {
+type modelWay struct {
+	h     rules.Header
+	epoch int
+}
+
+// touch reports a hit, moving h to most recent; a way staled by an epoch
+// advance does not hit.
+func (m *setModel) touch(h rules.Header) bool {
+	i := slices.IndexFunc(m.ways, func(w modelWay) bool { return w.h == h })
+	if i < 0 || m.ways[i].epoch != m.epoch {
 		return false
 	}
-	m.flows = append(slices.Delete(m.flows, i, i+1), h)
+	w := m.ways[i]
+	m.ways = append(slices.Delete(m.ways, i, i+1), w)
 	return true
 }
 
-func (m *lruModel) insert(h rules.Header) {
-	if m.touch(h) {
-		return
+// insert is a miss of h: refresh its way, else take an empty one, else
+// admit h over the least recent way if its fingerprint is in the ghost
+// (which it leaves), else push the fingerprint, dropping the oldest.
+func (m *setModel) insert(h rules.Header) {
+	if i := slices.IndexFunc(m.ways, func(w modelWay) bool { return w.h == h }); i >= 0 {
+		m.ways = slices.Delete(m.ways, i, i+1)
+	} else if len(m.ways) == m.n {
+		fp := m.fp(h)
+		g := slices.Index(m.ghost, fp)
+		if g < 0 {
+			if m.ghost = append(m.ghost, fp); len(m.ghost) > 4 {
+				m.ghost = m.ghost[1:]
+			}
+			return
+		}
+		m.ghost = slices.Delete(m.ghost, g, g+1)
+		m.ways = m.ways[1:]
 	}
-	if len(m.flows) == m.n {
-		m.flows = slices.Delete(m.flows, 0, 1)
-	}
-	m.flows = append(m.flows, h)
+	m.ways = append(m.ways, modelWay{h, m.epoch})
 }
 
 // runModel interprets ops as a sequence over {Classify, ClassifyBatch,
 // AdvanceEpoch, Invalidate} and checks the cache against two references:
 // seen, the flows offered since the last invalidation (a hit outside it is
-// a stale or phantom entry), and — when the cache is a single set, where
-// replacement is exact LRU — an LRU list that predicts every hit and miss.
+// a stale or phantom entry), and — when the cache is a single set — a
+// setModel that predicts every hit and miss and the occupied ways.
 func runModel(t *testing.T, capacity int, ops []byte) *Cache {
 	t.Helper()
 	slow := &versioned{}
@@ -80,9 +105,13 @@ func runModel(t *testing.T, capacity int, ops []byte) *Cache {
 		t.Fatal(err)
 	}
 	seen := map[rules.Header]bool{}
-	var lru *lruModel
+	var set *setModel
 	if capacity < 2*setWays {
-		lru = &lruModel{n: min(capacity, setWays)}
+		set = &setModel{n: min(capacity, setWays), fp: func(h rules.Header) uint64 {
+			var k key
+			cache.locate(h, &k)
+			return k.fingerprint()
+		}}
 	}
 	var offered uint64
 	next := func() int {
@@ -121,18 +150,21 @@ func runModel(t *testing.T, capacity int, ops []byte) *Cache {
 			} else if !seen[h] {
 				t.Fatalf("capacity %d: %v hit without being offered in this epoch", capacity, h)
 			}
-			if lru != nil && !lru.touch(h) {
+			if set != nil && !set.touch(h) {
 				wantMiss = append(wantMiss, h)
 			}
 		}
-		if lru != nil && !slices.Equal(wantMiss, slow.asked) {
-			t.Fatalf("capacity %d: missed %v, exact LRU misses %v", capacity, slow.asked, wantMiss)
+		if set != nil && !slices.Equal(wantMiss, slow.asked) {
+			t.Fatalf("capacity %d: missed %v, the model misses %v", capacity, slow.asked, wantMiss)
 		}
 		for _, h := range hs {
 			seen[h] = true
 		}
 		for _, h := range wantMiss {
-			lru.insert(h)
+			set.insert(h)
+		}
+		if set != nil && cache.Len() != len(set.ways) {
+			t.Fatalf("capacity %d: Len %d, the model holds %d ways", capacity, cache.Len(), len(set.ways))
 		}
 		slow.asked = slow.asked[:0]
 	}
@@ -152,23 +184,26 @@ func runModel(t *testing.T, capacity int, ops []byte) *Cache {
 		default:
 			if op == 14 {
 				cache.AdvanceEpoch()
+				if set != nil {
+					set.epoch++
+				}
 			} else {
 				cache.Invalidate()
 				if cache.Len() != 0 {
 					t.Fatalf("capacity %d: Len %d after Invalidate", capacity, cache.Len())
 				}
+				if set != nil {
+					set.ways, set.ghost = set.ways[:0], set.ghost[:0]
+				}
 			}
 			slow.version++
 			clear(seen)
-			if lru != nil {
-				lru.flows = lru.flows[:0]
-			}
 		}
 		if cache.Len() > capacity {
 			t.Fatalf("capacity %d: Len %d", capacity, cache.Len())
 		}
 	}
-	if hits, misses := cache.Stats(); hits+misses != offered {
+	if hits, misses, _ := cache.Stats(); hits+misses != offered {
 		t.Fatalf("capacity %d: %d hits + %d misses, %d packets offered", capacity, hits, misses, offered)
 	}
 	return cache
@@ -208,7 +243,7 @@ func FuzzFlowCacheModel(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0})                                       // the zero 5-tuple, twice
 	f.Add([]byte{0, 1, 7, 0, 1, 7, 14, 0, 1, 7, 15, 0, 1, 7})             // hit, epoch, miss, invalidate, miss
 	f.Add([]byte{9, 3, 0, 5, 0, 5, 0, 5, 0, 5, 9, 1, 0, 5, 0, 5})         // duplicate misses in one batch, then hits
-	f.Add([]byte{0, 0, 1, 0, 0, 2, 0, 0, 1, 0, 0, 3, 0, 0, 1, 0, 0, 2})   // LRU order at capacity 2
+	f.Add([]byte{0, 0, 1, 0, 0, 2, 0, 0, 1, 0, 0, 3, 0, 0, 1, 0, 0, 2})   // LRU order and admission at capacity 2
 	f.Add([]byte{0, 0, 1, 14, 0, 0, 2, 0, 0, 3, 0, 0, 1, 15, 0, 0, 1})    // stale way reused before a fresh one
 	f.Add([]byte{13, 15, 1, 1, 3, 2, 5, 3, 7, 4, 9, 5, 11, 6, 13, 7, 15}) // a batch of cold flows
 	f.Fuzz(func(t *testing.T, ops []byte) {
