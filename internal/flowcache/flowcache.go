@@ -208,9 +208,9 @@ func (c *Cache) Classify(h rules.Header) int {
 // served in a first pass; all misses are forwarded to the slow path as one
 // sub-batch, so a batched slow path amortizes its work across every cold
 // flow in the batch, and each miss keeps the key its probe resolved, so the
-// insert after the walk hashes nothing. It probes the set again, since an
-// earlier miss of the batch may have cached the same flow or taken its way.
-// Results are identical to Classify calls; only the accounting differs — a
+// insert after the walk hashes nothing. It probes a set again only after
+// an earlier miss of the batch placed a flow there, which may be the same
+// flow or may have taken the probed way. Results are identical to Classify calls; only the accounting differs — a
 // flow missed twice within a batch counts two misses, where Classify would
 // count the second as a hit.
 func (c *Cache) ClassifyBatch(hs []rules.Header, out []int) {
@@ -240,11 +240,17 @@ func (c *Cache) ClassifyBatch(hs []rules.Header, out []int) {
 			mo[i] = c.slow.Classify(h)
 		}
 	}
+	var placed uint64 // bit s%64: an earlier miss placed a flow in set s
 	for i := range c.missKeys {
 		k := &c.missKeys[i]
 		out[k.idx] = mo[i]
-		k.way = int8(c.find(k))
-		c.insert(k, mo[i])
+		bit := uint64(1) << (k.set % 64)
+		if placed&bit != 0 { // k's probe may predate that flow
+			k.way = int8(c.find(k))
+		}
+		if c.insert(k, mo[i]) {
+			placed |= bit
+		}
 	}
 }
 
@@ -253,8 +259,9 @@ func (c *Cache) ClassifyBatch(hs []rules.Header, out []int) {
 // takes k; else a full set admits k only if its fingerprint is in the
 // ghost, which it leaves, over the way touched longest ago (a staled one
 // if any, every live way being younger); else k's fingerprint is pushed
-// into the ghost, dropping the oldest, and nothing is cached.
-func (c *Cache) insert(k *key, match int) {
+// into the ghost, dropping the oldest, and nothing is cached. It reports
+// whether it placed k in a way k did not hold.
+func (c *Cache) insert(k *key, match int) bool {
 	st := &c.sets[k.set]
 	set := c.entries[int(k.set)*setWays:]
 	set = set[:min(setWays, len(set))]
@@ -278,12 +285,13 @@ func (c *Cache) insert(k *key, match int) {
 		default:
 			st.ghost = st.ghost<<16 | fp
 			c.refused++
-			return
+			return false
 		}
 		st.tags = st.tags&^(0xFF<<(8*w)) | uint64(k.tag)<<(8*w)
 	}
 	c.clock++
 	set[w] = entry{a: k.a, b: k.b, age: c.clock, match: int32(match), epoch: c.epoch}
+	return k.way < 0
 }
 
 // Invalidate empties the cache; call it after the underlying rule set
