@@ -53,20 +53,22 @@ func main() {
 		headers[i] = h
 	}
 
-	// Classify the first half, hot-update the policy, classify the rest.
+	// Classify the first half, hot-update the policy, classify the rest,
+	// all through one flow cache: it follows the manager's generations, so
+	// the update stales what it cached under the old policy.
 	// The engine preserves arrival order across its shard goroutines.
+	cache, err := repro.NewFlowCache(mgr, 1024)
+	if err != nil {
+		log.Fatal(err)
+	}
 	classify := func(hs []repro.Header) (permits, denies, noMatch int) {
-		cache, err := repro.NewFlowCache(mgr, 1024)
-		if err != nil {
-			log.Fatal(err)
-		}
 		var lastSeq uint64
 		first := true
 		// Shards must stay 1 here: the hand-built flow cache is a single
 		// mutable structure, and the engine's shard loops would otherwise
 		// call it concurrently (Shards defaults to GOMAXPROCS). Sharded
 		// setups let the engine own per-shard caches via FlowCacheFlows.
-		_, err = repro.RunEngine(cache, repro.EngineConfig{Shards: 1, PreserveOrder: true}, hs,
+		_, err := repro.RunEngine(cache, repro.EngineConfig{Shards: 1, PreserveOrder: true}, hs,
 			func(r repro.EngineResult) {
 				if !first && r.Seq != lastSeq+1 {
 					log.Fatalf("packet reordered: %d after %d", r.Seq, lastSeq)
@@ -86,7 +88,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  cache hit rate %.1f%%\n", cache.HitRate()*100)
+		fmt.Printf("  cache hit rate so far %.1f%%\n", cache.HitRate()*100)
 		return
 	}
 

@@ -128,7 +128,6 @@ func (p *batchPool) put(b *batch) {
 // answer — panic isolation at batch granularity never costs more than the
 // per-packet path would have.
 func classifyBatch(cl Classifier, bc rules.BatchClassifier, b *batch) {
-	b.errs = nil // a generation redo re-runs the batch
 	out := b.matches[:len(b.hs)]
 	if bc != nil && classifyBatchContained(bc, b.hs, out) {
 		return

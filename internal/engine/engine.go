@@ -111,10 +111,14 @@ type Config struct {
 	// second miss, so flows seen once do not evict hot ones. Per-shard
 	// privacy means no cache synchronization and no cross-core cache-line
 	// bouncing; flow-hash dispatch guarantees all packets of a flow see
-	// the same shard's cache. When the classifier exposes rule-set
-	// generations (update.Manager), each shard invalidates its cache on
-	// generation change and guarantees no batch mixes results from two
-	// generations. 0 disables caching.
+	// the same shard's cache. When the classifier versions its rule set
+	// (flowcache.Versioned: update.Manager, tenant.Runtime), each cache
+	// pins the live generation once per batch and stales its entries when
+	// that moved, so no batch mixes results from two generations. One
+	// narrowing: a batch whose batched lookup panicked is re-run packet by
+	// packet, each packet its own cache call, so a swap during that re-run
+	// answers the later packets from the newer generation. 0 disables
+	// caching.
 	FlowCacheFlows int
 	// Metrics, when non-nil, attaches the engine's observability block
 	// (see NewMetrics): serving loops record per-shard counters and

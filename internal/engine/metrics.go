@@ -39,9 +39,6 @@ type shardMetrics struct {
 	cacheHits    obs.Counter
 	cacheMisses  obs.Counter
 	cacheRefused obs.Counter
-	// cacheBypasses counts batches served cache-free because generation
-	// churn outpaced the redo budget (see lane.classify).
-	cacheBypasses obs.Counter
 	// batchFill observes packets per dispatched batch.
 	batchFill obs.Hist
 	// classifyNs observes per-packet classification nanoseconds,
@@ -81,14 +78,6 @@ func (sm *shardMetrics) count(c TenantCounts) {
 	sm.shed.Add(c.Shed)
 	sm.canceled.Add(c.Canceled)
 	sm.panics.Add(c.Panicked)
-}
-
-// addCacheBypass counts one churn-forced cache-free batch. Nil-safe.
-func (sm *shardMetrics) addCacheBypass() {
-	if sm == nil {
-		return
-	}
-	sm.cacheBypasses.Inc()
 }
 
 // recordCache exports the hits, misses and refused admissions l's flow
@@ -212,10 +201,6 @@ func (m *Metrics) Collect(emit func(obs.Sample)) {
 		hist("pc_engine_batch_fill", "Packets per served batch.", &sm.batchFill)
 		hist("pc_engine_classify_ns", "Per-packet classification time (ns, batch-mean attributed).", &sm.classifyNs)
 		hist("pc_engine_queue_depth", "Shard job-ring occupancy at batch pickup.", &sm.queueDepth)
-		if v := sm.cacheBypasses.Load(); v > 0 {
-			counter("pc_engine_cache_bypass_total",
-				"Batches served cache-free because generation churn outpaced the redo budget.", v)
-		}
 		hits, misses := sm.cacheHits.Load(), sm.cacheMisses.Load()
 		if hits+misses > 0 {
 			counter("pc_flowcache_hits_total", "Flow-cache hits per shard.", hits)

@@ -238,9 +238,11 @@ func TestShardCachesFillEverySet(t *testing.T) {
 // sharded flow caches while another goroutine applies rule-set updates.
 // The applied ops are semantically neutral (append/remove a duplicate of
 // an existing rule at lowest priority), so every packet's correct answer
-// is invariant across generations — any stale cache entry surviving a
-// swap, or a batch straddling generations, shows up as an oracle
-// mismatch or a race-detector hit.
+// is invariant across generations: a stale cache entry cannot show here.
+// What does show is a torn lookup under concurrent swaps — an oracle
+// mismatch or a race-detector hit. Stale entries are
+// TestShardedBatchNeverStraddlesGeneration's and flowcache's
+// TestCacheFollowsManagerGenerations'.
 func TestShardedFlowCacheSurvivesHotSwaps(t *testing.T) {
 	rs, _, headers := fixtures(t, 4000)
 	mgr, err := update.NewManagerConfig(rs,
@@ -296,11 +298,14 @@ func TestShardedFlowCacheSurvivesHotSwaps(t *testing.T) {
 }
 
 // genClassifier answers every lookup with its current generation number
-// and implements the generationProvider contract: monotonic bumps,
-// batch answers from a single load.
+// and implements flowcache.Versioned: Live returns the current
+// generation frozen, which answers every lookup with its own number.
 type genClassifier struct{ gen atomic.Uint64 }
 
-func (g *genClassifier) Generation() uint64        { return g.gen.Load() }
+func (g *genClassifier) Live() (rules.BatchClassifier, uint64) {
+	n := g.gen.Load()
+	return frozenGen(n), n
+}
 func (g *genClassifier) Classify(rules.Header) int { return int(g.gen.Load()) }
 func (g *genClassifier) MemoryBytes() int          { return 8 }
 func (g *genClassifier) ClassifyBatch(hs []rules.Header, out []int) {
@@ -310,22 +315,39 @@ func (g *genClassifier) ClassifyBatch(hs []rules.Header, out []int) {
 	}
 }
 
+// frozenGen is one generation of a genClassifier.
+type frozenGen int
+
+func (f frozenGen) Classify(rules.Header) int { return int(f) }
+func (f frozenGen) ClassifyBatch(hs []rules.Header, out []int) {
+	for i := range hs {
+		out[i] = int(f)
+	}
+}
+
 // TestShardedBatchNeverStraddlesGeneration: with a classifier that
 // stamps every answer with its generation and a writer bumping the
 // generation continuously, every emitted batch must be internally
-// uniform — the engine's read-classify-reread protocol redoes any batch
-// a swap lands in, so a mixed batch can never escape. With one shard and
-// PreserveOrder, batches are exactly the BatchSize-aligned chunks of the
-// sequence space, making straddling externally observable.
+// uniform — the lane's flow cache pins one generation per batch and
+// stales what it cached under an older one, so a mixed batch can never
+// escape. With one shard and PreserveOrder, batches are exactly the
+// BatchSize-aligned chunks of the sequence space, making straddling
+// externally observable. The trace repeats 512 flows, so most lookups
+// are cache hits: a cache that kept serving an older generation's
+// entries would mix them into a batch.
 func TestShardedBatchNeverStraddlesGeneration(t *testing.T) {
-	_, _, headers := fixtures(t, 8192)
+	_, _, flows := fixtures(t, 512)
+	headers := make([]rules.Header, 0, 8192)
+	for len(headers) < cap(headers) {
+		headers = append(headers, flows...)
+	}
 	cl := &genClassifier{}
 	const batch = 64
 	got := make([]int, len(headers))
 	// The emit callback runs concurrently with the shard classifying the
 	// *next* batch, so bumping here lands swaps at arbitrary points inside
-	// in-flight batches — including mid-batch, which the redo loop must
-	// absorb.
+	// in-flight batches — including mid-batch, which the pinned generation
+	// must absorb.
 	// QueueDepth 1 keeps the shard at most a couple of batches ahead of
 	// emission, so the bumps below land while batches are in flight.
 	_, err := Run(cl, Config{Shards: 1, FlowCacheFlows: 256, BatchSize: batch, QueueDepth: 1, PreserveOrder: true},

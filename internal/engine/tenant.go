@@ -3,8 +3,8 @@
 // carries a tenant ID; the dispatcher bins packets by (tenant, flow) so
 // every dispatched batch is single-tenant by construction, and each shard
 // resolves a batch's tenant to a lane of its own — the tenant's
-// classifier, its own flow cache with its own epoch, and its own
-// generation bracket, so a batch never straddles one tenant's hot-swap
+// classifier and its own flow cache, with its own epoch and its own
+// pinned generation, so a batch never straddles one tenant's hot-swap
 // and one tenant's invalidation never stales another's cache. The lane
 // table is the shard's only per-tenant state, the way each microengine
 // keeps its threads' state in its own local memory. A single-table run is
@@ -56,9 +56,9 @@ type TenantResult struct {
 // TenantLane is what the engine needs from one tenant's serving state:
 // classification against the tenant's live rule table and the tenant's
 // overload policy. Implementations that also implement rules.BatchClassifier
-// get the batched fast path, and those implementing Generation() (the
-// update.Manager contract) get per-batch generation bracketing — both
-// detected dynamically, exactly like RunContext detects them on a bare
+// get the batched fast path, and those implementing flowcache.Versioned
+// (update.Manager's Live) have their generation pinned per batch by the
+// lane's flow cache — both detected dynamically, exactly as on a bare
 // classifier. internal/tenant.Runtime is the canonical implementation.
 //
 // A lane's dynamic value must be comparable — a pointer, or a struct
@@ -217,8 +217,8 @@ func (t *tenantLanes) reclaim() {
 // under PreserveOrder, batch-granular shed/cancel, per-packet panic
 // attribution — with tenancy layered on:
 //
-//   - every batch is single-tenant, so per-batch generation bracketing is
-//     per-tenant bracketing;
+//   - every batch is single-tenant, so the generation a lane's cache pins
+//     per batch is its own tenant's;
 //   - the overload policy is the tenant's own (TenantLane.ShedOnOverload),
 //     falling back to cfg.Overload for unknown tenants. A blocking tenant
 //     stalls the dispatcher when its shard queue fills — head-of-line

@@ -653,8 +653,8 @@ func TestTenantLanesIsolateCaches(t *testing.T) {
 	}
 }
 
-// genLane is a TenantLane over a genClassifier that keeps its Generation
-// visible, so the lane brackets batches by it.
+// genLane is a TenantLane over a genClassifier that keeps its Live
+// visible, so the lane's cache pins its generation per batch.
 type genLane struct{ *genClassifier }
 
 func (genLane) ShedOnOverload() bool { return false }

@@ -25,10 +25,19 @@
 // than every live one); any other flow is pushed into the ghost and not
 // cached. So a flow seen once evicts nothing (short of a fingerprint
 // collision), and a scan of one-time flows leaves the resident set in
-// place, while a cold cache fills exactly as plain LRU would. Len counts occupied ways, staled ones
-// included. All allocation happens in New and in ClassifyBatch's first
-// misses. The cache is not safe for concurrent use; give each worker its
-// own, as an ME implementation would.
+// place, while a cold cache fills exactly as plain LRU would. Len counts
+// occupied ways, staled ones included.
+//
+// A slow path whose rule set changes underneath (a Versioned one, such as
+// update.Manager) is pinned once per Classify or ClassifyBatch call,
+// before the probe: if its generation moved since the last call the cache
+// advances its own epoch, and the call's misses are answered by the
+// pinned generation. So one call answers from one generation, hits and
+// misses alike, and no verdict of an older generation is served again.
+//
+// All allocation happens in New and in ClassifyBatch's first misses. The
+// cache is not safe for concurrent use; give each worker its own, as an
+// ME implementation would.
 package flowcache
 
 import (
@@ -73,10 +82,20 @@ type key struct {
 // fingerprint is k's entry in a ghost word: never 0, the empty lane.
 func (k *key) fingerprint() uint64 { return uint64(max(1, k.fp)) }
 
+// Versioned is a slow path whose rule set changes under the cache, as
+// update.Manager's does. Live returns the live generation, which must
+// answer on its own for as long as the caller holds it, and its number,
+// which must differ from every earlier generation's.
+type Versioned interface {
+	Live() (rules.BatchClassifier, uint64)
+}
+
 // Cache is a bounded set-associative flow cache over a classifier.
 type Cache struct {
-	slow  rules.Classifier
-	batch rules.BatchClassifier // slow, if it supports batching; else nil
+	slow      rules.Classifier
+	batch     rules.BatchClassifier // slow, if it supports batching; else nil
+	versioned Versioned             // slow, if it versions its rule set; else nil
+	gen       uint64                // versioned's generation the live epoch caches
 
 	sets    []setWords
 	entries []entry // set s owns entries[s*setWays:], setWays of them or all
@@ -114,7 +133,8 @@ func (e *CapacityError) Error() string {
 // Capacities outside [1, MaxCapacity] are rejected with a *CapacityError;
 // a capacity of 8 or more holds that many rounded down to a multiple of 8.
 // When slow is a rules.BatchClassifier, ClassifyBatch forwards a batch's
-// misses to it as one sub-batch.
+// misses to it as one sub-batch; when it is Versioned, every call pins its
+// live generation (see the package comment).
 func New(slow rules.Classifier, capacity int) (*Cache, error) {
 	if capacity < 1 || int64(capacity) > int64(MaxCapacity) {
 		return nil, &CapacityError{Capacity: capacity}
@@ -126,7 +146,26 @@ func New(slow rules.Classifier, capacity int) (*Cache, error) {
 		entries: make([]entry, min(capacity, sets*setWays)),
 	}
 	c.batch, _ = slow.(rules.BatchClassifier)
+	if c.versioned, _ = slow.(Versioned); c.versioned != nil {
+		_, c.gen = c.versioned.Live()
+	}
 	return c, nil
+}
+
+// pin returns the slow path this call's misses take: slow itself, or a
+// Versioned slow path's live generation, loaded once. When that
+// generation moved since the last call, the epoch advances first, so the
+// call's hits were cached under the pinned generation too.
+func (c *Cache) pin() (rules.Classifier, rules.BatchClassifier) {
+	if c.versioned == nil {
+		return c.slow, c.batch
+	}
+	g, n := c.versioned.Live()
+	if n != c.gen {
+		c.gen = n
+		c.AdvanceEpoch()
+	}
+	return g, g
 }
 
 // locate packs h's 5-tuple into k and hashes it to its set, tag and
@@ -193,12 +232,13 @@ func (c *Cache) lookup(k *key) *entry {
 
 // Classify answers as the wrapped classifier would, from the cache if it can.
 func (c *Cache) Classify(h rules.Header) int {
+	slow, _ := c.pin()
 	var k key
 	c.locate(h, &k)
 	if e := c.lookup(&k); e != nil {
 		return int(e.match)
 	}
-	match := c.slow.Classify(h)
+	match := slow.Classify(h)
 	c.insert(&k, match)
 	return match
 }
@@ -214,6 +254,7 @@ func (c *Cache) Classify(h rules.Header) int {
 // flow missed twice within a batch counts two misses, where Classify would
 // count the second as a hit.
 func (c *Cache) ClassifyBatch(hs []rules.Header, out []int) {
+	slow, batch := c.pin()
 	out = out[:len(hs)]
 	c.missHs = c.missHs[:0]
 	c.missKeys = c.missKeys[:0]
@@ -233,11 +274,11 @@ func (c *Cache) ClassifyBatch(hs []rules.Header, out []int) {
 	}
 	c.missOut = slices.Grow(c.missOut[:0], len(c.missHs))
 	mo := c.missOut[:len(c.missHs)]
-	if c.batch != nil {
-		c.batch.ClassifyBatch(c.missHs, mo)
+	if batch != nil {
+		batch.ClassifyBatch(c.missHs, mo)
 	} else {
 		for i, h := range c.missHs {
-			mo[i] = c.slow.Classify(h)
+			mo[i] = slow.Classify(h)
 		}
 	}
 	var placed uint64 // bit s%64: an earlier miss placed a flow in set s
@@ -305,10 +346,10 @@ func (c *Cache) Invalidate() {
 
 // AdvanceEpoch stales every cached entry in O(1): entries keep their
 // ways but no longer hit, so the next packet of each flow re-takes the
-// slow path and refreshes its way in place. The engine's shards use it on
-// generation changes: a delta-layer delete publishes a generation, the
-// shard bumps the epoch, and no decision for the deleted rule is served
-// again — without a clear per churn event.
+// slow path and refreshes its way in place. The cache calls it itself
+// when a Versioned slow path's generation moves: a delta-layer delete
+// publishes a generation, the next call bumps the epoch, and no decision
+// for the deleted rule is served again — without a clear per churn event.
 //
 // When the 32-bit counter wraps to E, a way last refreshed at E would pass
 // the equality gate and serve a decision staled 2^32 invalidations ago.
@@ -320,6 +361,11 @@ func (c *Cache) AdvanceEpoch() {
 		c.Invalidate()
 	}
 }
+
+// Generation returns the Versioned slow path's generation the cache last
+// pinned (at New, or at the latest call), which its live entries answer
+// for; 0 when the slow path is not Versioned.
+func (c *Cache) Generation() uint64 { return c.gen }
 
 // Len returns the number of occupied ways, epoch-staled ones included.
 func (c *Cache) Len() int { return c.used }

@@ -369,14 +369,7 @@ func newManagerLadder(rs *rules.RuleSet, ladder []Rung, cfg Config) (*Manager, e
 // list. With a delta layer active, the tree's answer is resolved through
 // it — inserted rules can win, deleted rules are masked — still with zero
 // locking and zero allocation.
-func (m *Manager) Classify(h rules.Header) int {
-	g := m.live.Load()
-	match := g.cl.Classify(h)
-	if g.delta != nil {
-		return g.delta.Resolve(h, match)
-	}
-	return match
-}
+func (m *Manager) Classify(h rules.Header) int { return m.live.Load().Classify(h) }
 
 // ClassifyBatch classifies hs[i] into out[i] against the live generation.
 // The generation pointer is loaded once for the whole batch, so every
@@ -384,8 +377,29 @@ func (m *Manager) Classify(h rules.Header) int {
 // if an Apply lands mid-batch — a strictly stronger consistency grain
 // than the per-packet loop, at one atomic load per batch instead of one
 // per packet.
-func (m *Manager) ClassifyBatch(hs []rules.Header, out []int) {
+func (m *Manager) ClassifyBatch(hs []rules.Header, out []int) { m.live.Load().ClassifyBatch(hs, out) }
+
+// Live returns the live generation and its number. The generation is
+// immutable and classifies on its own, tree and delta resolved together,
+// for as long as the caller holds it: a flow cache pins it for one call,
+// so every answer of the call, hit or miss, comes from that generation.
+func (m *Manager) Live() (rules.BatchClassifier, uint64) {
 	g := m.live.Load()
+	return g, g.gen
+}
+
+// Classify classifies h against g alone.
+func (g *generation) Classify(h rules.Header) int {
+	match := g.cl.Classify(h)
+	if g.delta != nil {
+		return g.delta.Resolve(h, match)
+	}
+	return match
+}
+
+// ClassifyBatch classifies hs[i] into out[i] against g alone, batched
+// when g's classifier supports it.
+func (g *generation) ClassifyBatch(hs []rules.Header, out []int) {
 	out = out[:len(hs)]
 	if bc, ok := g.cl.(rules.BatchClassifier); ok {
 		bc.ClassifyBatch(hs, out)
@@ -395,9 +409,8 @@ func (m *Manager) ClassifyBatch(hs []rules.Header, out []int) {
 		}
 	}
 	if g.delta != nil {
-		// One generation load covers tree and delta alike: the pair was
-		// published together, so the whole batch resolves against one
-		// coherent (tree, delta) snapshot.
+		// The tree and the delta were published together, so the whole
+		// batch resolves against one coherent (tree, delta) snapshot.
 		g.delta.ResolveBatch(hs, out)
 	}
 }
@@ -410,11 +423,11 @@ func (m *Manager) Snapshot() ([]rules.Rule, uint64) {
 }
 
 // Generation returns the live generation number; it increments on every
-// successful Apply or Rollback and never moves backwards. Monotonicity
-// is a contract: the engine's sharded serving path brackets each batch
-// with two Generation reads and takes an equal pair to mean the whole
-// batch — every flow-cache hit and miss in it — was served by that one
-// generation, so no batch on any shard ever straddles a swap.
+// successful Apply, ApplyDelta, compaction or Rollback and never moves
+// backwards. A flow cache over the manager (internal/flowcache) reads it
+// through Live and stales its entries whenever it differs from the number
+// they were cached under: a number never reused is what lets one
+// comparison stand for "the rule set has not moved".
 func (m *Manager) Generation() uint64 {
 	return m.live.Load().gen
 }
