@@ -25,6 +25,7 @@ import (
 	"repro/internal/hsm"
 	"repro/internal/hypercuts"
 	"repro/internal/rfc"
+	"repro/internal/rulegen"
 	"repro/internal/rules"
 )
 
@@ -174,6 +175,47 @@ func TestHeapBudgetRefusesCrossProductTables(t *testing.T) {
 	var be *buildgov.BudgetError
 	if !errors.As(err, &be) || be.Limit != "heap-bytes" {
 		t.Fatalf("got %v, want a heap-bytes trip", err)
+	}
+}
+
+// TestHeapBudgetBoundsClassStorage verifies that the cross-producting
+// builders charge their class storage row by row as it grows: under a
+// 1 MiB byte cap a 10 000-rule build trips "heap-bytes" having allocated
+// at most four times the cap (about 2.4 MiB for each). A sweep that
+// reserved a slab for one class per segment before charging any row
+// allocated 6.1 MiB in HSM.
+func TestHeapBudgetBoundsClassStorage(t *testing.T) {
+	rs, err := rulegen.Standard("ACL1_10K")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 1 << 20
+	for _, b := range []struct {
+		name  string
+		build func(*buildgov.Budget) error
+	}{
+		{"hsm", func(b *buildgov.Budget) error {
+			_, err := hsm.NewCtx(context.Background(), rs, hsm.Config{}, b)
+			return err
+		}},
+		{"rfc", func(b *buildgov.Budget) error {
+			_, err := rfc.NewCtx(context.Background(), rs, rfc.Config{}, b)
+			return err
+		}},
+	} {
+		t.Run(b.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := b.build(&buildgov.Budget{Timeout: time.Minute, MaxHeapBytes: budget})
+			runtime.ReadMemStats(&after)
+			var be *buildgov.BudgetError
+			if !errors.As(err, &be) || be.Limit != "heap-bytes" {
+				t.Fatalf("got %v, want a heap-bytes trip", err)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4*budget {
+				t.Errorf("allocated %d bytes before tripping a %d-byte cap", alloc, budget)
+			}
+		})
 	}
 }
 
